@@ -1,7 +1,7 @@
 """Coherence and entropic uncertainty bounds for small bipartite quantum states."""
 
 from .bounds import BoundReport, coherence_bound_t1, evaluate_all, sweep_family
-from .coherence import CoherenceValue, coherence_rel, purity_rel, unilateral_coherence, unilateral_purity
+from .coherence import coherence_rel, purity_rel, unilateral_coherence, unilateral_purity
 from .correlations import (
     DiscordResult,
     classical_correlation,
@@ -13,13 +13,12 @@ from .entropy import binary_entropy, relative_entropy, shannon_entropy, von_neum
 from .errors import (
     DimensionError,
     DomainError,
-    HermiticityError,
     ParseError,
     ProbabilityError,
     UnsupportedDimension,
     ValidationError,
 )
-from .linalg import SpectralDecomposition, hermitian_eig, partial_trace, tensor_product
+from .linalg import partial_trace, tensor_product
 from .measurement import (
     MeasurementOutcome,
     ObservableBasis,
@@ -49,17 +48,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport",
-    "CoherenceValue",
     "DensityMatrix",
     "DimensionError",
     "DiscordResult",
     "DomainError",
-    "HermiticityError",
     "MeasurementOutcome",
     "ObservableBasis",
     "ParseError",
     "ProbabilityError",
-    "SpectralDecomposition",
     "UnsupportedDimension",
     "ValidationError",
     "bell_diagonal",
@@ -73,7 +69,6 @@ __all__ = [
     "conditional_entropy",
     "dephase",
     "evaluate_all",
-    "hermitian_eig",
     "holevo",
     "incompatibility",
     "load_state_file",

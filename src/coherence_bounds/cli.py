@@ -28,7 +28,6 @@ from .checks import SUITE_NAMES, run_checks
 from .errors import (
     DimensionError,
     DomainError,
-    HermiticityError,
     ParseError,
     ProbabilityError,
     UnsupportedDimension,
@@ -47,7 +46,6 @@ _VALIDATION_ERRORS = (
     ValidationError,
     DomainError,
     DimensionError,
-    HermiticityError,
     ProbabilityError,
     UnsupportedDimension,
 )

@@ -12,8 +12,6 @@ values are clamped at zero.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .correlations import conditional_entropy
@@ -21,13 +19,6 @@ from .entropy import von_neumann_entropy
 from .errors import DimensionError
 from .measurement import ObservableBasis, dephase
 from .states import DensityMatrix
-
-
-@dataclass(frozen=True)
-class CoherenceValue:
-    value: float
-    basis_label: str
-    unilateral: bool
 
 
 def _require_monopartite(rho: DensityMatrix, what: str) -> None:
@@ -40,18 +31,20 @@ def _require_bipartite(rho: DensityMatrix, what: str) -> None:
         raise DimensionError(f"{what} expects a bipartite state, got dim_b = {rho.dim_b}")
 
 
-def coherence_rel(rho: DensityMatrix, basis: ObservableBasis) -> CoherenceValue:
+def _coherence(rho: DensityMatrix, basis: ObservableBasis) -> float:
+    return max(0.0, von_neumann_entropy(dephase(rho, basis)) - von_neumann_entropy(rho))
+
+
+def coherence_rel(rho: DensityMatrix, basis: ObservableBasis) -> float:
     """Relative entropy of coherence of a monopartite state in `basis`."""
     _require_monopartite(rho, "coherence_rel")
-    raw = von_neumann_entropy(dephase(rho, basis)) - von_neumann_entropy(rho)
-    return CoherenceValue(value=max(0.0, raw), basis_label=basis.label, unilateral=False)
+    return _coherence(rho, basis)
 
 
-def unilateral_coherence(rho: DensityMatrix, basis: ObservableBasis) -> CoherenceValue:
+def unilateral_coherence(rho: DensityMatrix, basis: ObservableBasis) -> float:
     """Coherence of A relative to the memory B: S(rho_YB) - S(rho_AB)."""
     _require_bipartite(rho, "unilateral_coherence")
-    raw = von_neumann_entropy(dephase(rho, basis)) - von_neumann_entropy(rho)
-    return CoherenceValue(value=max(0.0, raw), basis_label=basis.label, unilateral=True)
+    return _coherence(rho, basis)
 
 
 def purity_rel(rho: DensityMatrix) -> float:

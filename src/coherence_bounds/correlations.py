@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import von_neumann_entropy, xlog2x
+from .entropy import shannon_entropy, von_neumann_entropy, xlog2x
 from .errors import UnsupportedDimension
 from .measurement import ObservableBasis, bloch_basis, measure
 from .states import DensityMatrix, marginal_a, marginal_b
@@ -49,14 +49,20 @@ def mutual_information(rho: DensityMatrix) -> float:
 
 
 def holevo(rho: DensityMatrix, basis: ObservableBasis) -> float:
-    """Holevo quantity I(Y:B) = S(rho_B) - sum_y p_y S(rho_B|y) of measuring A in `basis`."""
+    """Holevo quantity I(Y:B) = S(rho_B) - sum_y p_y S(rho_B|y) of measuring A in `basis`.
+
+    Evaluated through the identity I(Y:B) = S(rho_B) + H(p_Y) - S(rho_YB), which
+    holds because the dephased joint state rho_YB is block diagonal in Y, so
+    S(rho_YB) = H(p_Y) + sum_y p_y S(rho_B|y). It needs one measurement and no
+    entropy of a conditional state.
+    """
     out = measure(rho, basis)
-    s_cond = sum(
-        p * von_neumann_entropy(c)
-        for p, c, deg in zip(out.probs, out.conditional_states, out.degenerate)
-        if not deg
+    return max(
+        0.0,
+        von_neumann_entropy(marginal_b(rho))
+        + shannon_entropy(out.probs)
+        - von_neumann_entropy(out.joint_state),
     )
-    return max(0.0, von_neumann_entropy(marginal_b(rho)) - float(s_cond))
 
 
 class _HolevoObjective:

@@ -5,10 +5,6 @@ class DimensionError(Exception):
     """Operands have incompatible or non-square shapes."""
 
 
-class HermiticityError(Exception):
-    """Matrix is further from Hermitian than the tolerance allows."""
-
-
 class ProbabilityError(Exception):
     """Vector has negative entries or does not sum to one."""
 

@@ -1,22 +1,9 @@
-"""Dense complex linear algebra helpers: products, partial trace, Hermitian spectra."""
+"""Dense complex linear algebra helpers: products, partial trace, Hermitian parts."""
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, HermiticityError
-
-# Largest allowed deviation max|M - M^dag| before a matrix is rejected as non-Hermitian.
-HERMITICITY_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues (real, descending) and matching orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+from .errors import DimensionError
 
 
 def as_square_matrix(m) -> np.ndarray:
@@ -27,10 +14,6 @@ def as_square_matrix(m) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise DimensionError("matrix contains non-finite entries")
     return arr
-
-
-def dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
@@ -65,19 +48,3 @@ def partial_trace(rho: np.ndarray, dim_a: int, dim_b: int, over: str) -> np.ndar
         return np.einsum("ikjk->ij", blocks)
     raise DimensionError(f"over must be 'A' or 'B', got {over!r}")
 
-
-def hermitian_eig(m) -> SpectralDecomposition:
-    """Spectral decomposition of a Hermitian matrix.
-
-    Eigenvalues come out real and descending; degenerate ties keep the
-    solver's ordering so repeated calls on the same input agree exactly.
-    Raises HermiticityError when max|M - M^dag| exceeds HERMITICITY_TOL.
-    """
-    arr = as_square_matrix(m)
-    if hermiticity_defect(arr) > HERMITICITY_TOL:
-        raise HermiticityError(
-            f"matrix deviates from Hermitian by {hermiticity_defect(arr):.3e}"
-        )
-    w, v = np.linalg.eigh(hermitize(arr))
-    order = np.argsort(-w, kind="stable")
-    return SpectralDecomposition(eigenvalues=w[order], eigenvectors=v[:, order])

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, DomainError, ProbabilityError, ValidationError
-from .states import DensityMatrix, make_density
+from .linalg import hermitize
+from .states import DensityMatrix
 
 # Outcomes with probability at or below this threshold get the maximally
 # mixed conditional state and a degenerate flag instead of a 0/0 division.
@@ -82,13 +83,13 @@ def _conditional_blocks(rho: DensityMatrix, basis: ObservableBasis) -> np.ndarra
         raise DimensionError(f"basis dim {basis.dim} does not match dim_a {rho.dim_a}")
     blocks = rho.matrix.reshape(rho.dim_a, rho.dim_b, rho.dim_a, rho.dim_b)
     v = basis.vectors
-    return np.einsum("iy,jy,iajb->yab", v.conj(), v, blocks, optimize=True)
+    return np.einsum("iy,jy,iajb->yab", v.conj(), v, blocks)
 
 
 def _assemble_joint(cond: np.ndarray, basis: ObservableBasis, rho: DensityMatrix) -> DensityMatrix:
     v = basis.vectors
-    joint = np.einsum("iy,jy,yab->iajb", v, v.conj(), cond, optimize=True)
-    return make_density(joint.reshape(rho.dim, rho.dim), rho.dim_a, rho.dim_b)
+    joint = np.einsum("iy,jy,yab->iajb", v, v.conj(), cond)
+    return DensityMatrix(hermitize(joint.reshape(rho.dim, rho.dim)), rho.dim_a, rho.dim_b)
 
 
 def dephase(rho: DensityMatrix, basis: ObservableBasis) -> DensityMatrix:
@@ -109,13 +110,13 @@ def measure(rho: DensityMatrix, basis: ObservableBasis) -> MeasurementOutcome:
     probs[probs < 0.0] = 0.0
     states = []
     degenerate = []
-    eye_b = np.eye(rho.dim_b) / rho.dim_b
+    eye_b = DensityMatrix(np.eye(rho.dim_b, dtype=np.complex128) / rho.dim_b, rho.dim_b, 1)
     for y, p in enumerate(probs):
         if p <= DEGENERATE_PROB:
-            states.append(make_density(eye_b, rho.dim_b, 1))
+            states.append(eye_b)
             degenerate.append(True)
         else:
-            states.append(make_density(cond[y] / p, rho.dim_b, 1))
+            states.append(DensityMatrix(hermitize(cond[y] / p), rho.dim_b, 1))
             degenerate.append(False)
     return MeasurementOutcome(
         probs=probs,

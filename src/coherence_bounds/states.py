@@ -26,6 +26,8 @@ import numpy as np
 from .errors import DomainError, ParseError, ValidationError
 from .linalg import as_square_matrix, hermiticity_defect, hermitize, partial_trace, tensor_product
 
+# Largest allowed deviation max|M - M^dag| before a matrix is rejected as non-Hermitian.
+HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-9
 EIGENVALUE_FLOOR = -1e-9
 
@@ -41,7 +43,12 @@ PHI_PLUS = np.array([1, 0, 0, 1], dtype=np.complex128) / np.sqrt(2)
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Validated density matrix together with its A x B factorization."""
+    """Density matrix together with its A x B factorization.
+
+    The constructor trusts its input: matrices from outside the library go
+    through make_density, while states derived from a valid DensityMatrix
+    (marginals, dephased and conditional states) are built directly.
+    """
 
     matrix: np.ndarray
     dim_a: int
@@ -60,8 +67,8 @@ def make_density(matrix, dim_a: int, dim_b: int) -> DensityMatrix:
     """Validate and wrap a matrix as a density operator.
 
     Checks, in order: dimensions factor as dim_a * dim_b, Hermiticity within
-    1e-10 (the stored matrix is the symmetrized (M + M^dag)/2), unit trace
-    within 1e-9, and smallest eigenvalue >= -1e-9. Each failure raises
+    HERMITICITY_TOL (the stored matrix is the symmetrized (M + M^dag)/2),
+    unit trace within 1e-9, and smallest eigenvalue >= -1e-9. Each failure raises
     ValidationError naming the violated invariant.
     """
     arr = as_square_matrix(matrix)
@@ -70,8 +77,10 @@ def make_density(matrix, dim_a: int, dim_b: int) -> DensityMatrix:
             f"dimension: matrix of dim {arr.shape[0]} does not factor as {dim_a} x {dim_b}"
         )
     defect = hermiticity_defect(arr)
-    if defect > 1e-10:
-        raise ValidationError(f"hermiticity: max|M - M^dag| = {defect:.3e} exceeds 1e-10")
+    if defect > HERMITICITY_TOL:
+        raise ValidationError(
+            f"hermiticity: max|M - M^dag| = {defect:.3e} exceeds {HERMITICITY_TOL}"
+        )
     arr = hermitize(arr)
     tr = float(np.trace(arr).real)
     if abs(tr - 1.0) > TRACE_TOL:
@@ -86,12 +95,12 @@ def make_density(matrix, dim_a: int, dim_b: int) -> DensityMatrix:
 
 def marginal_a(rho: DensityMatrix) -> DensityMatrix:
     """Reduced state on A (a monopartite DensityMatrix)."""
-    return make_density(partial_trace(rho.matrix, rho.dim_a, rho.dim_b, over="B"), rho.dim_a, 1)
+    return DensityMatrix(hermitize(partial_trace(rho.matrix, rho.dim_a, rho.dim_b, "B")), rho.dim_a, 1)
 
 
 def marginal_b(rho: DensityMatrix) -> DensityMatrix:
     """Reduced state on B (a monopartite DensityMatrix)."""
-    return make_density(partial_trace(rho.matrix, rho.dim_a, rho.dim_b, over="A"), rho.dim_b, 1)
+    return DensityMatrix(hermitize(partial_trace(rho.matrix, rho.dim_a, rho.dim_b, "A")), rho.dim_b, 1)
 
 
 def _check_unit_interval(p: float, name: str) -> float:

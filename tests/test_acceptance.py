@@ -60,8 +60,8 @@ def fuzz_corpus():
             joint = measure(case.rho, basis).joint_state
             per_basis[tag] = {
                 "h_cond": conditional_entropy(joint),
-                "coh": unilateral_coherence(case.rho, basis).value,
-                "coh_local": coherence_rel(rho_a, basis).value,
+                "coh": unilateral_coherence(case.rho, basis),
+                "coh_local": coherence_rel(rho_a, basis),
                 "i_yb": mutual_information(joint),
             }
         rows.append(

@@ -9,6 +9,8 @@ from coherence_bounds.bounds import (
     evaluate_all,
     sweep_family,
 )
+from coherence_bounds.coherence import unilateral_purity
+from coherence_bounds.correlations import conditional_entropy, holevo, mutual_information
 from coherence_bounds.errors import DomainError, UnsupportedDimension
 from coherence_bounds.measurement import bloch_basis, pauli_basis
 from coherence_bounds.states import (
@@ -103,6 +105,40 @@ class TestEvaluateAll:
     def test_rejects_non_qubit_side_a(self):
         with pytest.raises(UnsupportedDimension):
             evaluate_all(random_density(3, 2, 2), X, Z)
+
+    def test_spectra_are_computed_in_one_pass(self, monkeypatch):
+        # S(AB), S(A), S(B), S(XB), S(ZB), and inside classical_correlation
+        # S(B) once for the objective, twice for the final Holevo value and
+        # three times for I(A:B): no intermediate state is re-validated
+        rho = random_density(2, 2, 7)
+        calls = []
+        for name in ("eigvalsh", "eigh"):
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        evaluate_all(rho, bloch_basis(1.0, 2.0), bloch_basis(2.5, 0.3))
+        assert len(calls) <= 11
+
+    def test_fields_match_public_functions(self):
+        # evaluate_all builds these fields from its own entropies, not by
+        # calling the public functions, so pin them to each other
+        cases = [
+            (random_density(2, 2, 500), bloch_basis(0.4, 1.1), bloch_basis(2.0, 4.0)),
+            (random_density(2, 3, 501), bloch_basis(1.3, 0.2), bloch_basis(0.7, 5.5)),
+            (x_state(0.0), X, Z),
+            (x_state(1.0), X, pauli_basis(2)),
+        ]
+        for rho, x, z in cases:
+            rep = evaluate_all(rho, x, z)
+            assert rep.holevo_x == pytest.approx(holevo(rho, x), abs=1e-12)
+            assert rep.holevo_z == pytest.approx(holevo(rho, z), abs=1e-12)
+            assert rep.mutual_info == pytest.approx(mutual_information(rho), abs=1e-12)
+            assert rep.cond_entropy == pytest.approx(conditional_entropy(rho), abs=1e-12)
+            assert rep.ub_purity == pytest.approx(2.0 * unilateral_purity(rho), abs=1e-12)
 
     def test_report_dict_preserves_field_order(self):
         rep = evaluate_all(werner(0.3), X, Z)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from coherence_bounds.errors import ParseError
 from coherence_bounds.states import save_state_file, werner
 
 FIG1_HEADER = "p,lb_berta_coh,lb_pati_coh,lb_adabi_coh"
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def run(argv):
@@ -54,12 +56,15 @@ class TestFigure:
         ps = [float(line.split(",")[0]) for line in lines[1:]]
         assert ps[0] == 0.0 and ps[-1] == 1.0
         assert ps == pytest.approx(list(np.linspace(0, 1, 101)), abs=1e-12)
+        assert out.read_bytes() == (DATA / "figure1.csv").read_bytes()
 
     def test_figure_output_is_byte_identical_across_runs(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert run(["figure", "4", "--out", str(a)]) == EXIT_OK
-        assert run(["figure", "4", "--out", str(b)]) == EXIT_OK
-        assert a.read_bytes() == b.read_bytes()
+        # the committed data/ files are the reference bytes of every rerun
+        for which in ("3", "4"):
+            a, b = tmp_path / f"a{which}.csv", tmp_path / f"b{which}.csv"
+            assert run(["figure", which, "--out", str(a)]) == EXIT_OK
+            assert run(["figure", which, "--out", str(b)]) == EXIT_OK
+            assert a.read_bytes() == b.read_bytes() == (DATA / f"figure{which}.csv").read_bytes()
 
     def test_figure2_endpoint_row(self, tmp_path):
         out = tmp_path / "fig2.csv"
@@ -69,6 +74,7 @@ class TestFigure:
         last = lines[-1].split(",")
         assert float(last[0]) == 1.0
         assert float(last[1]) == pytest.approx(4.0, abs=1e-9)
+        assert out.read_bytes() == (DATA / "figure2.csv").read_bytes()
 
     def test_steps_override(self, tmp_path):
         out = tmp_path / "f.csv"

@@ -9,13 +9,15 @@ from coherence_bounds.correlations import (
     holevo,
     mutual_information,
 )
-from coherence_bounds.entropy import binary_entropy
+from coherence_bounds.checks import generate_cases
+from coherence_bounds.entropy import binary_entropy, von_neumann_entropy
 from coherence_bounds.errors import UnsupportedDimension
 from coherence_bounds.linalg import tensor_product
-from coherence_bounds.measurement import bloch_basis, pauli_basis
+from coherence_bounds.measurement import bloch_basis, measure, pauli_basis
 from coherence_bounds.states import (
     bell_diagonal_family,
     make_density,
+    marginal_b,
     random_density,
     random_unitary,
     werner,
@@ -73,6 +75,27 @@ class TestHolevo:
         expected_z = 1.0 - binary_entropy((1.0 + p) / 2.0)
         assert holevo(rho, pauli_basis(2)) == pytest.approx(expected_z, abs=1e-9)
         assert holevo(rho, pauli_basis(3)) == pytest.approx(expected_z, abs=1e-9)
+
+    def test_matches_conditional_state_average(self):
+        # holevo uses S(B) + H(p_Y) - S(YB); the oracle is its definition
+        # S(B) - sum_y p_y S(rho_B|y) over the conditional states
+        def oracle(rho, basis):
+            out = measure(rho, basis)
+            s_cond = sum(p * von_neumann_entropy(c) for p, c in zip(out.probs, out.conditional_states))
+            return von_neumann_entropy(marginal_b(rho)) - s_cond
+
+        pairs = [(c.rho, b) for c in generate_cases(42, 20) for b in (c.x, c.z)]
+        ket0 = np.diag([1.0, 0.0])
+        blind = make_density(tensor_product(ket0, random_density(2, 1, 8).matrix), 2, 2)
+        assert measure(blind, pauli_basis(3)).degenerate == (False, True)
+        pairs.append((blind, pauli_basis(3)))
+        psi = np.array([np.cos(0.3), 0.0, 0.0, np.exp(0.7j) * np.sin(0.3)])
+        pure = make_density(np.outer(psi, psi.conj()), 2, 2)
+        pairs += [(pure, bloch_basis(0.9, 2.1)), (pure, pauli_basis(3))]
+        qutrit_memory = random_density(2, 3, 9)
+        pairs += [(qutrit_memory, bloch_basis(1.7, 0.4)), (qutrit_memory, pauli_basis(1))]
+        for rho, basis in pairs:
+            assert holevo(rho, basis) == pytest.approx(oracle(rho, basis), abs=1e-9)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**6), angles)

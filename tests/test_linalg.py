@@ -3,13 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from coherence_bounds.errors import DimensionError, HermiticityError
-from coherence_bounds.linalg import (
-    hermitian_eig,
-    hermitize,
-    partial_trace,
-    tensor_product,
-)
+from coherence_bounds.errors import DimensionError
+from coherence_bounds.linalg import partial_trace, tensor_product
 
 
 def random_matrix(seed: int, dim: int) -> np.ndarray:
@@ -74,45 +69,6 @@ def test_partial_trace_rejects_bad_dims():
         partial_trace(np.eye(4), 3, 2, "B")
     with pytest.raises(DimensionError):
         partial_trace(np.eye(4), 2, 2, "C")
-
-
-def test_hermitian_eig_known_diagonal():
-    dec = hermitian_eig(np.diag([3.0, 1.0, 2.0]))
-    assert_allclose(dec.eigenvalues, [3.0, 2.0, 1.0])
-    # eigenvector columns follow the sorted values
-    assert_allclose(np.abs(dec.eigenvectors), np.eye(3)[:, [0, 2, 1]], atol=1e-15)
-
-
-def test_hermitian_eig_invariants_many_random_matrices():
-    # reconstruction, orthonormality and descending order across dims 2..8
-    count = 0
-    for dim in (2, 3, 4, 6, 8):
-        for seed in range(200):
-            h = hermitize(random_matrix(1000 * dim + seed, dim))
-            dec = hermitian_eig(h)
-            recon = dec.eigenvectors @ np.diag(dec.eigenvalues) @ dec.eigenvectors.conj().T
-            assert np.max(np.abs(recon - h)) < 1e-10
-            gram = dec.eigenvectors.conj().T @ dec.eigenvectors
-            assert np.max(np.abs(gram - np.eye(dim))) < 1e-10
-            assert np.all(np.diff(dec.eigenvalues) <= 1e-12)
-            count += 1
-    assert count == 1000
-
-
-def test_hermitian_eig_deterministic_on_degenerate_input():
-    h = np.eye(3, dtype=complex)
-    first = hermitian_eig(h)
-    second = hermitian_eig(h)
-    assert np.array_equal(first.eigenvalues, second.eigenvalues)
-    assert np.array_equal(first.eigenvectors, second.eigenvectors)
-
-
-def test_hermitian_eig_rejects_non_hermitian():
-    m = np.array([[1.0, 1.0], [0.0, 1.0]])
-    with pytest.raises(HermiticityError):
-        hermitian_eig(m)
-
-
-def test_hermitian_eig_rejects_non_square():
     with pytest.raises(DimensionError):
-        hermitian_eig(np.ones((2, 3)))
+        partial_trace(np.ones((2, 3)), 1, 2, "B")
+
