@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .coherence import coherence_rel
-from .correlations import classical_correlation
+from .correlations import _maximize_holevo
 from .entropy import shannon_entropy, von_neumann_entropy
 from .errors import DomainError, UnsupportedDimension
 from .measurement import ObservableBasis, incompatibility, measure
@@ -97,7 +97,8 @@ def evaluate_all(rho: DensityMatrix, x: ObservableBasis, z: ObservableBasis) -> 
 
     The nine scalars of the module docstring are computed once and every
     field is an expression over them, so exact identities between report
-    fields survive floating point unchanged.
+    fields survive floating point unchanged. The discord search reuses S(B),
+    and J_A is its best Holevo value.
     """
     if rho.dim_a != 2:
         raise UnsupportedDimension(f"evaluate_all needs dim_a == 2, got {rho.dim_a}")
@@ -110,7 +111,7 @@ def evaluate_all(rho: DensityMatrix, x: ObservableBasis, z: ObservableBasis) -> 
     s_zb = von_neumann_entropy(out_z.joint_state)
     h_x = shannon_entropy(out_x.probs)
     h_z = shannon_entropy(out_z.probs)
-    j_a = classical_correlation(rho).classical_correlation
+    j_a = _maximize_holevo(rho, s_b)[0]
     q_mu = incompatibility(x, z)
 
     cond = s_ab - s_b

@@ -13,7 +13,13 @@ import numpy as np
 
 from .bounds import BoundReport, coherence_bound_t1, evaluate_all
 from .coherence import coherence_rel, purity_rel, unilateral_coherence, unilateral_purity
-from .correlations import _HolevoObjective, classical_correlation, holevo, mutual_information
+from .correlations import (
+    _bloch,
+    _HolevoObjective,
+    classical_correlation,
+    holevo,
+    mutual_information,
+)
 from .entropy import relative_entropy, von_neumann_entropy
 from .linalg import hermitize, partial_trace, tensor_product
 from .measurement import ObservableBasis, bloch_basis, dephase, incompatibility, measure
@@ -265,7 +271,8 @@ def _suite_correlations(case: CheckCase, report: BoundReport) -> list[tuple[str,
     rng = np.random.default_rng((case.state_seed, 5))
     probe_t = np.arccos(rng.uniform(-1.0, 1.0, size=50))
     probe_p = rng.uniform(0.0, 2.0 * np.pi, size=50)
-    probe_best = float(np.max(_HolevoObjective(case.rho)(probe_t, probe_p)))
+    objective = _HolevoObjective(case.rho, von_neumann_entropy(marginal_b(case.rho)))
+    probe_best = float(np.max(objective(_bloch(probe_t, probe_p))))
     u = tensor_product(np.eye(2), random_unitary(2, case.state_seed + 77))
     conjugated = DensityMatrix(hermitize(u @ case.rho.matrix @ u.conj().T), 2, 2)
     j_conj = classical_correlation(conjugated).classical_correlation

@@ -3,19 +3,23 @@ Holevo quantity of a measurement, and quantum discord for qubit A.
 
 The discord route follows the usual two-stage optimization of the classical
 correlation J_A over rank-1 projective measurements of A: a coarse scan of
-the Bloch sphere followed by local refinement. Measurement bases are
-parametrized as bloch_basis(theta, phi); for a qubit that covers every
-rank-1 projective measurement.
+the Bloch sphere followed by local refinement. A qubit measurement is its
+Bloch vector n, and n and -n give the same measurement, so the scan covers
+one hemisphere; the refinement takes Newton steps in tangent-plane
+coordinates at the current n, which no point of the sphere makes singular.
+The optimum is reported as the angles of bloch_basis(theta, phi); for a
+qubit that covers every rank-1 projective measurement.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .entropy import shannon_entropy, von_neumann_entropy, xlog2x
 from .errors import UnsupportedDimension
-from .measurement import ObservableBasis, bloch_basis, measure
+from .measurement import ObservableBasis, measure
 from .states import DensityMatrix, marginal_a, marginal_b
 
 GRID_POINTS = 64
@@ -66,100 +70,185 @@ def holevo(rho: DensityMatrix, basis: ObservableBasis) -> float:
 
 
 class _HolevoObjective:
-    """Batched Holevo evaluation over Bloch angles for dim_a == 2.
+    """Batched Holevo quantity over Bloch vectors n of shape (3, N), for dim_a == 2.
 
-    Conditional B blocks of the (theta, phi) measurement are linear in the
-    coefficient vector (a^2, a b, a b*, |b|^2) with a = cos(theta/2) and
-    b = e^{i phi} sin(theta/2), so a whole batch of angles reduces to one
-    matrix product plus batched small eigenproblems.
+    Measuring A along +-n leaves the unnormalised B blocks
+    M_+- = (rho_B +- sum_i n_i K_i) / 2 with K_i = Tr_A[(sigma_i (x) I) rho],
+    so a whole batch reduces to one matrix product plus batched small
+    eigenproblems, closed-form when dim_b == 2.
     """
 
-    def __init__(self, rho: DensityMatrix):
+    def __init__(self, rho: DensityMatrix, s_b: float):
         if rho.dim_a != 2:
             raise UnsupportedDimension(
                 f"measurement optimization needs dim_a == 2, got {rho.dim_a}"
             )
         db = rho.dim_b
         blocks = rho.matrix.reshape(2, db, 2, db)
-        self.kflat = np.stack(
-            [blocks[0, :, 0, :], blocks[0, :, 1, :], blocks[1, :, 0, :], blocks[1, :, 1, :]]
-        ).reshape(4, db * db)
-        self.rho_b = blocks[0, :, 0, :] + blocks[1, :, 1, :]
-        self.s_b = von_neumann_entropy(marginal_b(rho))
+        up, down = blocks[0, :, 1, :], blocks[1, :, 0, :]
+        # Column j holds the flattened block that coefficient j of (1, n_1, n_2, n_3) multiplies.
+        k = 0.5 * np.stack(
+            [
+                blocks[0, :, 0, :] + blocks[1, :, 1, :],
+                down + up,
+                1j * (up - down),
+                blocks[0, :, 0, :] - blocks[1, :, 1, :],
+            ],
+            axis=-1,
+        ).reshape(db * db, 4)
+        if db == 2:
+            # Real rows M_00, M_11, Re M_01, Im M_01 suffice for the closed form.
+            k = np.stack([k[0].real, k[3].real, k[1].real, k[1].imag])
+        self.k = k
+        self.s_b = s_b
         self.db = db
 
-    def __call__(self, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-        thetas = np.asarray(thetas, dtype=np.float64)
-        a = np.cos(thetas / 2.0)
-        s = np.sin(thetas / 2.0)
-        b = np.exp(1j * np.asarray(phis, dtype=np.float64)) * s
-        coeff = np.empty((a.size, 4), dtype=np.complex128)
-        coeff[:, 0] = a * a
-        coeff[:, 1] = a * b
-        coeff[:, 2] = a * b.conj()
-        coeff[:, 3] = s * s
-        m0 = (coeff @ self.kflat).reshape(-1, self.db, self.db)
-        m1 = self.rho_b[None, :, :] - m0
+    def __call__(self, n: np.ndarray) -> np.ndarray:
+        size = n.shape[1]
+        coeffs = np.empty((4, 2 * size))
+        coeffs[0] = 1.0
+        coeffs[1:, :size] = n
+        coeffs[1:, size:] = -n
+        if self.db == 2:
+            d00, d11, re, im = self.k @ coeffs
+            p = d00 + d11
+            gap = np.sqrt((d00 - d11) ** 2 + 4.0 * (re * re + im * im))
+            w_sum = xlog2x((p + gap) / 2.0) + xlog2x(np.maximum((p - gap) / 2.0, 0.0))
+        else:
+            m = (coeffs.T @ self.k.T).reshape(-1, self.db, self.db)
+            p = np.einsum("naa->n", m).real
+            w_sum = xlog2x(np.maximum(np.linalg.eigvalsh(m), 0.0)).sum(axis=1)
         # p_y S(M_y / p_y) = p_y log2 p_y - sum_k w_k log2 w_k for eigenvalues w of M_y.
-        total = np.zeros(m0.shape[0])
-        for m in (m0, m1):
-            if self.db == 2:
-                d00 = m[:, 0, 0].real
-                d11 = m[:, 1, 1].real
-                p = d00 + d11
-                gap = np.sqrt((d00 - d11) ** 2 + 4.0 * np.abs(m[:, 0, 1]) ** 2)
-                w_sum = xlog2x((p + gap) / 2.0) + xlog2x(np.maximum((p - gap) / 2.0, 0.0))
-            else:
-                p = np.einsum("naa->n", m).real
-                w_sum = xlog2x(np.maximum(np.linalg.eigvalsh(m), 0.0)).sum(axis=1)
-            total += xlog2x(np.maximum(p, 0.0)) - w_sum
-        return self.s_b - total
+        s_cond = xlog2x(np.maximum(p, 0.0)) - w_sum
+        return self.s_b - (s_cond[:size] + s_cond[size:])
+
+
+def _bloch(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    s = np.sin(thetas)
+    return np.stack([s * np.cos(phis), s * np.sin(phis), np.cos(thetas)])
+
+
+def _hemisphere_grid() -> np.ndarray:
+    # The upper half of the GRID_POINTS x GRID_POINTS (theta, phi) grid: the
+    # pole once, then theta_k = k pi / 63 for k = 1..31 at every phi. The map
+    # (k, j) -> (63 - k, j + 32) sends the full grid onto itself and each point
+    # to its antipode, and chi(n) = chi(-n), so this half sees every value.
+    thetas = np.linspace(0.0, np.pi, GRID_POINTS)[1 : GRID_POINTS // 2]
+    phis = np.linspace(0.0, 2.0 * np.pi, GRID_POINTS, endpoint=False)
+    pole = np.array([[0.0], [0.0], [1.0]])
+    return np.hstack([pole, _bloch(np.repeat(thetas, GRID_POINTS), np.tile(phis, thetas.size))])
+
+
+_HEMISPHERE = _hemisphere_grid()
+_GRID_SPACING = 2.0 * np.pi / GRID_POINTS
+# Central-difference spacing in tangent coordinates: round-off in the Hessian
+# (~eps / h^2) and truncation (~h^2) both stay near 1e-8.
+_STENCIL_H = 1e-4
+# (u, v) offsets of the 9-point stencil; the centre comes first.
+_STENCIL = _STENCIL_H * np.array(
+    [[0, 1, -1, 0, 0, 1, 1, -1, -1], [0, 0, 0, 1, -1, 1, -1, 1, -1]], dtype=np.float64
+)
+
+
+def _tangent_frame(n: np.ndarray) -> np.ndarray:
+    """Rows n, e1, e2: an orthonormal frame with e1, e2 spanning the tangent plane at n.
+
+    Branch-free construction of Duff et al., J. Comput. Graph. Tech. 6(1), 2017.
+    """
+    x, y, z = n.tolist()
+    sign = math.copysign(1.0, z)
+    a = -1.0 / (sign + z)
+    b = x * y * a
+    return np.array(
+        [[x, y, z], [1.0 + sign * x * x * a, sign * b, -sign * x], [b, sign + y * y * a, -y]]
+    )
+
+
+def _chart(frame: np.ndarray, uv: np.ndarray) -> np.ndarray:
+    """Points (n + u e1 + v e2) / |.| of the sphere for tangent coordinates uv of shape (2, N)."""
+    points = frame[0][:, None] + frame[1:].T @ uv
+    return points / np.sqrt((points * points).sum(axis=0))
+
+
+def _newton_step(f: np.ndarray, radius: float) -> np.ndarray:
+    """Ascent step in tangent coordinates from the 9 stencil values, at most `radius` long.
+
+    Gradient and Hessian come from central differences; the Hessian is split
+    into eigen-directions in closed form, and the Newton step is taken only
+    along directions of negative curvature, where it points uphill.
+    """
+    f0, f1, f2, f3, f4, f5, f6, f7, f8 = f.tolist()
+    h = _STENCIL_H
+    g1, g2 = (f1 - f2) / (2.0 * h), (f3 - f4) / (2.0 * h)
+    h11 = (f1 - 2.0 * f0 + f2) / (h * h)
+    h22 = (f3 - 2.0 * f0 + f4) / (h * h)
+    h12 = (f5 - f6 - f7 + f8) / (4.0 * h * h)
+    mean, half_gap = 0.5 * (h11 + h22), math.hypot(0.5 * (h11 - h22), h12)
+    psi = 0.5 * math.atan2(2.0 * h12, h11 - h22)
+    c, s = math.cos(psi), math.sin(psi)
+    u = v = 0.0
+    for curvature, qu, qv in ((mean + half_gap, c, s), (mean - half_gap, -s, c)):
+        if curvature < 0.0:
+            coef = -(g1 * qu + g2 * qv) / curvature
+            u, v = u + coef * qu, v + coef * qv
+    length = math.hypot(u, v)
+    scale = radius / length if length > radius else 1.0
+    return np.array([u * scale, v * scale])
+
+
+def _maximize_holevo(rho: DensityMatrix, s_b: float) -> tuple[float, np.ndarray, int]:
+    """(max(0, best Holevo value), its Bloch vector, objective evaluations) for qubit A.
+
+    `s_b` is S(rho_B). The hemisphere grid picks the start, first maximum
+    winning ties; safeguarded Newton steps then refine it in tangent-plane
+    coordinates at the current point, so no direction is singular.
+    """
+    objective = _HolevoObjective(rho, s_b)
+    values = objective(_HEMISPHERE)
+    evals = values.size
+    frame = _tangent_frame(_HEMISPHERE[:, int(np.argmax(values))])
+    f = objective(_chart(frame, _STENCIL))
+    evals += f.size
+    radius = _GRID_SPACING
+    length = radius
+    while length >= ANGLE_RESOLUTION and evals < _MAX_EVALS:
+        # The step that falls below ANGLE_RESOLUTION is still tried: near a
+        # kink of the objective (a rank-deficient block) Newton converges only
+        # linearly, and that last step is worth up to 1e-11 in value.
+        step = _newton_step(f, radius)
+        length = math.hypot(*step)
+        trial = _tangent_frame(_chart(frame, step[:, None])[:, 0])
+        f_trial = objective(_chart(trial, _STENCIL))
+        evals += f_trial.size
+        if f_trial[0] > f[0]:
+            frame, f = trial, f_trial
+        else:
+            radius = 0.25 * length
+    return max(0.0, float(f[0])), frame[0], evals
 
 
 def classical_correlation(rho: DensityMatrix) -> DiscordResult:
     """Maximize the Holevo quantity over projective qubit measurements of A.
 
-    Coarse GRID_POINTS x GRID_POINTS scan over theta in [0, pi], phi in
-    [0, 2 pi), first maximum winning ties (theta-major scan order), then
-    coordinate descent with halving steps down to ANGLE_RESOLUTION radians.
-    Deterministic: no randomness, so repeated calls agree exactly.
+    The search runs over Bloch vectors n and uses chi(n) = chi(-n). It scans
+    the upper half of the GRID_POINTS x GRID_POINTS (theta, phi) grid, 1985
+    points, and the first maximum wins ties, so a flat objective lands on the
+    first grid point in theta-major order. Safeguarded Newton steps then
+    refine that point, each from one 9-point central-difference stencil. A
+    step follows only directions of negative curvature and is capped by a
+    trust radius. The radius starts at the grid's phi spacing and shrinks to
+    a quarter of any step that does not improve the value. The search stops
+    after the first step shorter than ANGLE_RESOLUTION. J_A is the best value
+    found, clamped at 0, and the discord is I(A:B) - J_A. Deterministic: no
+    randomness, so repeated calls agree exactly.
     """
-    objective = _HolevoObjective(rho)
-    thetas = np.linspace(0.0, np.pi, GRID_POINTS)
-    phis = np.linspace(0.0, 2.0 * np.pi, GRID_POINTS, endpoint=False)
-    grid_t = np.repeat(thetas, GRID_POINTS)
-    grid_p = np.tile(phis, GRID_POINTS)
-    values = objective(grid_t, grid_p)
-    evals = values.size
-    k = int(np.argmax(values))
-    theta, phi, best = float(grid_t[k]), float(grid_p[k]), float(values[k])
-    step = max(thetas[1] - thetas[0], phis[1] - phis[0])
-    while step > ANGLE_RESOLUTION and evals < _MAX_EVALS:
-        # Probe both the current step and the halved one per sweep; when
-        # neither helps, the step can shrink by 4 at once.
-        half = 0.5 * step
-        cand_t = np.clip(
-            [theta + step, theta - step, theta + half, theta - half, theta, theta, theta, theta],
-            0.0,
-            np.pi,
-        )
-        cand_p = np.mod(
-            [phi, phi, phi, phi, phi + step, phi - step, phi + half, phi - half],
-            2.0 * np.pi,
-        )
-        vals = objective(cand_t, cand_p)
-        evals += vals.size
-        j = int(np.argmax(vals))
-        if vals[j] > best:
-            theta, phi, best = float(cand_t[j]), float(cand_p[j]), float(vals[j])
-        else:
-            step *= 0.25
-    j_a = holevo(rho, bloch_basis(theta, phi))
-    evals += 1
+    s_b = von_neumann_entropy(marginal_b(rho))
+    j_a, n, evals = _maximize_holevo(rho, s_b)
+    info = von_neumann_entropy(marginal_a(rho)) + s_b - von_neumann_entropy(rho)
     return DiscordResult(
-        discord=mutual_information(rho) - j_a,
+        discord=info - j_a,
         classical_correlation=j_a,
-        optimal_theta=theta,
-        optimal_phi=phi,
+        optimal_theta=float(np.arccos(np.clip(n[2], -1.0, 1.0))),
+        optimal_phi=float(np.mod(np.arctan2(n[1], n[0]), 2.0 * np.pi)),
         optimizer_evals=evals,
     )

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coherence_bounds.correlations import (
+    _bloch,
     _HolevoObjective,
     classical_correlation,
     conditional_entropy,
@@ -15,8 +16,10 @@ from coherence_bounds.errors import UnsupportedDimension
 from coherence_bounds.linalg import tensor_product
 from coherence_bounds.measurement import bloch_basis, measure, pauli_basis
 from coherence_bounds.states import (
+    bell_diagonal,
     bell_diagonal_family,
     make_density,
+    marginal_a,
     marginal_b,
     random_density,
     random_unitary,
@@ -44,9 +47,6 @@ def test_conditional_entropy_values():
 
 def test_conditional_entropy_of_product_state_is_local_entropy():
     rho = product_state(17)
-    from coherence_bounds.entropy import von_neumann_entropy
-    from coherence_bounds.states import marginal_a
-
     assert conditional_entropy(rho) == pytest.approx(
         von_neumann_entropy(marginal_a(rho)), abs=1e-10
     )
@@ -107,18 +107,29 @@ class TestHolevo:
 
 class TestFastObjective:
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 10**6), angles)
-    def test_matches_public_holevo(self, seed, ang):
-        rho = random_density(2, 2, seed)
-        objective = _HolevoObjective(rho)
+    @given(st.integers(0, 10**6), st.sampled_from([2, 3]), angles)
+    def test_matches_public_holevo(self, seed, dim_b, ang):
+        # dim_b == 3 takes the eigvalsh branch, dim_b == 2 the closed form
+        rho = random_density(2, dim_b, seed)
+        objective = _HolevoObjective(rho, von_neumann_entropy(marginal_b(rho)))
         theta, phi = ang
-        fast = objective(np.array([theta]), np.array([phi]))[0]
+        fast = objective(_bloch(np.array([theta]), np.array([phi])))[0]
         slow = holevo(rho, bloch_basis(theta, phi))
         assert fast == pytest.approx(slow, abs=1e-10)
 
+    def test_antipodal_points_are_one_measurement(self):
+        # chi(n) = chi(-n) is what lets the optimizer scan half the sphere
+        rng = np.random.default_rng(4)
+        n = rng.normal(size=(3, 40))
+        n /= np.linalg.norm(n, axis=0)
+        for dim_b, seed in ((2, 60), (2, 61), (3, 62), (8, 63)):
+            rho = random_density(2, dim_b, seed)
+            objective = _HolevoObjective(rho, von_neumann_entropy(marginal_b(rho)))
+            assert np.max(np.abs(objective(n) - objective(-n))) <= 1e-9
+
     def test_rejects_non_qubit_side_a(self):
         with pytest.raises(UnsupportedDimension):
-            _HolevoObjective(random_density(3, 2, 0))
+            _HolevoObjective(random_density(3, 2, 0), 0.0)
 
 
 class TestClassicalCorrelation:
@@ -199,3 +210,42 @@ class TestClassicalCorrelation:
             res = classical_correlation(random_density(2, 2, 300 + seed))
             assert res.discord >= -1e-9
             assert res.optimizer_evals > 0
+
+    @pytest.mark.parametrize("dim_b", [2, 3, 4, 8])
+    def test_pure_states_reach_marginal_entropy(self, dim_b):
+        # every measurement of a pure state leaves pure conditional states, so
+        # J_A = S(rho_B) = S(rho_A); the blocks are rank-deficient, where the
+        # objective is not smooth
+        rng = np.random.default_rng(dim_b)
+        for _ in range(3):
+            psi = rng.normal(size=2 * dim_b) + 1j * rng.normal(size=2 * dim_b)
+            psi /= np.linalg.norm(psi)
+            rho = make_density(np.outer(psi, psi.conj()), 2, dim_b)
+            expected = von_neumann_entropy(marginal_a(rho))
+            got = classical_correlation(rho).classical_correlation
+            assert got == pytest.approx(expected, abs=1e-9)
+
+    def test_luo_closed_form_across_bell_diagonal_tetrahedron(self):
+        # S. Luo, PRA 77, 042303 (2008): J_A = sum_+- (1 +- c)/2 log2(1 +- c), c = max|t_i|
+        signs = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
+        rng = np.random.default_rng(42)
+        checked = 0
+        while checked < 40:
+            t = rng.uniform(-1.0, 1.0, size=3)
+            if np.any(1.0 - signs @ t < 0.0):  # a negative eigenvalue: not a state
+                continue
+            c = float(np.max(np.abs(t)))
+            expected = 0.5 * ((1.0 + c) * np.log2(1.0 + c) + (1.0 - c) * np.log2(1.0 - c))
+            got = classical_correlation(bell_diagonal(*t)).classical_correlation
+            assert got == pytest.approx(expected, abs=1e-9)
+            checked += 1
+
+    def test_dominates_dense_probe_grid_with_qutrit_memory(self):
+        # a probe grid offset from the optimizer's own, through the public holevo
+        thetas = (np.arange(24) + 0.5) * np.pi / 24
+        phis = (np.arange(48) + 0.5) * 2.0 * np.pi / 48
+        for seed in (70, 71, 72):
+            rho = random_density(2, 3, seed)
+            best = classical_correlation(rho).classical_correlation
+            probes = max(holevo(rho, bloch_basis(t, p)) for t in thetas for p in phis)
+            assert best >= probes - 1e-9
