@@ -26,6 +26,11 @@ states, the outcome entropies H(p_X), H(p_Z), the classical correlation J_A
 and the incompatibility q_mu. With S(A|B) = S(AB) - S(B), I(A:B) = S(A) +
 S(B) - S(AB), I(Y:B) = S(B) + H(p_Y) - S(YB), C_B|A(Y) = S(YB) - S(AB),
 H(Y|B) = S(YB) - S(B), P_B|A = log2 dim_a - S(A|B) and D_A = I(A:B) - J_A.
+
+S(YB) and H(p_Y) come from the same blocks as J_A. If n is the Bloch vector
+of Y's outcome-0 ket, the dephased state rho_YB is block diagonal with
+blocks M_+- = (rho_B +- n.K) / 2 of the discord objective: p_Y is their
+traces and the spectrum of rho_YB is the union of their spectra.
 """
 from __future__ import annotations
 
@@ -34,10 +39,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .coherence import coherence_rel
-from .correlations import _maximize_holevo
-from .entropy import shannon_entropy, von_neumann_entropy
-from .errors import DomainError, UnsupportedDimension
-from .measurement import ObservableBasis, incompatibility, measure
+from .correlations import _HolevoObjective, _maximize_holevo
+from .entropy import _spectrum_entropy, shannon_entropy, von_neumann_entropy
+from .errors import DimensionError, DomainError, UnsupportedDimension
+from .measurement import ObservableBasis, incompatibility
 from .states import (
     DensityMatrix,
     bell_diagonal_family,
@@ -92,26 +97,41 @@ def coherence_bound_t1(rho: DensityMatrix, x: ObservableBasis, z: ObservableBasi
     return lhs, incompatibility(x, z) - von_neumann_entropy(rho)
 
 
+def _outcome0_bloch(basis: ObservableBasis) -> np.ndarray:
+    """Bloch vector (2 Re conj(a) b, 2 Im conj(a) b, |a|^2 - |b|^2) of the outcome-0 ket (a, b)."""
+    if basis.dim != 2:
+        raise DimensionError(f"basis dim {basis.dim} does not match dim_a 2")
+    a, b = basis.vectors[:, 0]
+    ab = a.conjugate() * b
+    return np.array([2.0 * ab.real, 2.0 * ab.imag, abs(a) ** 2 - abs(b) ** 2])
+
+
+def _dephased_entropies(rows: np.ndarray) -> tuple[float, float]:
+    """S(YB) and H(p_Y) from the objective's rows (p_y, eigenvalues of M_y), one column per y."""
+    return _spectrum_entropy(rows[1:].ravel()), shannon_entropy(rows[0])
+
+
 def evaluate_all(rho: DensityMatrix, x: ObservableBasis, z: ObservableBasis) -> BoundReport:
     """Evaluate every bound for a bipartite state with qubit A.
 
     The nine scalars of the module docstring are computed once and every
     field is an expression over them, so exact identities between report
-    fields survive floating point unchanged. The discord search reuses S(B),
-    and J_A is its best Holevo value.
+    fields survive floating point unchanged. One discord objective, built
+    with the report's S(B), gives the blocks of both dephased states and is
+    then maximised for J_A.
     """
     if rho.dim_a != 2:
         raise UnsupportedDimension(f"evaluate_all needs dim_a == 2, got {rho.dim_a}")
+    n = np.stack([_outcome0_bloch(x), _outcome0_bloch(z)], axis=1)
     s_ab = von_neumann_entropy(rho)
     s_a = von_neumann_entropy(marginal_a(rho))
     s_b = von_neumann_entropy(marginal_b(rho))
-    out_x = measure(rho, x)
-    out_z = measure(rho, z)
-    s_xb = von_neumann_entropy(out_x.joint_state)
-    s_zb = von_neumann_entropy(out_z.joint_state)
-    h_x = shannon_entropy(out_x.probs)
-    h_z = shannon_entropy(out_z.probs)
-    j_a = _maximize_holevo(rho, s_b)[0]
+    objective = _HolevoObjective(rho, s_b)
+    # Columns: outcome 0 of X, outcome 0 of Z, outcome 1 of X, outcome 1 of Z.
+    rows = objective._spectra(n)
+    s_xb, h_x = _dephased_entropies(rows[:, 0::2])
+    s_zb, h_z = _dephased_entropies(rows[:, 1::2])
+    j_a = _maximize_holevo(objective)[0]
     q_mu = incompatibility(x, z)
 
     cond = s_ab - s_b

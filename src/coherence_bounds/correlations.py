@@ -75,7 +75,8 @@ class _HolevoObjective:
     Measuring A along +-n leaves the unnormalised B blocks
     M_+- = (rho_B +- sum_i n_i K_i) / 2 with K_i = Tr_A[(sigma_i (x) I) rho],
     so a whole batch reduces to one matrix product plus batched small
-    eigenproblems, closed-form when dim_b == 2.
+    eigenproblems, closed-form when dim_b == 2. evaluate_all also reads the
+    traces and spectra of the blocks (_spectra) for its dephased entropies.
     """
 
     def __init__(self, rho: DensityMatrix, s_b: float):
@@ -104,23 +105,37 @@ class _HolevoObjective:
         self.db = db
 
     def __call__(self, n: np.ndarray) -> np.ndarray:
+        terms = xlog2x(self._spectra(n))
+        # p_y S(M_y / p_y) = p_y log2 p_y - sum_k w_k log2 w_k for eigenvalues w of M_y.
+        s_cond = terms[0] - terms[1:].sum(axis=0)
+        size = n.shape[1]
+        return self.s_b - (s_cond[:size] + s_cond[size:])
+
+    def _spectra(self, n: np.ndarray) -> np.ndarray:
+        """Row 0: p = Tr M; rows 1..dim_b: the eigenvalues of M.
+
+        Column j < N is M_+ at column j of n, and column N + j is M_- there.
+        """
         size = n.shape[1]
         coeffs = np.empty((4, 2 * size))
         coeffs[0] = 1.0
         coeffs[1:, :size] = n
         coeffs[1:, size:] = -n
         if self.db == 2:
-            d00, d11, re, im = self.k @ coeffs
-            p = d00 + d11
+            rows = self.k @ coeffs
+            d00, d11, re, im = rows
+            # Rows 0..2 are overwritten with p, (p + gap) / 2 and (p - gap) / 2.
             gap = np.sqrt((d00 - d11) ** 2 + 4.0 * (re * re + im * im))
-            w_sum = xlog2x((p + gap) / 2.0) + xlog2x(np.maximum((p - gap) / 2.0, 0.0))
-        else:
-            m = (coeffs.T @ self.k.T).reshape(-1, self.db, self.db)
-            p = np.einsum("naa->n", m).real
-            w_sum = xlog2x(np.maximum(np.linalg.eigvalsh(m), 0.0)).sum(axis=1)
-        # p_y S(M_y / p_y) = p_y log2 p_y - sum_k w_k log2 w_k for eigenvalues w of M_y.
-        s_cond = xlog2x(np.maximum(p, 0.0)) - w_sum
-        return self.s_b - (s_cond[:size] + s_cond[size:])
+            p = np.add(d00, d11, out=d00)
+            np.add(p, gap, out=d11)
+            np.subtract(p, gap, out=re)
+            rows[1:3] *= 0.5
+            return rows[:3]
+        m = (coeffs.T @ self.k.T).reshape(-1, self.db, self.db)
+        rows = np.empty((1 + self.db, m.shape[0]))
+        rows[0] = np.einsum("naa->n", m).real
+        rows[1:] = np.linalg.eigvalsh(m).T
+        return rows
 
 
 def _bloch(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
@@ -196,14 +211,13 @@ def _newton_step(f: np.ndarray, radius: float) -> np.ndarray:
     return np.array([u * scale, v * scale])
 
 
-def _maximize_holevo(rho: DensityMatrix, s_b: float) -> tuple[float, np.ndarray, int]:
+def _maximize_holevo(objective: _HolevoObjective) -> tuple[float, np.ndarray, int]:
     """(max(0, best Holevo value), its Bloch vector, objective evaluations) for qubit A.
 
-    `s_b` is S(rho_B). The hemisphere grid picks the start, first maximum
-    winning ties; safeguarded Newton steps then refine it in tangent-plane
-    coordinates at the current point, so no direction is singular.
+    The hemisphere grid picks the start, first maximum winning ties;
+    safeguarded Newton steps then refine it in tangent-plane coordinates at
+    the current point, so no direction is singular.
     """
-    objective = _HolevoObjective(rho, s_b)
     values = objective(_HEMISPHERE)
     evals = values.size
     frame = _tangent_frame(_HEMISPHERE[:, int(np.argmax(values))])
@@ -243,7 +257,7 @@ def classical_correlation(rho: DensityMatrix) -> DiscordResult:
     randomness, so repeated calls agree exactly.
     """
     s_b = von_neumann_entropy(marginal_b(rho))
-    j_a, n, evals = _maximize_holevo(rho, s_b)
+    j_a, n, evals = _maximize_holevo(_HolevoObjective(rho, s_b))
     info = von_neumann_entropy(marginal_a(rho)) + s_b - von_neumann_entropy(rho)
     return DiscordResult(
         discord=info - j_a,

@@ -10,12 +10,13 @@ from .states import DensityMatrix
 SUPPORT_CUT = 1e-12
 # Support mass of rho allowed outside the support of sigma before S(rho||sigma) = +inf.
 KERNEL_TOL = 1e-10
+_TINY = np.finfo(np.float64).tiny
 
 
 def xlog2x(w: np.ndarray) -> np.ndarray:
-    """Elementwise w * log2(w) with the 0 log 0 = 0 convention."""
-    w = np.asarray(w, dtype=np.float64)
-    return np.where(w > 0.0, w * np.log2(np.where(w > 0.0, w, 1.0)), 0.0)
+    """Elementwise w * log2(w) with the 0 log 0 = 0 convention; inputs <= 0 give 0."""
+    w = np.maximum(w, 0.0)
+    return w * np.log2(np.maximum(w, _TINY))
 
 
 def shannon_entropy(probs) -> float:
@@ -46,7 +47,11 @@ def binary_entropy(x: float) -> float:
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = -Tr rho log2 rho via the eigenvalue vector."""
-    w = np.linalg.eigvalsh(rho.matrix)
+    return _spectrum_entropy(np.linalg.eigvalsh(rho.matrix))
+
+
+def _spectrum_entropy(w: np.ndarray) -> float:
+    """Entropy of a state's eigenvalues w, with those below SUPPORT_CUT taken as 0."""
     return shannon_entropy(np.where(w < SUPPORT_CUT, 0.0, w))
 
 

@@ -31,6 +31,10 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
 
 
+# einsum subscripts that trace out A or B of a matrix reshaped to (dim_a, dim_b, dim_a, dim_b).
+_TRACE_OUT = {"A": "ikil->kl", "B": "ikjk->ij"}
+
+
 def partial_trace(rho: np.ndarray, dim_a: int, dim_b: int, over: str) -> np.ndarray:
     """Trace out one subsystem of a (dim_a*dim_b) x (dim_a*dim_b) matrix.
 
@@ -41,10 +45,11 @@ def partial_trace(rho: np.ndarray, dim_a: int, dim_b: int, over: str) -> np.ndar
         raise DimensionError(
             f"matrix of dim {rho.shape[0]} does not factor as {dim_a} x {dim_b}"
         )
-    blocks = rho.reshape(dim_a, dim_b, dim_a, dim_b)
-    if over == "A":
-        return np.einsum("ikil->kl", blocks)
-    if over == "B":
-        return np.einsum("ikjk->ij", blocks)
-    raise DimensionError(f"over must be 'A' or 'B', got {over!r}")
+    if over not in _TRACE_OUT:
+        raise DimensionError(f"over must be 'A' or 'B', got {over!r}")
+    return _trace_out(rho, dim_a, dim_b, over)
 
+
+def _trace_out(rho: np.ndarray, dim_a: int, dim_b: int, over: str) -> np.ndarray:
+    """partial_trace without its checks, for a matrix known to factor as dim_a x dim_b."""
+    return np.einsum(_TRACE_OUT[over], rho.reshape(dim_a, dim_b, dim_a, dim_b))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParseError, ValidationError
-from .linalg import as_square_matrix, hermiticity_defect, hermitize, partial_trace, tensor_product
+from .linalg import _trace_out, as_square_matrix, hermiticity_defect, hermitize, tensor_product
 
 # Largest allowed deviation max|M - M^dag| before a matrix is rejected as non-Hermitian.
 HERMITICITY_TOL = 1e-10
@@ -95,12 +95,12 @@ def make_density(matrix, dim_a: int, dim_b: int) -> DensityMatrix:
 
 def marginal_a(rho: DensityMatrix) -> DensityMatrix:
     """Reduced state on A (a monopartite DensityMatrix)."""
-    return DensityMatrix(hermitize(partial_trace(rho.matrix, rho.dim_a, rho.dim_b, "B")), rho.dim_a, 1)
+    return DensityMatrix(hermitize(_trace_out(rho.matrix, rho.dim_a, rho.dim_b, "B")), rho.dim_a, 1)
 
 
 def marginal_b(rho: DensityMatrix) -> DensityMatrix:
     """Reduced state on B (a monopartite DensityMatrix)."""
-    return DensityMatrix(hermitize(partial_trace(rho.matrix, rho.dim_a, rho.dim_b, "A")), rho.dim_b, 1)
+    return DensityMatrix(hermitize(_trace_out(rho.matrix, rho.dim_a, rho.dim_b, "A")), rho.dim_b, 1)
 
 
 def _check_unit_interval(p: float, name: str) -> float:

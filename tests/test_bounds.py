@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,10 +11,10 @@ from coherence_bounds.bounds import (
     evaluate_all,
     sweep_family,
 )
-from coherence_bounds.coherence import unilateral_purity
+from coherence_bounds.coherence import unilateral_coherence, unilateral_purity
 from coherence_bounds.correlations import conditional_entropy, holevo, mutual_information
 from coherence_bounds.errors import DomainError, UnsupportedDimension
-from coherence_bounds.measurement import bloch_basis, pauli_basis
+from coherence_bounds.measurement import ObservableBasis, bloch_basis, measure, pauli_basis
 from coherence_bounds.states import (
     make_density,
     marginal_a,
@@ -107,8 +109,9 @@ class TestEvaluateAll:
             evaluate_all(random_density(3, 2, 2), X, Z)
 
     def test_spectra_are_computed_in_one_pass(self, monkeypatch):
-        # S(AB), S(A), S(B), S(XB), S(ZB) and nothing else: the discord search
-        # reuses S(B), and with a qubit memory its objective needs no eigensolver
+        # S(AB), S(A), S(B) and nothing else: the dephased states' spectra and
+        # the discord search come from the closed-form blocks of a qubit
+        # memory, and no measurement is carried out
         rho = random_density(2, 2, 7)
         calls = []
         for name in ("eigvalsh", "eigh"):
@@ -119,25 +122,43 @@ class TestEvaluateAll:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
+
+        def no_measure(*args, **kwargs):
+            raise AssertionError("evaluate_all called measure")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "coherence_bounds" and getattr(module, "measure", None) is measure:
+                monkeypatch.setattr(module, "measure", no_measure)
         evaluate_all(rho, bloch_basis(1.0, 2.0), bloch_basis(2.5, 0.3))
-        assert len(calls) <= 5
+        assert len(calls) <= 3
 
     def test_fields_match_public_functions(self):
         # evaluate_all builds these fields from its own entropies, not by
         # calling the public functions, so pin them to each other
+        x = bloch_basis(0.9, 2.2)
+        # outcome kets swapped and rephased: the Bloch vector of outcome 0 flips
+        swapped = ObservableBasis(2, x.vectors[:, ::-1] * np.array([1j, -1.0]), "swapped")
+        # orthonormal only to about 1e-11, inside the 1e-10 the basis accepts
+        skewed = ObservableBasis(2, x.vectors @ np.array([[1.0 + 4e-12, 3e-12], [3e-12, 1.0]]), "skewed")
         cases = [
-            (random_density(2, 2, 500), bloch_basis(0.4, 1.1), bloch_basis(2.0, 4.0)),
-            (random_density(2, 3, 501), bloch_basis(1.3, 0.2), bloch_basis(0.7, 5.5)),
-            (x_state(0.0), X, Z),
-            (x_state(1.0), X, pauli_basis(2)),
+            (random_density(2, 2, 500), bloch_basis(0.4, 1.1), bloch_basis(2.0, 4.0), 1e-12),
+            (random_density(2, 3, 501), bloch_basis(1.3, 0.2), bloch_basis(0.7, 5.5), 1e-12),
+            (random_density(2, 8, 502), bloch_basis(2.8, 3.3), bloch_basis(0.2, 1.9), 1e-12),
+            (random_density(2, 2, 503), x, swapped, 1e-12),
+            (random_density(2, 3, 504), skewed, bloch_basis(1.7, 0.6), 1e-9),
+            (x_state(0.0), X, Z, 1e-12),
+            (x_state(1.0), X, pauli_basis(2), 1e-12),
         ]
-        for rho, x, z in cases:
+        for rho, x, z, tol in cases:
             rep = evaluate_all(rho, x, z)
-            assert rep.holevo_x == pytest.approx(holevo(rho, x), abs=1e-12)
-            assert rep.holevo_z == pytest.approx(holevo(rho, z), abs=1e-12)
-            assert rep.mutual_info == pytest.approx(mutual_information(rho), abs=1e-12)
-            assert rep.cond_entropy == pytest.approx(conditional_entropy(rho), abs=1e-12)
-            assert rep.ub_purity == pytest.approx(2.0 * unilateral_purity(rho), abs=1e-12)
+            assert rep.holevo_x == pytest.approx(holevo(rho, x), abs=tol)
+            assert rep.holevo_z == pytest.approx(holevo(rho, z), abs=tol)
+            assert rep.lhs_coherence == pytest.approx(
+                unilateral_coherence(rho, x) + unilateral_coherence(rho, z), abs=tol
+            )
+            assert rep.mutual_info == pytest.approx(mutual_information(rho), abs=tol)
+            assert rep.cond_entropy == pytest.approx(conditional_entropy(rho), abs=tol)
+            assert rep.ub_purity == pytest.approx(2.0 * unilateral_purity(rho), abs=tol)
 
     def test_report_dict_preserves_field_order(self):
         rep = evaluate_all(werner(0.3), X, Z)

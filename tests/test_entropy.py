@@ -8,6 +8,7 @@ from coherence_bounds.entropy import (
     relative_entropy,
     shannon_entropy,
     von_neumann_entropy,
+    xlog2x,
 )
 from coherence_bounds.errors import DimensionError, DomainError, ProbabilityError
 from coherence_bounds.measurement import computational_basis, dephase
@@ -17,6 +18,19 @@ from coherence_bounds.states import make_density, random_density, random_unitary
 H_QUARTER = 0.8112781244591328
 # mpmath, 50 digits: entropy of spectrum (5/8, 1/8, 1/8, 1/8)
 S_WERNER_HALF = 1.5487949406953985
+
+
+def test_xlog2x_contract():
+    # exactly w log2 w on (0, 1], 0 at 0 and for negative dust, for arrays,
+    # lists and 0-d input alike
+    w = np.logspace(-300, 0, 601)
+    assert np.array_equal(xlog2x(w), w * np.log2(w))
+    assert np.array_equal(xlog2x(np.array([0.0, -1e-13, -0.5, -np.inf])), np.zeros(4))
+    assert np.array_equal(xlog2x([0.25, 0.0, -1.0]), [-0.5, 0.0, 0.0])
+    for scalar, expected in ((np.float64(0.5), -0.5), (np.array(1.0), 0.0), (0.0, 0.0), (-2.0, 0.0)):
+        out = xlog2x(scalar)
+        assert np.ndim(out) == 0
+        assert out == expected
 
 
 def test_shannon_entropy_uniform_and_point_mass():

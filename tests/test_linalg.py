@@ -71,4 +71,6 @@ def test_partial_trace_rejects_bad_dims():
         partial_trace(np.eye(4), 2, 2, "C")
     with pytest.raises(DimensionError):
         partial_trace(np.ones((2, 3)), 1, 2, "B")
+    with pytest.raises(DimensionError):
+        partial_trace(np.full((4, 4), np.nan), 2, 2, "B")
 
