@@ -7,7 +7,8 @@ Subcommands:
     eval --state <file> --x <selector> --z <selector>
         Evaluate every bound for one state and print the report as JSON.
     check [--seed N] [--cases N]
-        Run the randomized invariant suites and report per-suite pass counts.
+        Run the randomized invariant suites and report per-suite pass counts,
+        each with the suite's smallest margin, its inequality, tolerance and seed.
 
 Basis selectors: sigma1, sigma2, sigma3, computational, bloch:<theta>:<phi>.
 Exit codes: 0 ok, 1 invariant violation, 2 IO error, 3 parse error,
@@ -209,7 +210,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     result = run_checks(args.seed, args.cases, corrupt=args.corrupt)
     for suite in result.suites:
-        print(f"{suite.name:<14} {suite.passed}/{suite.total} passed")
+        line = f"{suite.name:<14} {suite.passed}/{suite.total} passed"
+        if suite.worst:
+            low = min(suite.worst.values(), key=lambda record: record.margin)
+            line += (
+                f"  min {low.inequality} margin={low.margin:.3e}"
+                f" tol={low.tol:.0e} seed={low.state_seed}"
+            )
+        print(line)
     if result.ok:
         print(f"ok: all {len(result.suites)} suites passed on {result.cases} cases (seed {result.seed})")
         return EXIT_OK

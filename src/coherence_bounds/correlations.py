@@ -19,7 +19,7 @@ import numpy as np
 
 from .entropy import shannon_entropy, von_neumann_entropy, xlog2x
 from .errors import UnsupportedDimension
-from .measurement import ObservableBasis, measure
+from .measurement import ObservableBasis, _assemble_joint, _conditional_blocks
 from .states import DensityMatrix, marginal_a, marginal_b
 
 GRID_POINTS = 64
@@ -57,15 +57,16 @@ def holevo(rho: DensityMatrix, basis: ObservableBasis) -> float:
 
     Evaluated through the identity I(Y:B) = S(rho_B) + H(p_Y) - S(rho_YB), which
     holds because the dephased joint state rho_YB is block diagonal in Y, so
-    S(rho_YB) = H(p_Y) + sum_y p_y S(rho_B|y). It needs one measurement and no
-    entropy of a conditional state.
+    S(rho_YB) = H(p_Y) + sum_y p_y S(rho_B|y). It reads p_y = Tr M_y and rho_YB
+    from the unnormalised blocks M_y that measure uses, and so builds no
+    conditional state; shannon_entropy rejects p_y < -1e-12 as measure does.
     """
-    out = measure(rho, basis)
+    cond = _conditional_blocks(rho, basis)
     return max(
         0.0,
         von_neumann_entropy(marginal_b(rho))
-        + shannon_entropy(out.probs)
-        - von_neumann_entropy(out.joint_state),
+        + shannon_entropy(np.einsum("yaa->y", cond).real)
+        - von_neumann_entropy(_assemble_joint(cond, basis, rho)),
     )
 
 

@@ -4,30 +4,30 @@ Each test covers one headline claim at its stated tolerance and prints a
 single PASS/FAIL line outside pytest's capture so the verdicts always show.
 Tolerances: 1e-9 for entropic identities and bounds, 1e-6 where the discord
 optimizer enters, 1e-12 for basis-independence of the purity cap.
+
+The three fuzz criteria judge the worst margins that the session's one
+run_checks(42, 1000) recorded (the `reference_run` fixture), each at its own
+tolerance here.
 """
 
 import numpy as np
 import pytest
 
-from coherence_bounds.bounds import coherence_bound_t1, evaluate_all, sweep_family
-from coherence_bounds.checks import generate_cases
-from coherence_bounds.coherence import (
-    coherence_rel,
-    purity_rel,
-    unilateral_coherence,
-    unilateral_purity,
-)
-from coherence_bounds.correlations import (
-    classical_correlation,
-    conditional_entropy,
-    mutual_information,
-)
+from coherence_bounds.bounds import evaluate_all, sweep_family
+from coherence_bounds.correlations import classical_correlation
 from coherence_bounds.entropy import binary_entropy, xlog2x
-from coherence_bounds.measurement import measure, pauli_basis
-from coherence_bounds.states import marginal_a, werner, x_state
+from coherence_bounds.measurement import pauli_basis
+from coherence_bounds.states import werner, x_state
 
-FUZZ_SEED = 42
-FUZZ_CASES = 1000
+# Tag in the inequality-fuzz-1000 line -> (bounds suite check, tolerance).
+FUZZ_BOUNDS = {
+    "t1": ("monopartite_coherence_bound", 1e-9),
+    "t2": ("lhs_coherence>=lb_theorem2", 1e-9),
+    "t3": ("lhs_coherence>=lb_theorem3", 1e-6),
+    "t4": ("lhs_coherence>=lb_theorem4", 1e-9),
+    "ubh": ("ub_holevo>=lhs_coherence", 1e-9),
+    "ubp": ("ub_purity>=lhs_coherence", 1e-9),
+}
 GRID = np.linspace(0.0, 1.0, 101)
 
 X = pauli_basis(1)
@@ -48,34 +48,8 @@ def criterion(capsys):
     return _criterion
 
 
-@pytest.fixture(scope="module")
-def fuzz_corpus():
-    rows = []
-    for case in generate_cases(FUZZ_SEED, FUZZ_CASES):
-        report = evaluate_all(case.rho, case.x, case.z)
-        rho_a = marginal_a(case.rho)
-        t1_lhs, t1_lb = coherence_bound_t1(rho_a, case.x, case.z)
-        per_basis = {}
-        for tag, basis in (("x", case.x), ("z", case.z)):
-            joint = measure(case.rho, basis).joint_state
-            per_basis[tag] = {
-                "h_cond": conditional_entropy(joint),
-                "coh": unilateral_coherence(case.rho, basis),
-                "coh_local": coherence_rel(rho_a, basis),
-                "i_yb": mutual_information(joint),
-            }
-        rows.append(
-            {
-                "report": report,
-                "t1_margin": t1_lhs - t1_lb,
-                "i_ab": mutual_information(case.rho),
-                "purity": unilateral_purity(case.rho),
-                "purity_local": purity_rel(rho_a),
-                "x": per_basis["x"],
-                "z": per_basis["z"],
-            }
-        )
-    return rows
+def _worst(run, suite):
+    return next(s for s in run.suites if s.name == suite).worst
 
 
 @pytest.fixture(scope="module")
@@ -98,48 +72,26 @@ def fig4_rows():
     return sweep_family("werner", X, Z, GRID)
 
 
-def test_inequality_fuzz_suite(fuzz_corpus, criterion):
-    worst = {"t1": np.inf, "t2": np.inf, "t3": np.inf, "t4": np.inf, "ubh": np.inf, "ubp": np.inf}
-    for row in fuzz_corpus:
-        rep = row["report"]
-        worst["t1"] = min(worst["t1"], row["t1_margin"])
-        worst["t2"] = min(worst["t2"], rep.lhs_coherence - rep.lb_theorem2)
-        worst["t3"] = min(worst["t3"], rep.lhs_coherence - rep.lb_theorem3)
-        worst["t4"] = min(worst["t4"], rep.lhs_coherence - rep.lb_theorem4)
-        worst["ubh"] = min(worst["ubh"], rep.ub_holevo - rep.lhs_coherence)
-        worst["ubp"] = min(worst["ubp"], rep.ub_purity - rep.lhs_coherence)
-    ok = (
-        worst["t1"] >= -1e-9
-        and worst["t2"] >= -1e-9
-        and worst["t4"] >= -1e-9
-        and worst["t3"] >= -1e-6
-        and worst["ubh"] >= -1e-9
-        and worst["ubp"] >= -1e-9
-    )
+def test_inequality_fuzz_suite(reference_run, criterion):
+    bounds = _worst(reference_run, "bounds")
+    worst = {tag: bounds[label].margin for tag, (label, _) in FUZZ_BOUNDS.items()}
+    ok = all(worst[tag] >= -tol for tag, (_, tol) in FUZZ_BOUNDS.items())
     detail = ", ".join(f"{k} margin {v:.3g}" for k, v in worst.items())
     criterion("inequality-fuzz-1000", ok, detail)
 
 
-def test_conversion_identity(fuzz_corpus, criterion):
-    worst = 0.0
-    for row in fuzz_corpus:
-        rep = row["report"]
-        lhs = row["x"]["h_cond"] + row["z"]["h_cond"]
-        rhs = row["x"]["coh"] + row["z"]["coh"] + 2 * rep.cond_entropy
-        worst = max(worst, abs(lhs - rhs))
-        worst = max(worst, abs(rep.lhs_eur - (rep.lhs_coherence + 2 * rep.cond_entropy)))
+def test_conversion_identity(reference_run, criterion):
+    worst = max(
+        -_worst(reference_run, "coherence")["conversion_identity_measured"].margin,
+        -_worst(reference_run, "bounds")["conversion_identity"].margin,
+    )
     criterion("conversion-identity", worst <= 1e-9, f"max defect {worst:.3g}")
 
 
-def test_decomposition_identities(fuzz_corpus, criterion):
-    worst_c = 0.0
-    worst_p = 0.0
-    for row in fuzz_corpus:
-        for tag in ("x", "z"):
-            e = row[tag]
-            defect = e["coh"] - (e["coh_local"] + row["i_ab"] - e["i_yb"])
-            worst_c = max(worst_c, abs(defect))
-        worst_p = max(worst_p, abs(row["purity"] - (row["purity_local"] + row["i_ab"])))
+def test_decomposition_identities(reference_run, criterion):
+    coherence = _worst(reference_run, "coherence")
+    worst_c = max(-coherence[f"coherence_decomposition_{tag}"].margin for tag in "xz")
+    worst_p = -coherence["purity_decomposition"].margin
     ok = worst_c <= 1e-9 and worst_p <= 1e-9
     criterion("decomposition-identities", ok, f"coherence {worst_c:.3g}, purity {worst_p:.3g}")
 

@@ -11,8 +11,10 @@ from coherence_bounds.bounds import (
     evaluate_all,
     sweep_family,
 )
+from coherence_bounds.checks import generate_cases
 from coherence_bounds.coherence import unilateral_coherence, unilateral_purity
 from coherence_bounds.correlations import conditional_entropy, holevo, mutual_information
+from coherence_bounds.entropy import shannon_entropy
 from coherence_bounds.errors import DomainError, UnsupportedDimension
 from coherence_bounds.measurement import ObservableBasis, bloch_basis, measure, pauli_basis
 from coherence_bounds.states import (
@@ -205,3 +207,21 @@ def test_theorem1_on_marginal_agrees_with_report_inputs():
     rho = random_density(2, 2, 77)
     lhs, lb = coherence_bound_t1(marginal_a(rho), X, Z)
     assert lhs >= lb - 1e-9
+
+
+def test_holevo_cap_slack_is_the_outcome_entropy_deficit(reference_run):
+    # With no max(0, .) clamp active, 2 P_B|A - I(X:B) - I(Z:B) - C_B|A(X) - C_B|A(Z)
+    # collapses to 2 - H(p_X) - H(p_Z): the cap is tight only for uniform outcomes.
+    def deficit(rho, x, z):
+        return 2.0 - sum(shannon_entropy(measure(rho, basis).probs) for basis in (x, z))
+
+    for case in generate_cases(42, 200):
+        rep = evaluate_all(case.rho, case.x, case.z)
+        slack = rep.ub_holevo - rep.lhs_coherence
+        assert slack == pytest.approx(deficit(case.rho, case.x, case.z), abs=1e-12)
+    # so the corpus's tightest ub_holevo margin is a case with nearly uniform outcomes
+    bounds = next(s for s in reference_run.suites if s.name == "bounds")
+    worst = bounds.worst["ub_holevo>=lhs_coherence"]
+    x, z = bloch_basis(worst.theta_x, worst.phi_x), bloch_basis(worst.theta_z, worst.phi_z)
+    rho = random_density(2, 2, worst.state_seed)
+    assert worst.margin == pytest.approx(deficit(rho, x, z), abs=1e-12)

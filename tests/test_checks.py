@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
 
+from coherence_bounds.bounds import evaluate_all
 from coherence_bounds.checks import (
+    _SUITE_FNS,
+    CORRUPT_SHIFT,
     SUITE_NAMES,
     generate_cases,
     run_checks,
 )
+
+
+def _margins(suite, case):
+    report = evaluate_all(case.rho, case.x, case.z)
+    return {label: float(margin) for label, margin, _ in _SUITE_FNS[suite](case, report)}
 
 
 def test_generate_cases_is_deterministic():
@@ -30,25 +38,40 @@ def test_all_suites_pass_on_small_corpus():
     result = run_checks(7, 40)
     assert result.ok
     assert tuple(s.name for s in result.suites) == SUITE_NAMES
+    first = generate_cases(7, 1)[0]
     for suite in result.suites:
-        assert suite.total > 0
+        assert suite.total == 40
         assert suite.passed == suite.total
         assert not suite.violations
+        # every named check keeps its worst margin, in the suite's order
+        assert list(suite.worst) == list(_margins(suite.name, first))
+        for label, record in suite.worst.items():
+            assert (record.suite, record.inequality) == (suite.name, label)
+            assert record.margin >= -record.tol
 
 
 def test_corruption_hook_breaks_exactly_one_suite():
     result = run_checks(7, 12, corrupt="entropy")
     assert not result.ok
     by_name = {s.name: s for s in result.suites}
+    clean = {s.name: s for s in run_checks(7, 12).suites}
     assert by_name["entropy"].passed < by_name["entropy"].total
     for name in SUITE_NAMES:
         if name != "entropy":
             assert by_name[name].passed == by_name[name].total
+            assert by_name[name].worst == clean[name].worst
+    for label, record in by_name["entropy"].worst.items():
+        assert record.margin == clean["entropy"].worst[label].margin - CORRUPT_SHIFT
     violation = by_name["entropy"].violations[0]
     text = violation.describe()
     assert "entropy" in text
     assert "margin" in text
     assert str(violation.state_seed) in text
+    # the recorded seed's case, evaluated again, gives the recorded margin
+    cases = {case.state_seed: case for case in generate_cases(7, 12)}
+    for suite in clean.values():
+        for label, record in suite.worst.items():
+            assert _margins(suite.name, cases[record.state_seed])[label] == record.margin
 
 
 def test_unknown_corruption_target_rejected():

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from coherence_bounds import cli
 from coherence_bounds.bounds import BoundReport
 from coherence_bounds.cli import (
     EXIT_INVARIANT,
@@ -175,9 +176,15 @@ class TestCheck:
         run(["check", "--seed", "11", "--cases", "3"])
         assert capsys.readouterr().out == first
 
-    def test_reference_corpus_passes(self, capsys):
-        # the default seed over a large corpus: slow but pins the advertised
-        # contract that stock invariants hold at scale
+    def test_reference_corpus_passes(self, capsys, monkeypatch, reference_run):
+        # the default seed over a large corpus pins the advertised contract that
+        # stock invariants hold at scale; the session's one run of that corpus
+        # stands in for the suites, so tier-1 evaluates it once
+        def shared_run(seed, cases, corrupt=None):
+            assert (seed, cases, corrupt) == (42, 1000, None)
+            return reference_run
+
+        monkeypatch.setattr(cli, "run_checks", shared_run)
         assert run(["check", "--seed", "42", "--cases", "1000"]) == EXIT_OK
         assert "1000" in capsys.readouterr().out
 
