@@ -30,17 +30,22 @@ H(Y|B) = S(YB) - S(B), P_B|A = log2 dim_a - S(A|B) and D_A = I(A:B) - J_A.
 S(YB) and H(p_Y) come from the same blocks as J_A. If n is the Bloch vector
 of Y's outcome-0 ket, the dephased state rho_YB is block diagonal with
 blocks M_+- = (rho_B +- n.K) / 2 of the discord objective: p_Y is their
-traces and the spectrum of rho_YB is the union of their spectra.
+traces and the spectrum of rho_YB is the union of their spectra. The
+spectra of the qubit marginal rho_A, and of rho_B when B is a qubit, are
+closed-form, so a 2x2 report makes one eigensolve, for S(AB). All seven
+distributions are zero-padded rows of one table that takes a single
+checked entropy pass.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .coherence import coherence_rel
 from .correlations import _HolevoObjective, _maximize_holevo
-from .entropy import _spectrum_entropy, shannon_entropy, von_neumann_entropy
+from .entropy import SUPPORT_CUT, _entropies, von_neumann_entropy
 from .errors import DimensionError, DomainError, UnsupportedDimension
 from .measurement import ObservableBasis, incompatibility
 from .states import (
@@ -106,9 +111,12 @@ def _outcome0_bloch(basis: ObservableBasis) -> np.ndarray:
     return np.array([2.0 * ab.real, 2.0 * ab.imag, abs(a) ** 2 - abs(b) ** 2])
 
 
-def _dephased_entropies(rows: np.ndarray) -> tuple[float, float]:
-    """S(YB) and H(p_Y) from the objective's rows (p_y, eigenvalues of M_y), one column per y."""
-    return _spectrum_entropy(rows[1:].ravel()), shannon_entropy(rows[0])
+def _qubit_spectrum(m: np.ndarray) -> list[float]:
+    """Eigenvalues (t +- g) / 2 of a 2x2 Hermitian matrix, g = sqrt((m00 - m11)^2 + 4 |m01|^2)."""
+    (m00, m01), (_, m11) = m.tolist()
+    d00, d11 = m00.real, m11.real
+    gap = math.sqrt((d00 - d11) ** 2 + 4.0 * (m01.real * m01.real + m01.imag * m01.imag))
+    return [0.5 * (d00 + d11 + gap), 0.5 * (d00 + d11 - gap)]
 
 
 def evaluate_all(rho: DensityMatrix, x: ObservableBasis, z: ObservableBasis) -> BoundReport:
@@ -116,21 +124,32 @@ def evaluate_all(rho: DensityMatrix, x: ObservableBasis, z: ObservableBasis) -> 
 
     The nine scalars of the module docstring are computed once and every
     field is an expression over them, so exact identities between report
-    fields survive floating point unchanged. One discord objective, built
-    with the report's S(B), gives the blocks of both dephased states and is
+    fields survive floating point unchanged. The seven distributions behind
+    the entropies go into one zero-padded table that takes one checked pass.
+    One discord objective gives the blocks of both dephased states and is
     then maximised for J_A.
     """
     if rho.dim_a != 2:
         raise UnsupportedDimension(f"evaluate_all needs dim_a == 2, got {rho.dim_a}")
     n = np.stack([_outcome0_bloch(x), _outcome0_bloch(z)], axis=1)
-    s_ab = von_neumann_entropy(rho)
-    s_a = von_neumann_entropy(marginal_a(rho))
-    s_b = von_neumann_entropy(marginal_b(rho))
-    objective = _HolevoObjective(rho, s_b)
+    db = rho.dim_b
+    # Rows: the spectra of AB, A, B, XB and ZB, then p_X and p_Z.
+    table = np.zeros((7, 2 * db))
+    table[0] = np.linalg.eigvalsh(rho.matrix)
+    table[1, :2] = _qubit_spectrum(marginal_a(rho).matrix)
+    rho_b = marginal_b(rho).matrix
+    table[2, :db] = _qubit_spectrum(rho_b) if db == 2 else np.linalg.eigvalsh(rho_b)
+    objective = _HolevoObjective(rho, 0.0)
     # Columns: outcome 0 of X, outcome 0 of Z, outcome 1 of X, outcome 1 of Z.
     rows = objective._spectra(n)
-    s_xb, h_x = _dephased_entropies(rows[:, 0::2])
-    s_zb, h_z = _dephased_entropies(rows[:, 1::2])
+    table[3] = rows[1:, 0::2].ravel()
+    table[4] = rows[1:, 1::2].ravel()
+    table[5:, :2] = rows[0].reshape(2, 2).T
+    spectra = table[:5]
+    spectra[spectra < SUPPORT_CUT] = 0.0
+    s_ab, s_a, s_b, s_xb, s_zb, h_x, h_z = _entropies(table).tolist()
+    # The objective's S(B) is the report's, known only after the pass.
+    objective.s_b = s_b
     j_a = _maximize_holevo(objective)[0]
     q_mu = incompatibility(x, z)
 

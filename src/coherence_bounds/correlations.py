@@ -7,8 +7,11 @@ the Bloch sphere followed by local refinement. A qubit measurement is its
 Bloch vector n, and n and -n give the same measurement, so the scan covers
 one hemisphere; the refinement takes Newton steps in tangent-plane
 coordinates at the current n, which no point of the sphere makes singular.
-The optimum is reported as the angles of bloch_basis(theta, phi); for a
-qubit that covers every rank-1 projective measurement.
+With a qubit memory each step's gradient and Hessian are closed-form; with a
+larger memory, or next to a rank-deficient block, they come from a 9-point
+central-difference stencil. The optimum is reported as the angles of
+bloch_basis(theta, phi); for a qubit that covers every rank-1 projective
+measurement.
 """
 from __future__ import annotations
 
@@ -25,11 +28,26 @@ from .states import DensityMatrix, marginal_a, marginal_b
 GRID_POINTS = 64
 ANGLE_RESOLUTION = 1e-6
 _MAX_EVALS = 100_000
+_LN2 = math.log(2.0)
+# The closed-form local model is used only while both blocks' smaller
+# eigenvalue is at least this. Its curvature carries terms (d lambda)^2 /
+# (lambda ln 2), unbounded as a block loses rank, so toward a rank-deficient
+# block (a kink of chi, as at the optimum of x_state(p)) exact Newton steps
+# shrink with lambda and stall; the 9-point stencil, whose 1e-4 spacing spans
+# the kink, takes those steps instead. With a floor of 1e-12 the search ended
+# up to 2e-14 away from the stencil-only value on the x_state family and on
+# classical-quantum states; at 1e-9 it agrees to 4e-15.
+_SMOOTH_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
 class DiscordResult:
-    """Classical correlation J_A, discord D_A = I(A:B) - J_A, and optimizer trace."""
+    """Classical correlation J_A, discord D_A = I(A:B) - J_A, and optimizer trace.
+
+    optimizer_evals counts objective evaluations: the 1985 grid points, then
+    one per closed-form local model and nine per stencil model (about 1989
+    for a 2x2 state in all).
+    """
 
     discord: float
     classical_correlation: float
@@ -77,7 +95,9 @@ class _HolevoObjective:
     M_+- = (rho_B +- sum_i n_i K_i) / 2 with K_i = Tr_A[(sigma_i (x) I) rho],
     so a whole batch reduces to one matrix product plus batched small
     eigenproblems, closed-form when dim_b == 2. evaluate_all also reads the
-    traces and spectra of the blocks (_spectra) for its dephased entropies.
+    traces and spectra of the blocks (_spectra) for its dephased entropies,
+    and with dim_b == 2 the optimiser's Newton steps read a closed-form local
+    model (_local).
     """
 
     def __init__(self, rho: DensityMatrix, s_b: float):
@@ -86,21 +106,42 @@ class _HolevoObjective:
                 f"measurement optimization needs dim_a == 2, got {rho.dim_a}"
             )
         db = rho.dim_b
-        blocks = rho.matrix.reshape(2, db, 2, db)
-        up, down = blocks[0, :, 1, :], blocks[1, :, 0, :]
-        # Column j holds the flattened block that coefficient j of (1, n_1, n_2, n_3) multiplies.
-        k = 0.5 * np.stack(
-            [
-                blocks[0, :, 0, :] + blocks[1, :, 1, :],
-                down + up,
-                1j * (up - down),
-                blocks[0, :, 0, :] - blocks[1, :, 1, :],
-            ],
-            axis=-1,
-        ).reshape(db * db, 4)
         if db == 2:
-            # Real rows M_00, M_11, Re M_01, Im M_01 suffice for the closed form.
-            k = np.stack([k[0].real, k[3].real, k[1].real, k[1].imag])
+            # Rows M_00, M_11, Re M_01, Im M_01 of M_+ against the coefficients
+            # (1, n_1, n_2, n_3), read off rho's entries |a b><a' b'|.
+            (r00, r01, r02, r03), (_, r11, _, r13), (r20, r21, r22, r23), (_, r31, _, r33) = (
+                rho.matrix.tolist()
+            )
+            k = 0.5 * np.array(
+                [
+                    [(r00 + r22).real, (r20 + r02).real, (r20 - r02).imag, (r00 - r22).real],
+                    [(r11 + r33).real, (r31 + r13).real, (r31 - r13).imag, (r11 - r33).real],
+                    [(r01 + r23).real, (r21 + r03).real, (r21 - r03).imag, (r01 - r23).real],
+                    [(r01 + r23).imag, (r21 + r03).imag, (r03 - r21).real, (r01 - r23).imag],
+                ]
+            )
+            # The trace p = M_00 + M_11 and the gap vector (M_00 - M_11, 2 Re M_01,
+            # 2 Im M_01), whose norm g sets the eigenvalues (p +- g) / 2.
+            d00, d11, re, im = k.tolist()
+            self._trace = tuple(x + y for x, y in zip(d00, d11))
+            self._gap = (
+                tuple(x - y for x, y in zip(d00, d11)),
+                tuple(2.0 * x for x in re),
+                tuple(2.0 * x for x in im),
+            )
+        else:
+            blocks = rho.matrix.reshape(2, db, 2, db)
+            up, down = blocks[0, :, 1, :], blocks[1, :, 0, :]
+            # Column j holds the flattened block that coefficient j of (1, n_1, n_2, n_3) multiplies.
+            k = 0.5 * np.stack(
+                [
+                    blocks[0, :, 0, :] + blocks[1, :, 1, :],
+                    down + up,
+                    1j * (up - down),
+                    blocks[0, :, 0, :] - blocks[1, :, 1, :],
+                ],
+                axis=-1,
+            ).reshape(db * db, 4)
         self.k = k
         self.s_b = s_b
         self.db = db
@@ -138,6 +179,61 @@ class _HolevoObjective:
         rows[1:] = np.linalg.eigvalsh(m).T
         return rows
 
+    def _local(self, frame) -> tuple[float, ...] | None:
+        """(chi, g1, g2, h11, h22, h12) at n = frame[0] in the coordinates of _chart(frame, .).
+
+        For dim_b == 2 a block's trace p and gap vector u are affine in n, and
+        its eigenvalues are (p +- |u|) / 2, so chi's Euclidean gradient and
+        Hessian are closed-form. Along the sphere the second derivatives gain
+        -(grad chi . n) on the diagonal. None when dim_b > 2 or a block's
+        smaller eigenvalue is below _SMOOTH_FLOOR; the caller then differences.
+        """
+        if self.db != 2:
+            return None
+        p0, px, py, pz = self._trace
+        (w0, wx, wy, wz), (v0, vx, vy, vz), (t0, tx, ty, tz) = self._gap
+        # Derivatives of p and of u along n, e1 and e2 for M_+; M_- negates them.
+        dp0, dp1, dp2 = (px * x + py * y + pz * z for x, y, z in frame)
+        (n0, n1, n2), (a0, a1, a2), (b0, b1, b2) = (
+            (wx * x + wy * y + wz * z, vx * x + vy * y + vz * z, tx * x + ty * y + tz * z)
+            for x, y, z in frame
+        )
+        # Second derivatives of |u|^2 / 2 along (e1, e1), (e2, e2), (e1, e2).
+        uu11 = a0 * a0 + a1 * a1 + a2 * a2
+        uu22 = b0 * b0 + b1 * b1 + b2 * b2
+        uu12 = a0 * b0 + a1 * b1 + a2 * b2
+        # f = sum over the blocks of p log2 p - hi log2 hi - lo log2 lo, the
+        # conditional entropy chi subtracts from S(B), and its derivatives.
+        f = fn = f1 = f2 = f11 = f22 = f12 = 0.0
+        for s in (1.0, -1.0):
+            p = p0 + s * dp0
+            u0, u1, u2 = w0 + s * n0, v0 + s * n1, t0 + s * n2
+            g = math.sqrt(u0 * u0 + u1 * u1 + u2 * u2)
+            hi, lo = 0.5 * (p + g), 0.5 * (p - g)
+            if lo < _SMOOTH_FLOOR:
+                return None
+            log_p, log_hi, log_lo = math.log2(p), math.log2(hi), math.log2(lo)
+            f += p * log_p - hi * log_hi - lo * log_lo
+            # kappa = (log2 hi - log2 lo) / (2 g), which stays finite as g -> 0.
+            kappa = math.atanh(g / p) / (g * _LN2) if g > 0.0 else 1.0 / (p * _LN2)
+            mid = log_p - 0.5 * (log_hi + log_lo)
+            # g times the derivative of g along n, e1, e2 (up to the sign s).
+            ugn = u0 * n0 + u1 * n1 + u2 * n2
+            ug1, ug2 = u0 * a0 + u1 * a1 + u2 * a2, u0 * b0 + u1 * b1 + u2 * b2
+            fn += s * (dp0 * mid - kappa * ugn)
+            f1 += s * (dp1 * mid - kappa * ug1)
+            f2 += s * (dp2 * mid - kappa * ug2)
+            dg1, dg2 = (ug1 / g, ug2 / g) if g > 0.0 else (0.0, 0.0)
+            # Eigenvalue derivatives (dp +- dg) / 2; the sign s cancels in products.
+            hi1, hi2 = 0.5 * (dp1 + dg1), 0.5 * (dp2 + dg2)
+            lo1, lo2 = 0.5 * (dp1 - dg1), 0.5 * (dp2 - dg2)
+            # (x log2 x)'' = 1 / (x ln 2)
+            c_p, c_hi, c_lo = 1.0 / (p * _LN2), 1.0 / (hi * _LN2), 1.0 / (lo * _LN2)
+            f11 += dp1 * dp1 * c_p - hi1 * hi1 * c_hi - lo1 * lo1 * c_lo - kappa * (uu11 - dg1 * dg1)
+            f22 += dp2 * dp2 * c_p - hi2 * hi2 * c_hi - lo2 * lo2 * c_lo - kappa * (uu22 - dg2 * dg2)
+            f12 += dp1 * dp2 * c_p - hi1 * hi2 * c_hi - lo1 * lo2 * c_lo - kappa * (uu12 - dg1 * dg2)
+        return self.s_b - f, -f1, -f2, fn - f11, fn - f22, -f12
+
 
 def _bloch(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
     s = np.sin(thetas)
@@ -166,39 +262,65 @@ _STENCIL = _STENCIL_H * np.array(
 )
 
 
-def _tangent_frame(n: np.ndarray) -> np.ndarray:
-    """Rows n, e1, e2: an orthonormal frame with e1, e2 spanning the tangent plane at n.
+def _tangent_frame(x: float, y: float, z: float) -> tuple[tuple[float, float, float], ...]:
+    """Rows n, e1, e2: an orthonormal frame with e1, e2 spanning the tangent plane at n = (x, y, z).
 
     Branch-free construction of Duff et al., J. Comput. Graph. Tech. 6(1), 2017.
     """
-    x, y, z = n.tolist()
     sign = math.copysign(1.0, z)
     a = -1.0 / (sign + z)
     b = x * y * a
-    return np.array(
-        [[x, y, z], [1.0 + sign * x * x * a, sign * b, -sign * x], [b, sign + y * y * a, -y]]
-    )
+    return (x, y, z), (1.0 + sign * x * x * a, sign * b, -sign * x), (b, sign + y * y * a, -y)
 
 
-def _chart(frame: np.ndarray, uv: np.ndarray) -> np.ndarray:
+def _chart(frame, uv: np.ndarray) -> np.ndarray:
     """Points (n + u e1 + v e2) / |.| of the sphere for tangent coordinates uv of shape (2, N)."""
+    frame = np.asarray(frame)
     points = frame[0][:, None] + frame[1:].T @ uv
     return points / np.sqrt((points * points).sum(axis=0))
 
 
-def _newton_step(f: np.ndarray, radius: float) -> np.ndarray:
-    """Ascent step in tangent coordinates from the 9 stencil values, at most `radius` long.
+def _moved(frame, u: float, v: float) -> tuple[tuple[float, float, float], ...]:
+    """The tangent frame at _chart(frame, (u, v)), in plain floats."""
+    (nx, ny, nz), (ax, ay, az), (bx, by, bz) = frame
+    x, y, z = nx + u * ax + v * bx, ny + u * ay + v * by, nz + u * az + v * bz
+    norm = math.sqrt(x * x + y * y + z * z)
+    return _tangent_frame(x / norm, y / norm, z / norm)
 
-    Gradient and Hessian come from central differences; the Hessian is split
-    into eigen-directions in closed form, and the Newton step is taken only
-    along directions of negative curvature, where it points uphill.
-    """
-    f0, f1, f2, f3, f4, f5, f6, f7, f8 = f.tolist()
+
+def _stencil_model(objective: _HolevoObjective, frame) -> tuple[float, ...]:
+    """(chi, g1, g2, h11, h22, h12) at frame[0] by central differences on the 9-point stencil."""
+    f0, f1, f2, f3, f4, f5, f6, f7, f8 = objective(_chart(frame, _STENCIL)).tolist()
     h = _STENCIL_H
-    g1, g2 = (f1 - f2) / (2.0 * h), (f3 - f4) / (2.0 * h)
-    h11 = (f1 - 2.0 * f0 + f2) / (h * h)
-    h22 = (f3 - 2.0 * f0 + f4) / (h * h)
-    h12 = (f5 - f6 - f7 + f8) / (4.0 * h * h)
+    return (
+        f0,
+        (f1 - f2) / (2.0 * h),
+        (f3 - f4) / (2.0 * h),
+        (f1 - 2.0 * f0 + f2) / (h * h),
+        (f3 - 2.0 * f0 + f4) / (h * h),
+        (f5 - f6 - f7 + f8) / (4.0 * h * h),
+    )
+
+
+def _model(objective: _HolevoObjective, frame) -> tuple[tuple[float, ...], int]:
+    """The local model at frame[0] and the objective evaluations it took.
+
+    The closed form costs one evaluation; where it does not apply the stencil costs nine.
+    """
+    local = objective._local(frame)
+    if local is not None:
+        return local, 1
+    return _stencil_model(objective, frame), _STENCIL.shape[1]
+
+
+def _newton_step(model: tuple[float, ...], radius: float) -> tuple[float, float]:
+    """Ascent step (u, v) in tangent coordinates from the model (chi, g1, g2, h11, h22, h12).
+
+    The Hessian is split into eigen-directions in closed form, and the Newton
+    step is taken only along directions of negative curvature, where it
+    points uphill. The step is at most `radius` long.
+    """
+    _, g1, g2, h11, h22, h12 = model
     mean, half_gap = 0.5 * (h11 + h22), math.hypot(0.5 * (h11 - h22), h12)
     psi = 0.5 * math.atan2(2.0 * h12, h11 - h22)
     c, s = math.cos(psi), math.sin(psi)
@@ -209,7 +331,7 @@ def _newton_step(f: np.ndarray, radius: float) -> np.ndarray:
             u, v = u + coef * qu, v + coef * qv
     length = math.hypot(u, v)
     scale = radius / length if length > radius else 1.0
-    return np.array([u * scale, v * scale])
+    return u * scale, v * scale
 
 
 def _maximize_holevo(objective: _HolevoObjective) -> tuple[float, np.ndarray, int]:
@@ -221,25 +343,25 @@ def _maximize_holevo(objective: _HolevoObjective) -> tuple[float, np.ndarray, in
     """
     values = objective(_HEMISPHERE)
     evals = values.size
-    frame = _tangent_frame(_HEMISPHERE[:, int(np.argmax(values))])
-    f = objective(_chart(frame, _STENCIL))
-    evals += f.size
+    frame = _tangent_frame(*_HEMISPHERE[:, int(np.argmax(values))].tolist())
+    model, cost = _model(objective, frame)
+    evals += cost
     radius = _GRID_SPACING
     length = radius
     while length >= ANGLE_RESOLUTION and evals < _MAX_EVALS:
         # The step that falls below ANGLE_RESOLUTION is still tried: near a
         # kink of the objective (a rank-deficient block) Newton converges only
         # linearly, and that last step is worth up to 1e-11 in value.
-        step = _newton_step(f, radius)
-        length = math.hypot(*step)
-        trial = _tangent_frame(_chart(frame, step[:, None])[:, 0])
-        f_trial = objective(_chart(trial, _STENCIL))
-        evals += f_trial.size
-        if f_trial[0] > f[0]:
-            frame, f = trial, f_trial
+        u, v = _newton_step(model, radius)
+        length = math.hypot(u, v)
+        trial = _moved(frame, u, v)
+        trial_model, cost = _model(objective, trial)
+        evals += cost
+        if trial_model[0] > model[0]:
+            frame, model = trial, trial_model
         else:
             radius = 0.25 * length
-    return max(0.0, float(f[0])), frame[0], evals
+    return max(0.0, model[0]), np.array(frame[0]), evals
 
 
 def classical_correlation(rho: DensityMatrix) -> DiscordResult:
@@ -249,13 +371,16 @@ def classical_correlation(rho: DensityMatrix) -> DiscordResult:
     the upper half of the GRID_POINTS x GRID_POINTS (theta, phi) grid, 1985
     points, and the first maximum wins ties, so a flat objective lands on the
     first grid point in theta-major order. Safeguarded Newton steps then
-    refine that point, each from one 9-point central-difference stencil. A
-    step follows only directions of negative curvature and is capped by a
-    trust radius. The radius starts at the grid's phi spacing and shrinks to
-    a quarter of any step that does not improve the value. The search stops
-    after the first step shorter than ANGLE_RESOLUTION. J_A is the best value
-    found, clamped at 0, and the discord is I(A:B) - J_A. Deterministic: no
-    randomness, so repeated calls agree exactly.
+    refine that point. Each step reads the gradient and Hessian in closed
+    form when dim_b == 2 and both measurement blocks keep their smaller
+    eigenvalue at or above _SMOOTH_FLOOR; otherwise it takes them from one
+    9-point central-difference stencil. A step follows only directions of
+    negative curvature and is capped by a trust radius. The radius starts at
+    the grid's phi spacing and shrinks to a quarter of any step that does not
+    improve the value. The search stops after the first step shorter than
+    ANGLE_RESOLUTION. J_A is the best value found, clamped at 0, and the
+    discord is I(A:B) - J_A. Deterministic: no randomness, so repeated calls
+    agree exactly.
     """
     s_b = von_neumann_entropy(marginal_b(rho))
     j_a, n, evals = _maximize_holevo(_HolevoObjective(rho, s_b))

@@ -22,19 +22,33 @@ def xlog2x(w: np.ndarray) -> np.ndarray:
 def shannon_entropy(probs) -> float:
     """H(p) = -sum_i p_i log2 p_i for a probability vector.
 
-    Entries in [-1e-12, 0) are clamped to 0; anything more negative, or a
-    total further than 1e-9 from 1, raises ProbabilityError.
+    Entries in [-1e-12, 0) are clamped to 0; anything more negative, a
+    total further than 1e-9 from 1, or a NaN entry raises ProbabilityError.
     """
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 1:
         raise ProbabilityError(f"expected a 1-d probability vector, got shape {p.shape}")
-    if np.any(p < -1e-12):
-        raise ProbabilityError(f"negative probability {p.min()!r}")
-    p = np.where(p < 0.0, 0.0, p)
-    total = float(p.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise ProbabilityError(f"probabilities sum to {total!r}, not 1 within 1e-9")
-    return float(-xlog2x(p).sum())
+    return float(_entropies(p[None])[0])
+
+
+def _entropies(table: np.ndarray) -> np.ndarray:
+    """Shannon entropies of the rows of a 2-d table, each row checked as shannon_entropy says.
+
+    Rows may be zero padded: the sums run left to right, so trailing zeros
+    leave every entropy unchanged bit for bit, and a padded row gives what its
+    unpadded vector gives on its own.
+    """
+    lowest = np.minimum.reduce(table, axis=1, initial=np.inf)
+    p = np.maximum(table, 0.0)
+    totals = np.add.accumulate(p, axis=1)[:, -1] if p.shape[1] else np.zeros(len(p))
+    # Written so that a NaN entry fails the check instead of slipping through.
+    ok = (lowest >= -1e-12) & (np.abs(totals - 1.0) <= 1e-9)
+    if not ok.all():
+        row = int(ok.argmin())
+        if lowest[row] < -1e-12:
+            raise ProbabilityError(f"negative probability {lowest[row]!r}")
+        raise ProbabilityError(f"probabilities sum to {float(totals[row])!r}, not 1 within 1e-9")
+    return -np.add.accumulate(xlog2x(p), axis=1)[:, -1]
 
 
 def binary_entropy(x: float) -> float:
@@ -52,7 +66,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 def _spectrum_entropy(w: np.ndarray) -> float:
     """Entropy of a state's eigenvalues w, with those below SUPPORT_CUT taken as 0."""
-    return shannon_entropy(np.where(w < SUPPORT_CUT, 0.0, w))
+    return float(_entropies(np.where(w < SUPPORT_CUT, 0.0, w)[None])[0])
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -27,8 +27,17 @@ def hermiticity_defect(m: np.ndarray) -> float:
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the left factor on the slow (most significant) index."""
-    return np.kron(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
+    """Kronecker product of two matrices, the left factor on the slow (most significant) index.
+
+    out[(i, k), (j, l)] = a[i, j] b[k, l], as one broadcast product, which for
+    small matrices is several times cheaper than np.kron and bitwise equal to it.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
+    if a.ndim != 2 or b.ndim != 2:
+        raise DimensionError(f"expected two matrices, got shapes {a.shape} and {b.shape}")
+    out = a[:, None, :, None] * b[None, :, None, :]
+    return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 # einsum subscripts that trace out A or B of a matrix reshaped to (dim_a, dim_b, dim_a, dim_b).

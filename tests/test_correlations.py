@@ -2,9 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coherence_bounds.bounds import FAMILIES
 from coherence_bounds.correlations import (
     _bloch,
+    _chart,
+    _HEMISPHERE,
     _HolevoObjective,
+    _maximize_holevo,
+    _tangent_frame,
     classical_correlation,
     conditional_entropy,
     holevo,
@@ -249,3 +254,66 @@ class TestClassicalCorrelation:
             best = classical_correlation(rho).classical_correlation
             probes = max(holevo(rho, bloch_basis(t, p)) for t in thetas for p in phis)
             assert best >= probes - 1e-9
+
+
+def _objective(rho):
+    return _HolevoObjective(rho, von_neumann_entropy(marginal_b(rho)))
+
+
+def _central_model(objective, frame, h=1e-4):
+    """(g1, g2, h11, h22, h12) of objective(_chart(frame, .)) by central differences."""
+    uv = h * np.array([[1, -1, 0, 0, 1, 1, -1, -1, 0], [0, 0, 1, -1, 1, -1, 1, -1, 0]])
+    f1, f2, f3, f4, f5, f6, f7, f8, f0 = objective(_chart(frame, uv))
+    return np.array(
+        [
+            (f1 - f2) / (2 * h),
+            (f3 - f4) / (2 * h),
+            (f1 - 2 * f0 + f2) / h**2,
+            (f3 - 2 * f0 + f4) / h**2,
+            (f5 - f6 - f7 + f8) / (4 * h**2),
+        ]
+    )
+
+
+class TestLocalModel:
+    def test_matches_central_differences(self):
+        rng = np.random.default_rng(11)
+        cases = [(random_density(2, 2, 500 + k), rng.normal(size=3)) for k in range(40)]
+        # blocks proportional to the identity at n = x: the g -> 0 limit of the model
+        cases.append((bell_diagonal(0.0, 0.0, 0.6), np.array([1.0, 0.0, 0.0])))
+        for rho, n in cases:
+            objective = _objective(rho)
+            frame = _tangent_frame(*(n / np.linalg.norm(n)).tolist())
+            chi, *model = objective._local(frame)
+            assert chi == pytest.approx(objective(_chart(frame, np.zeros((2, 1))))[0], abs=1e-14)
+            expected = _central_model(objective, frame)
+            scale = max(1.0, float(np.max(np.abs(expected))))
+            assert np.max(np.abs(np.array(model) - expected)) <= 1e-6 * scale
+
+    def test_no_closed_form_beyond_a_qubit_memory(self):
+        assert _objective(random_density(2, 3, 5))._local(_tangent_frame(0.0, 0.0, 1.0)) is None
+
+    def test_stencil_only_path_agrees(self, monkeypatch):
+        states = [c.rho for c in generate_cases(42, 200)]
+        states += [FAMILIES[f](float(p)) for f in sorted(FAMILIES) for p in np.linspace(0.0, 1.0, 101)]
+        closed = [_maximize_holevo(_objective(rho))[0] for rho in states]
+        monkeypatch.setattr(_HolevoObjective, "_local", lambda self, frame: None)
+        stencil = [_maximize_holevo(_objective(rho))[0] for rho in states]
+        assert np.max(np.abs(np.array(closed) - np.array(stencil))) <= 1e-12
+
+    @pytest.mark.parametrize("rho, expected", [(x_state(1.0), 1.0), (x_state(0.0), 0.0)])
+    def test_rank_deficient_blocks_take_the_stencil(self, monkeypatch, rho, expected):
+        # a pure state leaves rank-1 blocks for every measurement: each model
+        # falls back to the 9-point stencil, and J_A still reaches its closed form
+        local = _HolevoObjective._local
+        returned = []
+
+        def recorded(self, frame):
+            returned.append(local(self, frame))
+            return returned[-1]
+
+        monkeypatch.setattr(_HolevoObjective, "_local", recorded)
+        j_a, _, evals = _maximize_holevo(_objective(rho))
+        assert returned and all(r is None for r in returned)
+        assert evals == _HEMISPHERE.shape[1] + 9 * len(returned)
+        assert j_a == pytest.approx(expected, abs=1e-9)

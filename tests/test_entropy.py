@@ -4,6 +4,9 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from coherence_bounds.entropy import (
+    SUPPORT_CUT,
+    _entropies,
+    _spectrum_entropy,
     binary_entropy,
     relative_entropy,
     shannon_entropy,
@@ -52,6 +55,43 @@ def test_shannon_entropy_rejects_bad_distributions():
         shannon_entropy(np.array([1.001, -0.001 - 1e-3]))
     with pytest.raises(ProbabilityError):
         shannon_entropy(np.array([0.5, 0.4]))
+    with pytest.raises(ProbabilityError):
+        shannon_entropy(np.array([np.nan, 1.0]))
+
+
+def test_batched_entropies_match_single_vectors_bitwise():
+    # one zero-padded table, as evaluate_all builds it, against each vector alone
+    rng = np.random.default_rng(12)
+    vectors = []
+    for length in range(2, 17):
+        for _ in range(3):
+            w = rng.dirichlet(np.full(length, 0.5))
+            w[rng.integers(length)] = 0.0
+            vectors.append(w / w.sum())
+    spectra = []
+    for w in vectors[::2]:
+        dusty = w.copy()
+        dusty[np.argmin(w)] = 5e-13  # eigenvalue dust below SUPPORT_CUT, where w is 0
+        spectra.append(dusty)
+    table = np.zeros((len(spectra) + len(vectors), 16))
+    for row, w in enumerate(spectra + vectors):
+        table[row, : w.size] = w
+    cut = table[: len(spectra)]
+    cut[cut < SUPPORT_CUT] = 0.0
+    single = [_spectrum_entropy(w) for w in spectra] + [shannon_entropy(w) for w in vectors]
+    assert _entropies(table).tolist() == single
+
+
+@pytest.mark.parametrize("bad", [np.array([0.5, 0.5 + 2e-9]), np.array([1.0, -2e-12])])
+def test_batched_entropies_raise_the_single_vector_message(bad):
+    with pytest.raises(ProbabilityError) as single:
+        shannon_entropy(bad)
+    table = np.zeros((3, 4))
+    table[0, :2] = table[2, 1:3] = [0.25, 0.75]
+    table[1, :2] = bad
+    with pytest.raises(ProbabilityError) as batched:
+        _entropies(table)
+    assert str(batched.value) == str(single.value)
 
 
 def test_binary_entropy_endpoints_and_peak():

@@ -24,6 +24,22 @@ def test_tensor_product_block_convention():
     assert out[0, 1] == 0
 
 
+def test_tensor_product_equals_kron_bitwise():
+    for seed, (da, db) in enumerate(((2, 2), (2, 3), (2, 8), (1, 4), (3, 2))):
+        a = random_matrix(seed, da)
+        b = random_matrix(seed + 50, db)
+        assert tensor_product(a, b).tobytes() == np.kron(a, b).tobytes()
+    flip = [[0, 1], [1, 0]]
+    assert np.array_equal(tensor_product(np.eye(2), flip), np.kron(np.eye(2), flip))
+
+
+def test_tensor_product_rejects_non_matrices():
+    with pytest.raises(DimensionError):
+        tensor_product(np.ones(2), np.eye(2))
+    with pytest.raises(DimensionError):
+        tensor_product(np.eye(2), np.ones((2, 2, 2)))
+
+
 @settings(max_examples=50)
 @given(st.integers(0, 10**6))
 def test_tensor_product_trace_multiplicative(seed):
