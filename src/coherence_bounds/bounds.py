@@ -27,18 +27,18 @@ and the incompatibility q_mu. With S(A|B) = S(AB) - S(B), I(A:B) = S(A) +
 S(B) - S(AB), I(Y:B) = S(B) + H(p_Y) - S(YB), C_B|A(Y) = S(YB) - S(AB),
 H(Y|B) = S(YB) - S(B), P_B|A = log2 dim_a - S(A|B) and D_A = I(A:B) - J_A.
 
-S(YB) and H(p_Y) come from the same blocks as J_A. If n is the Bloch vector
-of Y's outcome-0 ket, the dephased state rho_YB is block diagonal with
-blocks M_+- = (rho_B +- n.K) / 2 of the discord objective: p_Y is their
-traces and the spectrum of rho_YB is the union of their spectra. The
-spectra of the qubit marginal rho_A, and of rho_B when B is a qubit, are
-closed-form, so a 2x2 report makes one eigensolve, for S(AB). All seven
+Every spectrum but rho_AB's comes from the blocks M_+- = (rho_B +- n.K) / 2
+of the discord objective, the same blocks J_A is maximised over. If n is
+the Bloch vector of Y's outcome-0 ket, the dephased state rho_YB is block
+diagonal with blocks M_+-(n): p_Y is their traces and the spectrum of
+rho_YB is the union of their spectra. rho_B is 2 M_+(0), and the traces'
+affine dependence on n carries the Bloch vector of rho_A. So no marginal is
+traced out, and a 2x2 report makes one eigensolve, for S(AB). All seven
 distributions are zero-padded rows of one table that takes a single
 checked entropy pass.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -46,16 +46,9 @@ import numpy as np
 from .coherence import coherence_rel
 from .correlations import _HolevoObjective, _maximize_holevo
 from .entropy import SUPPORT_CUT, _entropies, von_neumann_entropy
-from .errors import DimensionError, DomainError, UnsupportedDimension
+from .errors import DomainError
 from .measurement import ObservableBasis, incompatibility
-from .states import (
-    DensityMatrix,
-    bell_diagonal_family,
-    marginal_a,
-    marginal_b,
-    werner,
-    x_state,
-)
+from .states import DensityMatrix, bell_diagonal_family, werner, x_state
 
 # |x| below this is treated as an exact zero inside max{0, x} terms, so a
 # theoretical zero never turns into 1e-16 and flips a tightness comparison.
@@ -102,23 +95,6 @@ def coherence_bound_t1(rho: DensityMatrix, x: ObservableBasis, z: ObservableBasi
     return lhs, incompatibility(x, z) - von_neumann_entropy(rho)
 
 
-def _outcome0_bloch(basis: ObservableBasis) -> np.ndarray:
-    """Bloch vector (2 Re conj(a) b, 2 Im conj(a) b, |a|^2 - |b|^2) of the outcome-0 ket (a, b)."""
-    if basis.dim != 2:
-        raise DimensionError(f"basis dim {basis.dim} does not match dim_a 2")
-    a, b = basis.vectors[:, 0]
-    ab = a.conjugate() * b
-    return np.array([2.0 * ab.real, 2.0 * ab.imag, abs(a) ** 2 - abs(b) ** 2])
-
-
-def _qubit_spectrum(m: np.ndarray) -> list[float]:
-    """Eigenvalues (t +- g) / 2 of a 2x2 Hermitian matrix, g = sqrt((m00 - m11)^2 + 4 |m01|^2)."""
-    (m00, m01), (_, m11) = m.tolist()
-    d00, d11 = m00.real, m11.real
-    gap = math.sqrt((d00 - d11) ** 2 + 4.0 * (m01.real * m01.real + m01.imag * m01.imag))
-    return [0.5 * (d00 + d11 + gap), 0.5 * (d00 + d11 - gap)]
-
-
 def evaluate_all(rho: DensityMatrix, x: ObservableBasis, z: ObservableBasis) -> BoundReport:
     """Evaluate every bound for a bipartite state with qubit A.
 
@@ -126,31 +102,18 @@ def evaluate_all(rho: DensityMatrix, x: ObservableBasis, z: ObservableBasis) -> 
     field is an expression over them, so exact identities between report
     fields survive floating point unchanged. The seven distributions behind
     the entropies go into one zero-padded table that takes one checked pass.
-    One discord objective gives the blocks of both dephased states and is
-    then maximised for J_A.
+    One discord objective gives every row but rho_AB's and is then
+    maximised for J_A. A state with dim_a != 2 raises UnsupportedDimension.
     """
-    if rho.dim_a != 2:
-        raise UnsupportedDimension(f"evaluate_all needs dim_a == 2, got {rho.dim_a}")
-    n = np.stack([_outcome0_bloch(x), _outcome0_bloch(z)], axis=1)
-    db = rho.dim_b
+    objective = _HolevoObjective(rho)
     # Rows: the spectra of AB, A, B, XB and ZB, then p_X and p_Z.
-    table = np.zeros((7, 2 * db))
+    table = np.empty((7, 2 * rho.dim_b))
     table[0] = np.linalg.eigvalsh(rho.matrix)
-    table[1, :2] = _qubit_spectrum(marginal_a(rho).matrix)
-    rho_b = marginal_b(rho).matrix
-    table[2, :db] = _qubit_spectrum(rho_b) if db == 2 else np.linalg.eigvalsh(rho_b)
-    objective = _HolevoObjective(rho, 0.0)
-    # Columns: outcome 0 of X, outcome 0 of Z, outcome 1 of X, outcome 1 of Z.
-    rows = objective._spectra(n)
-    table[3] = rows[1:, 0::2].ravel()
-    table[4] = rows[1:, 1::2].ravel()
-    table[5:, :2] = rows[0].reshape(2, 2).T
+    table[1:] = objective._report_rows(x, z)
     spectra = table[:5]
     spectra[spectra < SUPPORT_CUT] = 0.0
     s_ab, s_a, s_b, s_xb, s_zb, h_x, h_z = _entropies(table).tolist()
-    # The objective's S(B) is the report's, known only after the pass.
-    objective.s_b = s_b
-    j_a = _maximize_holevo(objective)[0]
+    j_a = _maximize_holevo(objective, s_b)[0]
     q_mu = incompatibility(x, z)
 
     cond = s_ab - s_b

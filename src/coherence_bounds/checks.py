@@ -295,8 +295,9 @@ def _suite_correlations(case: CheckCase, report: BoundReport) -> list[tuple[str,
     rng = np.random.default_rng((case.state_seed, 5))
     probe_t = np.arccos(rng.uniform(-1.0, 1.0, size=50))
     probe_p = rng.uniform(0.0, 2.0 * np.pi, size=50)
-    objective = _HolevoObjective(case.rho, von_neumann_entropy(marginal_b(case.rho)))
-    probe_best = float(np.max(objective(_bloch(probe_t, probe_p))))
+    # The objective is chi - S(B); S(B) comes from the public marginal.
+    probe_chi = _HolevoObjective(case.rho)(_bloch(probe_t, probe_p))
+    probe_best = von_neumann_entropy(marginal_b(case.rho)) + float(np.max(probe_chi))
     u = tensor_product(np.eye(2), random_unitary(2, case.state_seed + 77))
     conjugated = DensityMatrix(hermitize(u @ case.rho.matrix @ u.conj().T), 2, 2)
     j_conj = classical_correlation(conjugated).classical_correlation

@@ -20,7 +20,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -154,18 +154,8 @@ def render_figure_csv(config: SweepConfig) -> str:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    base = FIGURES[args.which]
     try:
-        config = SweepConfig(
-            family=base.family,
-            x_selector=base.x_selector,
-            z_selector=base.z_selector,
-            columns=base.columns,
-            fields=base.fields,
-            steps=args.steps,
-            p_min=args.pmin,
-            p_max=args.pmax,
-        )
+        config = replace(FIGURES[args.which], steps=args.steps, p_min=args.pmin, p_max=args.pmax)
         text = render_figure_csv(config)
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,9 +9,11 @@ one hemisphere; the refinement takes Newton steps in tangent-plane
 coordinates at the current n, which no point of the sphere makes singular.
 With a qubit memory each step's gradient and Hessian are closed-form; with a
 larger memory, or next to a rank-deficient block, they come from a 9-point
-central-difference stencil. The optimum is reported as the angles of
-bloch_basis(theta, phi); for a qubit that covers every rank-1 projective
-measurement.
+central-difference stencil. The search maximises -S(B|Y_n) = chi(n) - S(B),
+which needs no S(B); J_A adds it back. The optimum is reported as the angles
+of bloch_basis(theta, phi); for a qubit that covers every rank-1 projective
+measurement. The objective's blocks also give evaluate_all the spectra of
+rho_A, rho_B and the two dephased states.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import shannon_entropy, von_neumann_entropy, xlog2x
-from .errors import UnsupportedDimension
+from .errors import DimensionError, UnsupportedDimension
 from .measurement import ObservableBasis, _assemble_joint, _conditional_blocks
 from .states import DensityMatrix, marginal_a, marginal_b
 
@@ -89,61 +91,42 @@ def holevo(rho: DensityMatrix, basis: ObservableBasis) -> float:
 
 
 class _HolevoObjective:
-    """Batched Holevo quantity over Bloch vectors n of shape (3, N), for dim_a == 2.
+    """Batched -S(B|Y_n) = chi(n) - S(B) over Bloch vectors n of shape (3, N), for dim_a == 2.
 
     Measuring A along +-n leaves the unnormalised B blocks
     M_+- = (rho_B +- sum_i n_i K_i) / 2 with K_i = Tr_A[(sigma_i (x) I) rho],
     so a whole batch reduces to one matrix product plus batched small
-    eigenproblems, closed-form when dim_b == 2. evaluate_all also reads the
-    traces and spectra of the blocks (_spectra) for its dephased entropies,
-    and with dim_b == 2 the optimiser's Newton steps read a closed-form local
-    model (_local).
+    eigenproblems, closed-form when dim_b == 2. This class is the one place
+    that splits the state into B blocks: evaluate_all reads every spectrum of
+    its report except rho_AB's from them (_report_rows), and with
+    dim_b == 2 the optimiser's Newton steps read a closed-form local model
+    (_local). The constant S(B) is left to the caller.
     """
 
-    def __init__(self, rho: DensityMatrix, s_b: float):
+    def __init__(self, rho: DensityMatrix):
         if rho.dim_a != 2:
             raise UnsupportedDimension(
                 f"measurement optimization needs dim_a == 2, got {rho.dim_a}"
             )
         db = rho.dim_b
+        # b_aa' is the B block of rho at A entry (a, a').
+        (b00, b01), (b10, b11) = rho.matrix.reshape(2, db, 2, db).transpose(0, 2, 1, 3)
+        # Row b * db + b' holds entry (b, b') of M_+ against the coefficients (1, n_1, n_2, n_3).
+        k = 0.5 * np.array([b00 + b11, b10 + b01, 1j * (b01 - b10), b00 - b11]).reshape(4, db * db).T
+        # Tr M_+ = P0 + P.n, with 2 P0 = Tr rho and 2 P the Bloch vector of rho_A.
+        self._trace = tuple(k[:: db + 1].sum(axis=0).real.tolist())
         if db == 2:
-            # Rows M_00, M_11, Re M_01, Im M_01 of M_+ against the coefficients
-            # (1, n_1, n_2, n_3), read off rho's entries |a b><a' b'|.
-            (r00, r01, r02, r03), (_, r11, _, r13), (r20, r21, r22, r23), (_, r31, _, r33) = (
-                rho.matrix.tolist()
-            )
-            k = 0.5 * np.array(
-                [
-                    [(r00 + r22).real, (r20 + r02).real, (r20 - r02).imag, (r00 - r22).real],
-                    [(r11 + r33).real, (r31 + r13).real, (r31 - r13).imag, (r11 - r33).real],
-                    [(r01 + r23).real, (r21 + r03).real, (r21 - r03).imag, (r01 - r23).real],
-                    [(r01 + r23).imag, (r21 + r03).imag, (r03 - r21).real, (r01 - r23).imag],
-                ]
-            )
-            # The trace p = M_00 + M_11 and the gap vector (M_00 - M_11, 2 Re M_01,
-            # 2 Im M_01), whose norm g sets the eigenvalues (p +- g) / 2.
+            # Real rows M_00, M_11, Re M_01, Im M_01, and the gap vector
+            # (M_00 - M_11, 2 Re M_01, 2 Im M_01), whose norm g sets the
+            # eigenvalues (p +- g) / 2.
+            k = np.concatenate([k[[0, 3, 1]].real, k[1:2].imag])
             d00, d11, re, im = k.tolist()
-            self._trace = tuple(x + y for x, y in zip(d00, d11))
             self._gap = (
                 tuple(x - y for x, y in zip(d00, d11)),
                 tuple(2.0 * x for x in re),
                 tuple(2.0 * x for x in im),
             )
-        else:
-            blocks = rho.matrix.reshape(2, db, 2, db)
-            up, down = blocks[0, :, 1, :], blocks[1, :, 0, :]
-            # Column j holds the flattened block that coefficient j of (1, n_1, n_2, n_3) multiplies.
-            k = 0.5 * np.stack(
-                [
-                    blocks[0, :, 0, :] + blocks[1, :, 1, :],
-                    down + up,
-                    1j * (up - down),
-                    blocks[0, :, 0, :] - blocks[1, :, 1, :],
-                ],
-                axis=-1,
-            ).reshape(db * db, 4)
         self.k = k
-        self.s_b = s_b
         self.db = db
 
     def __call__(self, n: np.ndarray) -> np.ndarray:
@@ -151,7 +134,7 @@ class _HolevoObjective:
         # p_y S(M_y / p_y) = p_y log2 p_y - sum_k w_k log2 w_k for eigenvalues w of M_y.
         s_cond = terms[0] - terms[1:].sum(axis=0)
         size = n.shape[1]
-        return self.s_b - (s_cond[:size] + s_cond[size:])
+        return -(s_cond[:size] + s_cond[size:])
 
     def _spectra(self, n: np.ndarray) -> np.ndarray:
         """Row 0: p = Tr M; rows 1..dim_b: the eigenvalues of M.
@@ -179,8 +162,31 @@ class _HolevoObjective:
         rows[1:] = np.linalg.eigvalsh(m).T
         return rows
 
+    def _report_rows(self, x: ObservableBasis, z: ObservableBasis) -> np.ndarray:
+        """Rows: the spectra of rho_A, rho_B, rho_XB and rho_ZB, then p_X and p_Z.
+
+        Each row is zero-padded to 2 dim_b. With n the Bloch vector of a
+        basis's outcome-0 ket, the dephased state rho_YB is block diagonal
+        with blocks M_+-(n) and p_Y is their traces; rho_B = 2 M_+(0), and
+        rho_A has the eigenvalues P0 +- |P| of Tr M_+ = P0 + P.n. One
+        _spectra call covers n = 0, n_X and n_Z.
+        """
+        db = self.db
+        n = np.zeros((3, 3))
+        n[:, 1], n[:, 2] = _outcome0_bloch(x), _outcome0_bloch(z)
+        # Axes: row of _spectra, block M_+ or M_-, point n = 0, n_X or n_Z.
+        cols = self._spectra(n).reshape(1 + db, 2, 3)
+        rows = np.zeros((6, 2 * db))
+        p0, px, py, pz = self._trace
+        r = math.sqrt(px * px + py * py + pz * pz)
+        rows[0, :2] = p0 + r, p0 - r
+        rows[1, :db] = 2.0 * cols[1:, 0, 0]
+        rows[2:4] = cols[1:, :, 1:].transpose(2, 0, 1).reshape(2, 2 * db)
+        rows[4:, :2] = cols[0, :, 1:].T
+        return rows
+
     def _local(self, frame) -> tuple[float, ...] | None:
-        """(chi, g1, g2, h11, h22, h12) at n = frame[0] in the coordinates of _chart(frame, .).
+        """(-S(B|Y_n), g1, g2, h11, h22, h12) at n = frame[0] in the coordinates of _chart(frame, .).
 
         For dim_b == 2 a block's trace p and gap vector u are affine in n, and
         its eigenvalues are (p +- |u|) / 2, so chi's Euclidean gradient and
@@ -203,7 +209,7 @@ class _HolevoObjective:
         uu22 = b0 * b0 + b1 * b1 + b2 * b2
         uu12 = a0 * b0 + a1 * b1 + a2 * b2
         # f = sum over the blocks of p log2 p - hi log2 hi - lo log2 lo, the
-        # conditional entropy chi subtracts from S(B), and its derivatives.
+        # conditional entropy S(B|Y_n), and its derivatives.
         f = fn = f1 = f2 = f11 = f22 = f12 = 0.0
         for s in (1.0, -1.0):
             p = p0 + s * dp0
@@ -232,7 +238,16 @@ class _HolevoObjective:
             f11 += dp1 * dp1 * c_p - hi1 * hi1 * c_hi - lo1 * lo1 * c_lo - kappa * (uu11 - dg1 * dg1)
             f22 += dp2 * dp2 * c_p - hi2 * hi2 * c_hi - lo2 * lo2 * c_lo - kappa * (uu22 - dg2 * dg2)
             f12 += dp1 * dp2 * c_p - hi1 * hi2 * c_hi - lo1 * lo2 * c_lo - kappa * (uu12 - dg1 * dg2)
-        return self.s_b - f, -f1, -f2, fn - f11, fn - f22, -f12
+        return -f, -f1, -f2, fn - f11, fn - f22, -f12
+
+
+def _outcome0_bloch(basis: ObservableBasis) -> np.ndarray:
+    """Bloch vector (2 Re conj(a) b, 2 Im conj(a) b, |a|^2 - |b|^2) of the outcome-0 ket (a, b)."""
+    if basis.dim != 2:
+        raise DimensionError(f"basis dim {basis.dim} does not match dim_a 2")
+    a, b = basis.vectors[:, 0]
+    ab = a.conjugate() * b
+    return np.array([2.0 * ab.real, 2.0 * ab.imag, abs(a) ** 2 - abs(b) ** 2])
 
 
 def _bloch(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
@@ -289,7 +304,7 @@ def _moved(frame, u: float, v: float) -> tuple[tuple[float, float, float], ...]:
 
 
 def _stencil_model(objective: _HolevoObjective, frame) -> tuple[float, ...]:
-    """(chi, g1, g2, h11, h22, h12) at frame[0] by central differences on the 9-point stencil."""
+    """(value, g1, g2, h11, h22, h12) at frame[0] by central differences on the 9-point stencil."""
     f0, f1, f2, f3, f4, f5, f6, f7, f8 = objective(_chart(frame, _STENCIL)).tolist()
     h = _STENCIL_H
     return (
@@ -314,7 +329,7 @@ def _model(objective: _HolevoObjective, frame) -> tuple[tuple[float, ...], int]:
 
 
 def _newton_step(model: tuple[float, ...], radius: float) -> tuple[float, float]:
-    """Ascent step (u, v) in tangent coordinates from the model (chi, g1, g2, h11, h22, h12).
+    """Ascent step (u, v) in tangent coordinates from the model (value, g1, g2, h11, h22, h12).
 
     The Hessian is split into eigen-directions in closed form, and the Newton
     step is taken only along directions of negative curvature, where it
@@ -334,9 +349,10 @@ def _newton_step(model: tuple[float, ...], radius: float) -> tuple[float, float]
     return u * scale, v * scale
 
 
-def _maximize_holevo(objective: _HolevoObjective) -> tuple[float, np.ndarray, int]:
-    """(max(0, best Holevo value), its Bloch vector, objective evaluations) for qubit A.
+def _maximize_holevo(objective: _HolevoObjective, s_b: float) -> tuple[float, np.ndarray, int]:
+    """(J_A, its Bloch vector, objective evaluations) for qubit A, given s_b = S(B).
 
+    The search maximises the objective, -S(B|Y_n); J_A is max(0, s_b + best).
     The hemisphere grid picks the start, first maximum winning ties;
     safeguarded Newton steps then refine it in tangent-plane coordinates at
     the current point, so no direction is singular.
@@ -361,7 +377,7 @@ def _maximize_holevo(objective: _HolevoObjective) -> tuple[float, np.ndarray, in
             frame, model = trial, trial_model
         else:
             radius = 0.25 * length
-    return max(0.0, model[0]), np.array(frame[0]), evals
+    return max(0.0, s_b + model[0]), np.array(frame[0]), evals
 
 
 def classical_correlation(rho: DensityMatrix) -> DiscordResult:
@@ -383,7 +399,7 @@ def classical_correlation(rho: DensityMatrix) -> DiscordResult:
     agree exactly.
     """
     s_b = von_neumann_entropy(marginal_b(rho))
-    j_a, n, evals = _maximize_holevo(_HolevoObjective(rho, s_b))
+    j_a, n, evals = _maximize_holevo(_HolevoObjective(rho), s_b)
     info = von_neumann_entropy(marginal_a(rho)) + s_b - von_neumann_entropy(rho)
     return DiscordResult(
         discord=info - j_a,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coherence_bounds import bounds
 from coherence_bounds.bounds import (
     BoundReport,
     FAMILIES,
@@ -20,6 +21,7 @@ from coherence_bounds.measurement import ObservableBasis, bloch_basis, measure, 
 from coherence_bounds.states import (
     make_density,
     marginal_a,
+    marginal_b,
     random_density,
     werner,
     x_state,
@@ -113,8 +115,8 @@ class TestEvaluateAll:
     def test_spectra_are_computed_in_one_pass(self, monkeypatch):
         # S(AB) and nothing else: the marginals' spectra, the dephased states'
         # spectra and the discord search are closed-form for a qubit memory,
-        # and no measurement is carried out
-        rho = random_density(2, 2, 7)
+        # and no measurement is carried out and no marginal traced out
+        qubit_memory, wide_memory = random_density(2, 2, 7), random_density(2, 8, 7)
         calls = []
         for name in ("eigvalsh", "eigh"):
             original = getattr(np.linalg, name)
@@ -128,11 +130,28 @@ class TestEvaluateAll:
         def no_measure(*args, **kwargs):
             raise AssertionError("evaluate_all called measure")
 
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "coherence_bounds" and getattr(module, "measure", None) is measure:
-                monkeypatch.setattr(module, "measure", no_measure)
-        evaluate_all(rho, bloch_basis(1.0, 2.0), bloch_basis(2.5, 0.3))
+        forbidden = {"measure": measure, "marginal_a": marginal_a, "marginal_b": marginal_b}
+
+        def refuse(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"evaluate_all called {name}")
+
+            return call
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] != "coherence_bounds":
+                continue
+            for name, function in forbidden.items():
+                if getattr(module, name, None) is function:
+                    monkeypatch.setattr(module, name, refuse(name))
+        evaluate_all(qubit_memory, bloch_basis(1.0, 2.0), bloch_basis(2.5, 0.3))
         assert len(calls) <= 1
+        # beyond a qubit memory: one eigensolve for rho_AB, one batched
+        # eigensolve for rho_B and the four dephased blocks
+        monkeypatch.setattr(bounds, "_maximize_holevo", lambda objective, s_b: (0.0, None, 0))
+        calls.clear()
+        evaluate_all(wide_memory, bloch_basis(1.0, 2.0), bloch_basis(2.5, 0.3))
+        assert len(calls) == 2
 
     def test_fields_match_public_functions(self):
         # evaluate_all builds these fields from its own entropies, not by

@@ -116,9 +116,10 @@ class TestFastObjective:
     def test_matches_public_holevo(self, seed, dim_b, ang):
         # dim_b == 3 takes the eigvalsh branch, dim_b == 2 the closed form
         rho = random_density(2, dim_b, seed)
-        objective = _HolevoObjective(rho, von_neumann_entropy(marginal_b(rho)))
         theta, phi = ang
-        fast = objective(_bloch(np.array([theta]), np.array([phi])))[0]
+        # the objective is chi - S(B)
+        chi = _HolevoObjective(rho)(_bloch(np.array([theta]), np.array([phi])))[0]
+        fast = von_neumann_entropy(marginal_b(rho)) + chi
         slow = holevo(rho, bloch_basis(theta, phi))
         assert fast == pytest.approx(slow, abs=1e-10)
 
@@ -129,12 +130,25 @@ class TestFastObjective:
         n /= np.linalg.norm(n, axis=0)
         for dim_b, seed in ((2, 60), (2, 61), (3, 62), (8, 63)):
             rho = random_density(2, dim_b, seed)
-            objective = _HolevoObjective(rho, von_neumann_entropy(marginal_b(rho)))
+            objective = _HolevoObjective(rho)
             assert np.max(np.abs(objective(n) - objective(-n))) <= 1e-9
 
     def test_rejects_non_qubit_side_a(self):
         with pytest.raises(UnsupportedDimension):
-            _HolevoObjective(random_density(3, 2, 0), 0.0)
+            _HolevoObjective(random_density(3, 2, 0))
+
+    @pytest.mark.parametrize("dim_b", [1, 2, 3, 4, 8])
+    def test_report_rows_hold_the_marginal_spectra(self, dim_b):
+        # rho_A from the blocks' traces, rho_B as twice the n = 0 block
+        states = [random_density(2, dim_b, 80 + k) for k in range(3)]
+        if dim_b == 2:
+            states += [x_state(0.0), x_state(1.0), product_state(21)]
+        for rho in states:
+            rows = _HolevoObjective(rho)._report_rows(pauli_basis(1), pauli_basis(3))
+            assert np.all(rows[0, 2:] == 0.0) and np.all(rows[1, dim_b:] == 0.0)
+            for row, marginal in ((rows[0, :2], marginal_a(rho)), (rows[1, :dim_b], marginal_b(rho))):
+                expected = np.linalg.eigvalsh(marginal.matrix)
+                assert np.max(np.abs(np.sort(row) - expected)) <= 1e-15
 
 
 class TestClassicalCorrelation:
@@ -256,10 +270,6 @@ class TestClassicalCorrelation:
             assert best >= probes - 1e-9
 
 
-def _objective(rho):
-    return _HolevoObjective(rho, von_neumann_entropy(marginal_b(rho)))
-
-
 def _central_model(objective, frame, h=1e-4):
     """(g1, g2, h11, h22, h12) of objective(_chart(frame, .)) by central differences."""
     uv = h * np.array([[1, -1, 0, 0, 1, 1, -1, -1, 0], [0, 0, 1, -1, 1, -1, 1, -1, 0]])
@@ -282,7 +292,7 @@ class TestLocalModel:
         # blocks proportional to the identity at n = x: the g -> 0 limit of the model
         cases.append((bell_diagonal(0.0, 0.0, 0.6), np.array([1.0, 0.0, 0.0])))
         for rho, n in cases:
-            objective = _objective(rho)
+            objective = _HolevoObjective(rho)
             frame = _tangent_frame(*(n / np.linalg.norm(n)).tolist())
             chi, *model = objective._local(frame)
             assert chi == pytest.approx(objective(_chart(frame, np.zeros((2, 1))))[0], abs=1e-14)
@@ -291,14 +301,15 @@ class TestLocalModel:
             assert np.max(np.abs(np.array(model) - expected)) <= 1e-6 * scale
 
     def test_no_closed_form_beyond_a_qubit_memory(self):
-        assert _objective(random_density(2, 3, 5))._local(_tangent_frame(0.0, 0.0, 1.0)) is None
+        assert _HolevoObjective(random_density(2, 3, 5))._local(_tangent_frame(0.0, 0.0, 1.0)) is None
 
     def test_stencil_only_path_agrees(self, monkeypatch):
         states = [c.rho for c in generate_cases(42, 200)]
         states += [FAMILIES[f](float(p)) for f in sorted(FAMILIES) for p in np.linspace(0.0, 1.0, 101)]
-        closed = [_maximize_holevo(_objective(rho))[0] for rho in states]
+        s_b = [von_neumann_entropy(marginal_b(rho)) for rho in states]
+        closed = [_maximize_holevo(_HolevoObjective(rho), s)[0] for rho, s in zip(states, s_b)]
         monkeypatch.setattr(_HolevoObjective, "_local", lambda self, frame: None)
-        stencil = [_maximize_holevo(_objective(rho))[0] for rho in states]
+        stencil = [_maximize_holevo(_HolevoObjective(rho), s)[0] for rho, s in zip(states, s_b)]
         assert np.max(np.abs(np.array(closed) - np.array(stencil))) <= 1e-12
 
     @pytest.mark.parametrize("rho, expected", [(x_state(1.0), 1.0), (x_state(0.0), 0.0)])
@@ -313,7 +324,7 @@ class TestLocalModel:
             return returned[-1]
 
         monkeypatch.setattr(_HolevoObjective, "_local", recorded)
-        j_a, _, evals = _maximize_holevo(_objective(rho))
+        j_a, _, evals = _maximize_holevo(_HolevoObjective(rho), von_neumann_entropy(marginal_b(rho)))
         assert returned and all(r is None for r in returned)
         assert evals == _HEMISPHERE.shape[1] + 9 * len(returned)
         assert j_a == pytest.approx(expected, abs=1e-9)
