@@ -112,7 +112,7 @@ def evaluate_all(rho: DensityMatrix, x: ObservableBasis, z: ObservableBasis) -> 
     table[1:] = objective._report_rows(x, z)
     spectra = table[:5]
     spectra[spectra < SUPPORT_CUT] = 0.0
-    s_ab, s_a, s_b, s_xb, s_zb, h_x, h_z = _entropies(table).tolist()
+    s_ab, s_a, s_b, s_xb, s_zb, h_x, h_z = _entropies(table)
     j_a = _maximize_holevo(objective, s_b)[0]
     q_mu = incompatibility(x, z)
 

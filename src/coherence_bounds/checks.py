@@ -1,22 +1,25 @@
 """Randomized invariant suites over seeded two-qubit states and Bloch basis pairs.
 
 Each suite covers one module's invariants. A check is a (name, margin, tol)
-triple that passes when margin >= -tol; identity checks use margin = -|error|.
-Case generation is fully determined by the run seed, so identical seeds give
+triple that passes when margin >= -tol. An identity check is an _Identity
+triple with margin = -|error|; every other check is an inequality. Case
+generation is fully determined by the run seed, so identical seeds give
 identical verdicts.
 
 One pass of run_checks gives both the verdicts and, for every named check of
 every suite, the worst margin over the corpus with the case that set it. The
 acceptance gate's fuzz criteria read their worst margins from one shared
 run_checks(42, 1000), the run behind `coherence-bounds check --seed 42
---cases 1000`, so tier-1 evaluates that corpus once. `check` prints each
-suite's smallest margin on the suite's line, for example
+--cases 1000`, so tier-1 evaluates that corpus once. `check` prints on each
+suite's line its tightest inequality and its largest identity error, for
+example
 
-    bounds         1000/1000 passed  min conversion_identity margin=-1.110e-16 tol=1e-09 seed=1991801518
+    bounds         1000/1000 passed  tightest ub_holevo>=lhs_coherence margin=4.146e-08 tol=1e-09 seed=1722337462  identity conversion_identity error=0.000e+00 tol=1e-09 seed=191664963
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,6 +67,14 @@ class CheckCase:
     z: ObservableBasis
 
 
+class _Identity(NamedTuple):
+    """An identity check, margin = -|error|, as opposed to an inequality's plain triple."""
+
+    name: str
+    margin: float
+    tol: float
+
+
 @dataclass(frozen=True)
 class CheckRecord:
     """One check's margin on one case: a violation, or the worst margin a check saw."""
@@ -77,6 +88,7 @@ class CheckRecord:
     inequality: str
     margin: float
     tol: float
+    identity: bool
 
     def describe(self) -> str:
         return (
@@ -144,17 +156,17 @@ def _suite_linalg(case: CheckCase, report: BoundReport) -> list[tuple[str, float
     b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     prod = marginal_a(case.rho).matrix
     return [
-        (
+        _Identity(
             "tensor_trace_multiplicative",
             -abs(np.trace(tensor_product(a, b)) - np.trace(a) * np.trace(b)),
             1e-9,
         ),
-        (
+        _Identity(
             "ptrace_trace_preserved",
             -abs(float(np.trace(partial_trace(case.rho.matrix, 2, 2, "A")).real) - 1.0),
             1e-10,
         ),
-        (
+        _Identity(
             "ptrace_of_product",
             -float(
                 np.max(
@@ -179,8 +191,8 @@ def _suite_entropy(case: CheckCase, report: BoundReport) -> list[tuple[str, floa
     contract = float("inf") if np.isinf(rel) else rel - deph_rel
     return [
         ("klein_nonnegativity", rel, 1e-9),
-        ("self_relative_entropy", -abs(relative_entropy(case.rho, case.rho)), 1e-9),
-        (
+        _Identity("self_relative_entropy", -abs(relative_entropy(case.rho, case.rho)), 1e-9),
+        _Identity(
             "unitary_invariance",
             -abs(von_neumann_entropy(rotated) - von_neumann_entropy(case.rho)),
             1e-9,
@@ -194,11 +206,11 @@ def _suite_states(case: CheckCase, report: BoundReport) -> list[tuple[str, float
     p = float(rng.uniform())
     built = {"xstate": x_state(p), "bell_diagonal": bell_diagonal_family(p), "werner": werner(p)}
     checks = [
-        (f"{name}_unit_trace", -abs(float(np.trace(st.matrix).real) - 1.0), 1e-12)
+        _Identity(f"{name}_unit_trace", -abs(float(np.trace(st.matrix).real) - 1.0), 1e-12)
         for name, st in built.items()
     ]
     checks.append(
-        (
+        _Identity(
             "werner_marginal_maximally_mixed",
             -float(np.max(np.abs(marginal_a(built["werner"]).matrix - np.eye(2) / 2.0))),
             1e-10,
@@ -206,7 +218,7 @@ def _suite_states(case: CheckCase, report: BoundReport) -> list[tuple[str, float
     )
     expected = np.diag([p / 2.0, 1.0 - p / 2.0])
     checks.append(
-        (
+        _Identity(
             "xstate_marginal_closed_form",
             -float(np.max(np.abs(marginal_a(built["xstate"]).matrix - expected))),
             1e-10,
@@ -227,16 +239,16 @@ def _suite_measurement(case: CheckCase, report: BoundReport) -> list[tuple[str, 
         )
     q = incompatibility(case.x, case.z)
     return [
-        ("dephase_idempotent", -float(np.max(np.abs(twice.matrix - deph.matrix))), 1e-10),
+        _Identity("dephase_idempotent", -float(np.max(np.abs(twice.matrix - deph.matrix))), 1e-10),
         (
             "dephase_entropy_nondecreasing",
             von_neumann_entropy(deph) - von_neumann_entropy(case.rho),
             1e-9,
         ),
-        ("outcome_probs_sum_to_one", -abs(float(out.probs.sum()) - 1.0), 1e-9),
-        ("joint_equals_dephased", -float(np.max(np.abs(out.joint_state.matrix - deph.matrix))), 1e-10),
-        ("joint_block_decomposition", -float(np.max(np.abs(out.joint_state.matrix - rebuilt))), 1e-10),
-        (
+        _Identity("outcome_probs_sum_to_one", -abs(float(out.probs.sum()) - 1.0), 1e-9),
+        _Identity("joint_equals_dephased", -float(np.max(np.abs(out.joint_state.matrix - deph.matrix))), 1e-10),
+        _Identity("joint_block_decomposition", -float(np.max(np.abs(out.joint_state.matrix - rebuilt))), 1e-10),
+        _Identity(
             "dephase_commutes_with_marginal",
             -float(np.max(np.abs(marginal_a(deph).matrix - dephase(marginal_a(case.rho), case.x).matrix))),
             1e-10,
@@ -250,7 +262,7 @@ def _suite_coherence(case: CheckCase, report: BoundReport) -> list[tuple[str, fl
     info = mutual_information(case.rho)
     p_uni = unilateral_purity(case.rho)
     p_loc = purity_rel(rho_a)
-    checks = [("purity_decomposition", -abs(p_uni - (p_loc + info)), 1e-9)]
+    checks = [_Identity("purity_decomposition", -abs(p_uni - (p_loc + info)), 1e-9)]
     c_uni, h_cond = {}, {}
     for tag, basis in (("x", case.x), ("z", case.z)):
         c_uni[tag] = unilateral_coherence(case.rho, basis)
@@ -258,7 +270,7 @@ def _suite_coherence(case: CheckCase, report: BoundReport) -> list[tuple[str, fl
         c_loc = coherence_rel(rho_a, basis)
         checks.extend(
             [
-                (
+                _Identity(
                     f"coherence_decomposition_{tag}",
                     -abs(c_uni[tag] - (c_loc + info - holevo(case.rho, basis))),
                     1e-9,
@@ -268,7 +280,7 @@ def _suite_coherence(case: CheckCase, report: BoundReport) -> list[tuple[str, fl
             ]
         )
     checks.append(
-        (
+        _Identity(
             "coherence_vs_relative_entropy",
             -abs(c_uni["x"] - relative_entropy(case.rho, dephase(case.rho, case.x))),
             1e-8,
@@ -276,7 +288,7 @@ def _suite_coherence(case: CheckCase, report: BoundReport) -> list[tuple[str, fl
     )
     # H(X|B) + H(Z|B) = C_B|A(X) + C_B|A(Z) + 2 S(A|B), H(Y|B) from the measured joint state
     checks.append(
-        (
+        _Identity(
             "conversion_identity_measured",
             -abs(
                 h_cond["x"] + h_cond["z"]
@@ -308,7 +320,7 @@ def _suite_correlations(case: CheckCase, report: BoundReport) -> list[tuple[str,
         ("holevo_below_mutual_info_x", info - report.holevo_x, 1e-9),
         ("holevo_below_mutual_info_z", info - report.holevo_z, 1e-9),
         ("optimizer_dominates_probes", j_a - probe_best, 1e-9),
-        ("classical_correlation_b_unitary_invariant", -abs(j_a - j_conj), 1e-6),
+        _Identity("classical_correlation_b_unitary_invariant", -abs(j_a - j_conj), 1e-6),
     ]
 
 
@@ -325,7 +337,7 @@ def _suite_bounds(case: CheckCase, report: BoundReport) -> list[tuple[str, float
         ("lhs_eur>=eur_pati", report.lhs_eur - report.eur_pati, 1e-6),
         ("lhs_eur>=eur_adabi", report.lhs_eur - report.eur_adabi, 1e-9),
         ("certainty_ub>=lhs_eur", report.certainty_ub - report.lhs_eur, 1e-9),
-        (
+        _Identity(
             "conversion_identity",
             -abs(report.lhs_eur - report.lhs_coherence - 2.0 * report.cond_entropy),
             1e-9,
@@ -345,9 +357,11 @@ _SUITE_FNS = {
 }
 
 
-def _record(case: CheckCase, suite: str, inequality: str, margin: float, tol: float) -> CheckRecord:
+def _record(
+    case: CheckCase, suite: str, inequality: str, margin: float, tol: float, identity: bool
+) -> CheckRecord:
     angles = (case.theta_x, case.phi_x, case.theta_z, case.phi_z)
-    return CheckRecord(suite, case.state_seed, *angles, inequality, margin, tol)
+    return CheckRecord(suite, case.state_seed, *angles, inequality, margin, tol, identity)
 
 
 def run_checks(seed: int, cases: int, corrupt: str | None = None) -> RunResult:
@@ -367,13 +381,15 @@ def run_checks(seed: int, cases: int, corrupt: str | None = None) -> RunResult:
             suite = results[name]
             suite.total += 1
             bad = None
-            for label, margin, tol in _SUITE_FNS[name](case, report):
+            for check in _SUITE_FNS[name](case, report):
+                label, margin, tol = check
                 margin = float(margin) - shift
+                identity = isinstance(check, _Identity)
                 worst = suite.worst.get(label)
                 if worst is None or margin < worst.margin:
-                    suite.worst[label] = _record(case, name, label, margin, tol)
+                    suite.worst[label] = _record(case, name, label, margin, tol, identity)
                 if bad is None and not margin >= -tol:
-                    bad = _record(case, name, label, margin, tol)
+                    bad = _record(case, name, label, margin, tol, identity)
             if bad is None:
                 suite.passed += 1
             else:

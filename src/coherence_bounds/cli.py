@@ -8,7 +8,8 @@ Subcommands:
         Evaluate every bound for one state and print the report as JSON.
     check [--seed N] [--cases N]
         Run the randomized invariant suites and report per-suite pass counts,
-        each with the suite's smallest margin, its inequality, tolerance and seed.
+        each with the suite's tightest inequality (smallest margin) and its
+        largest identity error, each with its tolerance and seed.
 
 Basis selectors: sigma1, sigma2, sigma3, computational, bloch:<theta>:<phi>.
 Exit codes: 0 ok, 1 invariant violation, 2 IO error, 3 parse error,
@@ -25,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bounds import evaluate_all, sweep_family
-from .checks import SUITE_NAMES, run_checks
+from .checks import SUITE_NAMES, CheckRecord, run_checks
 from .errors import (
     DimensionError,
     DomainError,
@@ -197,16 +198,24 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _where(record: CheckRecord) -> str:
+    return f" tol={record.tol:.0e} seed={record.state_seed}"
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     result = run_checks(args.seed, args.cases, corrupt=args.corrupt)
     for suite in result.suites:
         line = f"{suite.name:<14} {suite.passed}/{suite.total} passed"
-        if suite.worst:
-            low = min(suite.worst.values(), key=lambda record: record.margin)
-            line += (
-                f"  min {low.inequality} margin={low.margin:.3e}"
-                f" tol={low.tol:.0e} seed={low.state_seed}"
-            )
+        # An identity's margin is -|error|, so the smallest margin over all
+        # checks would name an identity at rounding level, never the tightest
+        # inequality; the two kinds are shown apart.
+        records = sorted(suite.worst.values(), key=lambda record: record.margin)
+        tightest = next((r for r in records if not r.identity), None)
+        identity = next((r for r in records if r.identity), None)
+        if tightest is not None:
+            line += f"  tightest {tightest.inequality} margin={tightest.margin:.3e}" + _where(tightest)
+        if identity is not None:
+            line += f"  identity {identity.inequality} error={-identity.margin:.3e}" + _where(identity)
         print(line)
     if result.ok:
         print(f"ok: all {len(result.suites)} suites passed on {result.cases} cases (seed {result.seed})")

@@ -241,13 +241,13 @@ class _HolevoObjective:
         return -f, -f1, -f2, fn - f11, fn - f22, -f12
 
 
-def _outcome0_bloch(basis: ObservableBasis) -> np.ndarray:
+def _outcome0_bloch(basis: ObservableBasis) -> tuple[float, float, float]:
     """Bloch vector (2 Re conj(a) b, 2 Im conj(a) b, |a|^2 - |b|^2) of the outcome-0 ket (a, b)."""
     if basis.dim != 2:
         raise DimensionError(f"basis dim {basis.dim} does not match dim_a 2")
-    a, b = basis.vectors[:, 0]
+    a, b = basis.vectors[:, 0].tolist()
     ab = a.conjugate() * b
-    return np.array([2.0 * ab.real, 2.0 * ab.imag, abs(a) ** 2 - abs(b) ** 2])
+    return 2.0 * ab.real, 2.0 * ab.imag, abs(a) ** 2 - abs(b) ** 2
 
 
 def _bloch(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:

@@ -1,6 +1,10 @@
 """Shannon, von Neumann, and quantum relative entropy. All logarithms are base 2."""
 from __future__ import annotations
 
+import math
+from functools import reduce
+from operator import add
+
 import numpy as np
 
 from .errors import DimensionError, DomainError, ProbabilityError
@@ -28,27 +32,39 @@ def shannon_entropy(probs) -> float:
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 1:
         raise ProbabilityError(f"expected a 1-d probability vector, got shape {p.shape}")
-    return float(_entropies(p[None])[0])
+    return _entropies(p[None])[0]
 
 
-def _entropies(table: np.ndarray) -> np.ndarray:
+def _entropies(table: np.ndarray) -> list[float]:
     """Shannon entropies of the rows of a 2-d table, each row checked as shannon_entropy says.
 
     Rows may be zero padded: the sums run left to right, so trailing zeros
     leave every entropy unchanged bit for bit, and a padded row gives what its
     unpadded vector gives on its own.
+
+    Returns a list of floats. The rows are short (a report's have at most
+    2 dim_b entries) and a numpy call costs about a microsecond whatever its
+    size, so only the clamp and the log run in numpy; the minimum, the
+    totals, the checks and the sums run on Python floats. The log stays
+    np.log2, because math.log2 differs from it in the last bit on some
+    inputs. Each sum starts from the row's first entry, as np.add.accumulate
+    does, so the results are the same bits as a left-to-right numpy pass.
     """
-    lowest = np.minimum.reduce(table, axis=1, initial=np.inf)
     p = np.maximum(table, 0.0)
-    totals = np.add.accumulate(p, axis=1)[:, -1] if p.shape[1] else np.zeros(len(p))
-    # Written so that a NaN entry fails the check instead of slipping through.
-    ok = (lowest >= -1e-12) & (np.abs(totals - 1.0) <= 1e-9)
-    if not ok.all():
-        row = int(ok.argmin())
-        if lowest[row] < -1e-12:
-            raise ProbabilityError(f"negative probability {lowest[row]!r}")
-        raise ProbabilityError(f"probabilities sum to {float(totals[row])!r}, not 1 within 1e-9")
-    return -np.add.accumulate(xlog2x(p), axis=1)[:, -1]
+    terms = p * np.log2(np.maximum(p, _TINY))
+    for row, clamped in zip(table.tolist(), p.tolist()):
+        lowest = min(row, default=math.inf)
+        total = reduce(add, clamped) if clamped else 0.0
+        # Written so that a NaN entry fails the check instead of slipping
+        # through. It makes the total NaN, and the message then gives the
+        # total, because what min() returns for such a row depends on where
+        # the NaN sits.
+        if not (lowest >= -1e-12 and abs(total - 1.0) <= 1e-9):
+            if lowest < -1e-12 and total == total:
+                # numpy's repr, as in the message of the all-numpy pass
+                raise ProbabilityError(f"negative probability {np.float64(lowest)!r}")
+            raise ProbabilityError(f"probabilities sum to {total!r}, not 1 within 1e-9")
+    return [-reduce(add, row) for row in terms.tolist()]
 
 
 def binary_entropy(x: float) -> float:
@@ -66,7 +82,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 def _spectrum_entropy(w: np.ndarray) -> float:
     """Entropy of a state's eigenvalues w, with those below SUPPORT_CUT taken as 0."""
-    return float(_entropies(np.where(w < SUPPORT_CUT, 0.0, w)[None])[0])
+    return _entropies(np.where(w < SUPPORT_CUT, 0.0, w)[None])[0]
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -187,6 +188,24 @@ class TestCheck:
         monkeypatch.setattr(cli, "run_checks", shared_run)
         assert run(["check", "--seed", "42", "--cases", "1000"]) == EXIT_OK
         assert "1000" in capsys.readouterr().out
+
+    def test_suite_line_names_the_tightest_inequality_apart_from_identities(
+        self, capsys, monkeypatch, reference_run
+    ):
+        # identity margins are -|error|, at rounding level; the smallest margin
+        # over all checks would hide the corpus's tightest inequality behind one
+        monkeypatch.setattr(cli, "run_checks", lambda seed, cases, corrupt=None: reference_run)
+        assert run(["check", "--seed", "42", "--cases", "1000"]) == EXIT_OK
+        lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()}
+        match = re.search(r"tightest (\S+) margin=(\S+) .* identity (\S+) error=(\S+) ", lines["bounds"])
+        assert match is not None, lines["bounds"]
+        assert match.group(1) == "ub_holevo>=lhs_coherence"
+        assert float(match.group(2)) == pytest.approx(4.15e-8, rel=0.01)
+        assert match.group(3) == "conversion_identity"
+        assert 0.0 <= float(match.group(4)) <= 1e-9
+        # linalg and states check identities only
+        assert "tightest" not in lines["linalg"] and "identity" in lines["linalg"]
+        assert "tightest" not in lines["states"] and "identity" in lines["states"]
 
 
 def test_installed_entry_point_runs():

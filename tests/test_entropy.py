@@ -79,7 +79,73 @@ def test_batched_entropies_match_single_vectors_bitwise():
     cut = table[: len(spectra)]
     cut[cut < SUPPORT_CUT] = 0.0
     single = [_spectrum_entropy(w) for w in spectra] + [shannon_entropy(w) for w in vectors]
-    assert _entropies(table).tolist() == single
+    assert _entropies(table) == single
+
+
+def _vectorised_entropies(table):
+    # the all-numpy pass that _entropies replaced, kept as its oracle
+    lowest = np.minimum.reduce(table, axis=1, initial=np.inf)
+    p = np.maximum(table, 0.0)
+    totals = np.add.accumulate(p, axis=1)[:, -1] if p.shape[1] else np.zeros(len(p))
+    ok = (lowest >= -1e-12) & (np.abs(totals - 1.0) <= 1e-9)
+    if not ok.all():
+        row = int(ok.argmin())
+        if lowest[row] < -1e-12:
+            raise ProbabilityError(f"negative probability {lowest[row]!r}")
+        raise ProbabilityError(f"probabilities sum to {float(totals[row])!r}, not 1 within 1e-9")
+    return -np.add.accumulate(xlog2x(p), axis=1)[:, -1]
+
+
+def _random_row(rng, length):
+    # a distribution on the first k entries, zero padded to length, with
+    # exact zeros, point masses and eigenvalue dust in [-1e-12, 0)
+    k = int(rng.integers(1, length + 1))
+    w = rng.dirichlet(np.full(k, rng.choice([0.05, 0.5, 2.0])))
+    w[rng.random(k) < 0.2] = 0.0
+    if not w.any() or rng.random() < 0.05:
+        w = np.zeros(k)
+        w[rng.integers(k)] = 1.0
+    w /= w.sum()
+    dust = (w == 0.0) & (rng.random(k) < 0.5)
+    w[dust] = -rng.uniform(0.0, 1e-12, int(dust.sum()))
+    return np.concatenate([w, np.zeros(length - k)])
+
+
+def test_entropies_match_the_vectorised_pass_bitwise():
+    rng = np.random.default_rng(2024)
+    for rows in range(1, 9):
+        for length in range(1, 17):
+            for _ in range(4):
+                table = np.array([_random_row(rng, length) for _ in range(rows)])
+                got = np.array(_entropies(table))
+                # same bits, the sign of zero included
+                assert got.view(np.uint64).tolist() == _vectorised_entropies(table).view(np.uint64).tolist()
+
+
+def _message(fn, table):
+    with pytest.raises(ProbabilityError) as raised:
+        fn(table)
+    return str(raised.value)
+
+
+@pytest.mark.parametrize("position", [0, 2, 3, 6])
+@pytest.mark.parametrize("negative", [False, True])
+def test_entropies_raise_the_vectorised_message_on_nan(position, negative):
+    # the middle row is (1/4, 1/4, 1/4, 1/4) padded to 7 entries, with a NaN
+    # first, in the middle, last or in the padding, and maybe a negative entry
+    table = np.zeros((3, 7))
+    table[:, :4] = 0.25
+    table[1, position] = np.nan
+    if negative:
+        table[1, 5] = -0.5
+    assert _message(_entropies, table) == _message(_vectorised_entropies, table)
+    assert _message(shannon_entropy, table[1]) == _message(_vectorised_entropies, table[1:2])
+
+
+@pytest.mark.parametrize("vector", [[], [1.001, -0.002], [0.5, 0.4], [np.inf, 0.0], [-np.inf, 1.0, 1.0]])
+def test_entropies_raise_the_vectorised_message(vector):
+    table = np.array(vector, dtype=np.float64)[None]
+    assert _message(shannon_entropy, vector) == _message(_vectorised_entropies, table)
 
 
 @pytest.mark.parametrize("bad", [np.array([0.5, 0.5 + 2e-9]), np.array([1.0, -2e-12])])
