@@ -13,7 +13,8 @@ Subcommands:
 
 Basis selectors: sigma1, sigma2, sigma3, computational, bloch:<theta>:<phi>.
 Exit codes: 0 ok, 1 invariant violation, 2 IO error, 3 parse error,
-4 validation error.
+4 validation error. The subcommands raise; main alone maps OSError,
+ParseError and the validation errors to their codes, printing the message.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bounds import evaluate_all, sweep_family
-from .checks import SUITE_NAMES, CheckRecord, run_checks
+from .checks import CheckRecord, run_checks
 from .errors import (
     DimensionError,
     DomainError,
@@ -155,45 +156,19 @@ def render_figure_csv(config: SweepConfig) -> str:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    try:
-        config = replace(FIGURES[args.which], steps=args.steps, p_min=args.pmin, p_max=args.pmax)
-        text = render_figure_csv(config)
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    # Rendering comes first, so a rejected grid leaves no output file.
+    config = replace(FIGURES[args.which], steps=args.steps, p_min=args.pmin, p_max=args.pmax)
+    text = render_figure_csv(config)
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
     return EXIT_OK
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    try:
-        x = parse_basis(args.x)
-        z = parse_basis(args.z)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        rho = load_state_file(args.state)
-    except OSError as exc:
-        print(f"error: cannot read {args.state}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        report = evaluate_all(rho, x, z)
-        payload = {key: float(format_value(val)) for key, val in report.as_dict().items()}
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    x = parse_basis(args.x)
+    z = parse_basis(args.z)
+    report = evaluate_all(load_state_file(args.state), x, z)
+    payload = {key: float(format_value(val)) for key, val in report.as_dict().items()}
     print(json.dumps(payload, indent=2))
     return EXIT_OK
 
@@ -203,7 +178,7 @@ def _where(record: CheckRecord) -> str:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    result = run_checks(args.seed, args.cases, corrupt=args.corrupt)
+    result = run_checks(args.seed, args.cases)
     for suite in result.suites:
         line = f"{suite.name:<14} {suite.passed}/{suite.total} passed"
         # An identity's margin is -|error|, so the smallest margin over all
@@ -262,14 +237,23 @@ def build_parser() -> CliParser:
     chk = sub.add_parser("check", help="run randomized invariant suites")
     chk.add_argument("--seed", type=int, default=42)
     chk.add_argument("--cases", type=int, default=100)
-    chk.add_argument("--corrupt", choices=SUITE_NAMES, help=argparse.SUPPRESS)
     chk.set_defaults(func=cmd_check)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the only place an error becomes an exit code."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        error, code = exc, EXIT_IO
+    except ParseError as exc:
+        error, code = exc, EXIT_PARSE
+    except _VALIDATION_ERRORS as exc:
+        error, code = exc, EXIT_VALIDATION
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 def entrypoint() -> None:

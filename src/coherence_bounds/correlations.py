@@ -116,16 +116,11 @@ class _HolevoObjective:
         # Tr M_+ = P0 + P.n, with 2 P0 = Tr rho and 2 P the Bloch vector of rho_A.
         self._trace = tuple(k[:: db + 1].sum(axis=0).real.tolist())
         if db == 2:
-            # Real rows M_00, M_11, Re M_01, Im M_01, and the gap vector
-            # (M_00 - M_11, 2 Re M_01, 2 Im M_01), whose norm g sets the
+            # One real affine map to the trace p and the gap vector
+            # u = (M_00 - M_11, 2 Re M_01, 2 Im M_01), whose norm g sets the
             # eigenvalues (p +- g) / 2.
-            k = np.concatenate([k[[0, 3, 1]].real, k[1:2].imag])
-            d00, d11, re, im = k.tolist()
-            self._gap = (
-                tuple(x - y for x, y in zip(d00, d11)),
-                tuple(2.0 * x for x in re),
-                tuple(2.0 * x for x in im),
-            )
+            k = np.array([self._trace, (k[0] - k[3]).real, 2.0 * k[1].real, 2.0 * k[1].imag])
+            self._rows = k.tolist()
         self.k = k
         self.db = db
 
@@ -148,12 +143,11 @@ class _HolevoObjective:
         coeffs[1:, size:] = -n
         if self.db == 2:
             rows = self.k @ coeffs
-            d00, d11, re, im = rows
-            # Rows 0..2 are overwritten with p, (p + gap) / 2 and (p - gap) / 2.
-            gap = np.sqrt((d00 - d11) ** 2 + 4.0 * (re * re + im * im))
-            p = np.add(d00, d11, out=d00)
-            np.add(p, gap, out=d11)
-            np.subtract(p, gap, out=re)
+            p, u0, u1, u2 = rows
+            # Rows 1 and 2 are overwritten with (p + gap) / 2 and (p - gap) / 2.
+            gap = np.sqrt(u0 * u0 + (u1 * u1 + u2 * u2))
+            np.add(p, gap, out=u0)
+            np.subtract(p, gap, out=u1)
             rows[1:3] *= 0.5
             return rows[:3]
         m = (coeffs.T @ self.k.T).reshape(-1, self.db, self.db)
@@ -196,8 +190,7 @@ class _HolevoObjective:
         """
         if self.db != 2:
             return None
-        p0, px, py, pz = self._trace
-        (w0, wx, wy, wz), (v0, vx, vy, vz), (t0, tx, ty, tz) = self._gap
+        (p0, px, py, pz), (w0, wx, wy, wz), (v0, vx, vy, vz), (t0, tx, ty, tz) = self._rows
         # Derivatives of p and of u along n, e1 and e2 for M_+; M_- negates them.
         dp0, dp1, dp2 = (px * x + py * y + pz * z for x, y, z in frame)
         (n0, n1, n2), (a0, a1, a2), (b0, b1, b2) = (

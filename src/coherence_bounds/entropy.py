@@ -61,8 +61,7 @@ def _entropies(table: np.ndarray) -> list[float]:
         # the NaN sits.
         if not (lowest >= -1e-12 and abs(total - 1.0) <= 1e-9):
             if lowest < -1e-12 and total == total:
-                # numpy's repr, as in the message of the all-numpy pass
-                raise ProbabilityError(f"negative probability {np.float64(lowest)!r}")
+                raise ProbabilityError(f"negative probability {lowest!r}")
             raise ProbabilityError(f"probabilities sum to {total!r}, not 1 within 1e-9")
     return [-reduce(add, row) for row in terms.tolist()]
 

@@ -6,7 +6,7 @@ with the B side kept as the quantum memory.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +45,6 @@ class MeasurementOutcome:
     conditional_states: tuple[DensityMatrix, ...]
     joint_state: DensityMatrix
     degenerate: tuple[bool, ...]
-    basis: ObservableBasis = field(repr=False)
 
 
 def pauli_basis(which: int) -> ObservableBasis:
@@ -106,7 +105,7 @@ def measure(rho: DensityMatrix, basis: ObservableBasis) -> MeasurementOutcome:
     cond = _conditional_blocks(rho, basis)
     probs = np.einsum("yaa->y", cond).real.copy()
     if np.any(probs < -1e-12):
-        raise ProbabilityError(f"negative outcome probability {probs.min()!r}")
+        raise ProbabilityError(f"negative outcome probability {float(probs.min())!r}")
     probs[probs < 0.0] = 0.0
     states = []
     degenerate = []
@@ -123,7 +122,6 @@ def measure(rho: DensityMatrix, basis: ObservableBasis) -> MeasurementOutcome:
         conditional_states=tuple(states),
         joint_state=_assemble_joint(cond, basis, rho),
         degenerate=tuple(degenerate),
-        basis=basis,
     )
 
 

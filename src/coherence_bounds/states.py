@@ -38,7 +38,6 @@ SIGMA3 = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 PSI_PLUS = np.array([0, 1, 1, 0], dtype=np.complex128) / np.sqrt(2)
 PSI_MINUS = np.array([0, 1, -1, 0], dtype=np.complex128) / np.sqrt(2)
-PHI_PLUS = np.array([1, 0, 0, 1], dtype=np.complex128) / np.sqrt(2)
 
 
 @dataclass(frozen=True)
@@ -168,11 +167,14 @@ def random_unitary(dim: int, seed: int) -> np.ndarray:
 def load_state_file(path) -> DensityMatrix:
     """Read a state file (format in the module docstring).
 
-    Raises ParseError for malformed content and ValidationError when the
-    parsed matrix is not a density operator.
+    Raises ParseError for malformed content (text that is not UTF-8, too)
+    and ValidationError when the parsed matrix is not a density operator.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        raw_lines = fh.readlines()
+        try:
+            raw_lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     lines = [
         (i + 1, line.strip())
         for i, line in enumerate(raw_lines)

@@ -1,10 +1,8 @@
 import numpy as np
-import pytest
 
 from coherence_bounds.bounds import evaluate_all
 from coherence_bounds.checks import (
     _SUITE_FNS,
-    CORRUPT_SHIFT,
     SUITE_NAMES,
     generate_cases,
     run_checks,
@@ -50,18 +48,20 @@ def test_all_suites_pass_on_small_corpus():
             assert record.margin >= -record.tol
 
 
-def test_corruption_hook_breaks_exactly_one_suite():
-    result = run_checks(7, 12, corrupt="entropy")
+def test_corruption_hook_breaks_exactly_one_suite(monkeypatch, break_suite):
+    clean = {s.name: s for s in run_checks(7, 12).suites}
+    shift = break_suite("entropy")
+    result = run_checks(7, 12)
+    monkeypatch.undo()
     assert not result.ok
     by_name = {s.name: s for s in result.suites}
-    clean = {s.name: s for s in run_checks(7, 12).suites}
     assert by_name["entropy"].passed < by_name["entropy"].total
     for name in SUITE_NAMES:
         if name != "entropy":
             assert by_name[name].passed == by_name[name].total
             assert by_name[name].worst == clean[name].worst
     for label, record in by_name["entropy"].worst.items():
-        assert record.margin == clean["entropy"].worst[label].margin - CORRUPT_SHIFT
+        assert record.margin == clean["entropy"].worst[label].margin - shift
     violation = by_name["entropy"].violations[0]
     text = violation.describe()
     assert "entropy" in text
@@ -72,8 +72,3 @@ def test_corruption_hook_breaks_exactly_one_suite():
     for suite in clean.values():
         for label, record in suite.worst.items():
             assert _margins(suite.name, cases[record.state_seed])[label] == record.margin
-
-
-def test_unknown_corruption_target_rejected():
-    with pytest.raises(ValueError):
-        run_checks(7, 5, corrupt="nonsense")

@@ -151,6 +151,14 @@ class TestEval:
         rc = run(["eval", "--state", str(path), "--x", "sigma1", "--z", "sigma3"])
         assert rc == EXIT_VALIDATION
 
+    def test_non_utf8_file_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "binary.txt"
+        path.write_bytes(b"\xff\xfe")
+        rc = run(["eval", "--state", str(path), "--x", "sigma1", "--z", "sigma3"])
+        assert rc == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+
 
 class TestCheck:
     def test_small_corpus_passes(self, capsys):
@@ -164,8 +172,9 @@ class TestCheck:
         assert run(["check", "--seed", "9", "--cases", "1"]) == EXIT_OK
         assert "1/1" in capsys.readouterr().out
 
-    def test_corruption_reports_margin_and_fails(self, capsys):
-        rc = run(["check", "--seed", "3", "--cases", "4", "--corrupt", "coherence"])
+    def test_corruption_reports_margin_and_fails(self, capsys, break_suite):
+        break_suite("coherence")
+        rc = run(["check", "--seed", "3", "--cases", "4"])
         assert rc == EXIT_INVARIANT
         err = capsys.readouterr().err
         assert "VIOLATION" in err
@@ -181,8 +190,8 @@ class TestCheck:
         # the default seed over a large corpus pins the advertised contract that
         # stock invariants hold at scale; the session's one run of that corpus
         # stands in for the suites, so tier-1 evaluates it once
-        def shared_run(seed, cases, corrupt=None):
-            assert (seed, cases, corrupt) == (42, 1000, None)
+        def shared_run(seed, cases):
+            assert (seed, cases) == (42, 1000)
             return reference_run
 
         monkeypatch.setattr(cli, "run_checks", shared_run)
@@ -194,7 +203,7 @@ class TestCheck:
     ):
         # identity margins are -|error|, at rounding level; the smallest margin
         # over all checks would hide the corpus's tightest inequality behind one
-        monkeypatch.setattr(cli, "run_checks", lambda seed, cases, corrupt=None: reference_run)
+        monkeypatch.setattr(cli, "run_checks", lambda seed, cases: reference_run)
         assert run(["check", "--seed", "42", "--cases", "1000"]) == EXIT_OK
         lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()}
         match = re.search(r"tightest (\S+) margin=(\S+) .* identity (\S+) error=(\S+) ", lines["bounds"])

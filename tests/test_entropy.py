@@ -91,7 +91,7 @@ def _vectorised_entropies(table):
     if not ok.all():
         row = int(ok.argmin())
         if lowest[row] < -1e-12:
-            raise ProbabilityError(f"negative probability {lowest[row]!r}")
+            raise ProbabilityError(f"negative probability {float(lowest[row])!r}")
         raise ProbabilityError(f"probabilities sum to {float(totals[row])!r}, not 1 within 1e-9")
     return -np.add.accumulate(xlog2x(p), axis=1)[:, -1]
 

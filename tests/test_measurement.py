@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from coherence_bounds.entropy import von_neumann_entropy
-from coherence_bounds.errors import DimensionError, DomainError, ValidationError
+from coherence_bounds.errors import DimensionError, DomainError, ProbabilityError, ValidationError
 from coherence_bounds.linalg import tensor_product
 from coherence_bounds.measurement import (
     ObservableBasis,
@@ -19,6 +19,7 @@ from coherence_bounds.states import (
     SIGMA1,
     SIGMA2,
     SIGMA3,
+    DensityMatrix,
     make_density,
     marginal_b,
     random_density,
@@ -152,6 +153,12 @@ class TestMeasure:
     def test_basis_must_match_side_a(self):
         with pytest.raises(DimensionError):
             measure(random_density(2, 2, 0), computational_basis(4))
+
+    def test_negative_outcome_probability_message_is_a_plain_float(self):
+        # the constructor trusts its input, so nothing upstream rejects this
+        rho = DensityMatrix(np.diag([-0.5, 0.0, 1.5, 0.0]).astype(np.complex128), 2, 2)
+        with pytest.raises(ProbabilityError, match=r"^negative outcome probability -0\.5$"):
+            measure(rho, pauli_basis(3))
 
 
 class TestIncompatibility:
