@@ -34,6 +34,7 @@ from .correlations import (
     mutual_information,
 )
 from .entropy import relative_entropy, von_neumann_entropy
+from .errors import ValidationError
 from .linalg import hermitize, partial_trace, tensor_product
 from .measurement import ObservableBasis, bloch_basis, dephase, incompatibility, measure
 from .states import (
@@ -363,7 +364,10 @@ def run_checks(seed: int, cases: int) -> RunResult:
     Records each case's verdict per suite and each named check's worst margin.
     Each suite is looked up in _SUITE_FNS per case, so replacing an entry
     (a suite with shifted margins, say) exercises the failure path.
+    A count below 1 raises ValidationError: it would check nothing and pass.
     """
+    if cases < 1:
+        raise ValidationError(f"cases: need at least 1, got {cases}")
     results = {name: SuiteResult(name=name) for name in SUITE_NAMES}
     for case in generate_cases(seed, cases):
         report = evaluate_all(case.rho, case.x, case.z)

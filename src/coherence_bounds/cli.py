@@ -7,9 +7,10 @@ Subcommands:
     eval --state <file> --x <selector> --z <selector>
         Evaluate every bound for one state and print the report as JSON.
     check [--seed N] [--cases N]
-        Run the randomized invariant suites and report per-suite pass counts,
-        each with the suite's tightest inequality (smallest margin) and its
-        largest identity error, each with its tolerance and seed.
+        Run the randomized invariant suites over N >= 1 cases and report
+        per-suite pass counts, each with the suite's tightest inequality
+        (smallest margin) and its largest identity error, each with its
+        tolerance and seed.
 
 Basis selectors: sigma1, sigma2, sigma3, computational, bloch:<theta>:<phi>.
 Exit codes: 0 ok, 1 invariant violation, 2 IO error, 3 parse error,

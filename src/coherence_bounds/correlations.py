@@ -2,14 +2,17 @@
 Holevo quantity of a measurement, and quantum discord for qubit A.
 
 The discord route follows the usual two-stage optimization of the classical
-correlation J_A over rank-1 projective measurements of A: a coarse scan of
-the Bloch sphere followed by local refinement. A qubit measurement is its
-Bloch vector n, and n and -n give the same measurement, so the scan covers
-one hemisphere; the refinement takes Newton steps in tangent-plane
-coordinates at the current n, which no point of the sphere makes singular.
-With a qubit memory each step's gradient and Hessian are closed-form; with a
-larger memory, or next to a rank-deficient block, they come from a 9-point
-central-difference stencil. The search maximises -S(B|Y_n) = chi(n) - S(B),
+correlation J_A over rank-1 projective measurements of A: a scan of the
+Bloch sphere followed by local refinement. A qubit measurement is its Bloch
+vector n, and n and -n give the same measurement, so the scan covers one
+hemisphere; the refinement takes Newton steps in tangent-plane coordinates
+at the current n, which no point of the sphere makes singular. With a qubit
+memory the scan is a fine 1985-point grid and one refinement starts from its
+best point; each step's gradient and Hessian are closed-form. With a larger
+memory a 113-point grid picks up to 4 of its local maxima as starts, and
+each is refined with saddle-free Newton steps; gradient and Hessian come
+from a 9-point central-difference stencil, as they do next to a
+rank-deficient block. The search maximises -S(B|Y_n) = chi(n) - S(B),
 which needs no S(B); J_A adds it back. The optimum is reported as the angles
 of bloch_basis(theta, phi); for a qubit that covers every rank-1 projective
 measurement. The objective's blocks also give evaluate_all the spectra of
@@ -17,6 +20,7 @@ rho_A, rho_B and the two dephased states.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,9 +50,12 @@ _SMOOTH_FLOOR = 1e-9
 class DiscordResult:
     """Classical correlation J_A, discord D_A = I(A:B) - J_A, and optimizer trace.
 
-    optimizer_evals counts objective evaluations: the 1985 grid points, then
-    one per closed-form local model and nine per stencil model (about 1989
-    for a 2x2 state in all).
+    optimizer_evals counts objective evaluations: the grid points, then one
+    per closed-form local model and nine per stencil model. With dim_b == 2
+    that is the 1985 points of the fine grid and about 4 more; with dim_b > 2
+    the 113 points of the coarse grid and nine per Newton step of each
+    ascent, about 160 for a full-rank state and at most about 360 for a flat
+    objective.
     """
 
     discord: float
@@ -248,19 +255,48 @@ def _bloch(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
     return np.stack([s * np.cos(phis), s * np.sin(phis), np.cos(thetas)])
 
 
-def _hemisphere_grid() -> np.ndarray:
-    # The upper half of the GRID_POINTS x GRID_POINTS (theta, phi) grid: the
-    # pole once, then theta_k = k pi / 63 for k = 1..31 at every phi. The map
-    # (k, j) -> (63 - k, j + 32) sends the full grid onto itself and each point
-    # to its antipode, and chi(n) = chi(-n), so this half sees every value.
-    thetas = np.linspace(0.0, np.pi, GRID_POINTS)[1 : GRID_POINTS // 2]
-    phis = np.linspace(0.0, 2.0 * np.pi, GRID_POINTS, endpoint=False)
+def _hemisphere_grid(rows: int) -> np.ndarray:
+    # The upper half of the rows x rows (theta, phi) grid: the pole once, then
+    # theta_k = k pi / (rows - 1) for k = 1..rows / 2 - 1 at every phi. For even
+    # rows the map (k, j) -> (rows - 1 - k, j + rows / 2) sends the full grid
+    # onto itself and each point to its antipode, and chi(n) = chi(-n), so this
+    # half sees every value.
+    thetas = np.linspace(0.0, np.pi, rows)[1 : rows // 2]
+    phis = np.linspace(0.0, 2.0 * np.pi, rows, endpoint=False)
     pole = np.array([[0.0], [0.0], [1.0]])
-    return np.hstack([pole, _bloch(np.repeat(thetas, GRID_POINTS), np.tile(phis, thetas.size))])
+    return np.hstack([pole, _bloch(np.repeat(thetas, rows), np.tile(phis, thetas.size))])
 
 
-_HEMISPHERE = _hemisphere_grid()
+_HEMISPHERE = _hemisphere_grid(GRID_POINTS)
 _GRID_SPACING = 2.0 * np.pi / GRID_POINTS
+# With dim_b > 2 the search starts from the 113 points of the 16-row grid, and
+# a point is a start when no one of its _NEIGHBOURS nearest grid points is larger.
+_COARSE_ROWS = 16
+_COARSE_SPACING = 2.0 * np.pi / _COARSE_ROWS
+_NEIGHBOURS = 8
+# At most this many starts, the largest first: a flat objective makes every
+# coarse point a local maximum.
+_MAX_STARTS = 4
+
+
+@functools.cache
+def _coarse_grid() -> tuple[np.ndarray, np.ndarray]:
+    """The 113-point _COARSE_ROWS hemisphere grid and, per point, its _NEIGHBOURS nearest.
+
+    Nearness is |n . m|, so a neighbour across the equator is found through its
+    antipode. Rounding |n . m| to 12 digits makes distances that are equal on
+    the exact grid equal here, and equal distances go to the first point in
+    scan order. Shapes (3, 113) and (113, _NEIGHBOURS), both read-only. Built
+    on the first search with dim_b > 2, not at import.
+    """
+    grid = _hemisphere_grid(_COARSE_ROWS)
+    near = np.round(np.abs(grid.T @ grid), 12)
+    np.fill_diagonal(near, -1.0)
+    neighbours = np.argsort(-near, axis=1, kind="stable")[:, :_NEIGHBOURS]
+    grid.flags.writeable = neighbours.flags.writeable = False
+    return grid, neighbours
+
+
 # Central-difference spacing in tangent coordinates: round-off in the Hessian
 # (~eps / h^2) and truncation (~h^2) both stay near 1e-8.
 _STENCIL_H = 1e-4
@@ -321,12 +357,15 @@ def _model(objective: _HolevoObjective, frame) -> tuple[tuple[float, ...], int]:
     return _stencil_model(objective, frame), _STENCIL.shape[1]
 
 
-def _newton_step(model: tuple[float, ...], radius: float) -> tuple[float, float]:
+def _newton_step(model: tuple[float, ...], radius: float, saddle_free: bool) -> tuple[float, float]:
     """Ascent step (u, v) in tangent coordinates from the model (value, g1, g2, h11, h22, h12).
 
-    The Hessian is split into eigen-directions in closed form, and the Newton
-    step is taken only along directions of negative curvature, where it
-    points uphill. The step is at most `radius` long.
+    The Hessian is split into eigen-directions in closed form. Along a
+    direction of negative curvature the step is Newton's, which points
+    uphill. Along one of positive curvature Newton's step points downhill:
+    by default the step has no part there, and with `saddle_free` it goes as
+    far uphill instead (the saddle-free Newton step of Dauphin et al., NIPS
+    2014). The step is at most `radius` long.
     """
     _, g1, g2, h11, h22, h12 = model
     mean, half_gap = 0.5 * (h11 + h22), math.hypot(0.5 * (h11 - h22), h12)
@@ -334,34 +373,37 @@ def _newton_step(model: tuple[float, ...], radius: float) -> tuple[float, float]
     c, s = math.cos(psi), math.sin(psi)
     u = v = 0.0
     for curvature, qu, qv in ((mean + half_gap, c, s), (mean - half_gap, -s, c)):
+        slope = g1 * qu + g2 * qv
         if curvature < 0.0:
-            coef = -(g1 * qu + g2 * qv) / curvature
-            u, v = u + coef * qu, v + coef * qv
+            coef = -slope / curvature
+        elif saddle_free and curvature > 0.0:
+            coef = slope / curvature
+        else:
+            continue
+        u, v = u + coef * qu, v + coef * qv
     length = math.hypot(u, v)
     scale = radius / length if length > radius else 1.0
     return u * scale, v * scale
 
 
-def _maximize_holevo(objective: _HolevoObjective, s_b: float) -> tuple[float, np.ndarray, int]:
-    """(J_A, its Bloch vector, objective evaluations) for qubit A, given s_b = S(B).
+def _refine(
+    objective: _HolevoObjective, frame, radius: float, evals: int, saddle_free: bool = False
+) -> tuple[float, np.ndarray, int]:
+    """(best value, its Bloch vector, evals plus the evaluations made) of a Newton ascent from frame[0].
 
-    The search maximises the objective, -S(B|Y_n); J_A is max(0, s_b + best).
-    The hemisphere grid picks the start, first maximum winning ties;
-    safeguarded Newton steps then refine it in tangent-plane coordinates at
-    the current point, so no direction is singular.
+    Safeguarded Newton steps in tangent-plane coordinates at the current
+    point, so no direction is singular. The trust radius starts at `radius`;
+    the ascent stops after the first step shorter than ANGLE_RESOLUTION, or
+    once evals reaches _MAX_EVALS.
     """
-    values = objective(_HEMISPHERE)
-    evals = values.size
-    frame = _tangent_frame(*_HEMISPHERE[:, int(np.argmax(values))].tolist())
     model, cost = _model(objective, frame)
     evals += cost
-    radius = _GRID_SPACING
     length = radius
     while length >= ANGLE_RESOLUTION and evals < _MAX_EVALS:
         # The step that falls below ANGLE_RESOLUTION is still tried: near a
         # kink of the objective (a rank-deficient block) Newton converges only
         # linearly, and that last step is worth up to 1e-11 in value.
-        u, v = _newton_step(model, radius)
+        u, v = _newton_step(model, radius, saddle_free)
         length = math.hypot(u, v)
         trial = _moved(frame, u, v)
         trial_model, cost = _model(objective, trial)
@@ -370,23 +412,68 @@ def _maximize_holevo(objective: _HolevoObjective, s_b: float) -> tuple[float, np
             frame, model = trial, trial_model
         else:
             radius = 0.25 * length
-    return max(0.0, s_b + model[0]), np.array(frame[0]), evals
+    return model[0], np.array(frame[0]), evals
+
+
+def _maximize_holevo(objective: _HolevoObjective, s_b: float) -> tuple[float, np.ndarray, int]:
+    """(J_A, its Bloch vector, objective evaluations) for qubit A, given s_b = S(B).
+
+    The search maximises the objective, -S(B|Y_n); J_A is max(0, s_b + best).
+    With dim_b <= 2 one ascent starts from the first maximum of the 1985-point
+    hemisphere grid. With dim_b > 2 the 113-point coarse grid picks the
+    starts: every point no smaller than its _NEIGHBOURS nearest, at most the
+    _MAX_STARTS largest of them, ties going to the first in scan order. An
+    ascent runs from each start in scan order, and the first best result wins.
+    """
+    if objective.db <= 2:
+        grid, radius, saddle_free = _HEMISPHERE, _GRID_SPACING, False
+        values = objective(grid)
+        starts = [int(np.argmax(values))]
+    else:
+        # A coarse point can lie outside the concave cap around a maximum, on
+        # a ridge that rises along a direction of positive curvature, where
+        # the default step stops at once: on classical-quantum states that
+        # ended up to 8.7e-3 below J_A = I(A:B). So these ascents take
+        # saddle-free steps.
+        (grid, neighbours), radius, saddle_free = _coarse_grid(), _COARSE_SPACING, True
+        values = objective(grid)
+        peaks = np.flatnonzero(np.all(values[:, None] >= values[neighbours], axis=1))
+        starts = np.sort(peaks[np.argsort(-values[peaks], kind="stable")[:_MAX_STARTS]]).tolist()
+    evals = values.size
+    best = -math.inf
+    for index in starts:
+        frame = _tangent_frame(*grid[:, index].tolist())
+        value, point, evals = _refine(objective, frame, radius, evals, saddle_free)
+        if value > best:
+            best, n = value, point
+    return max(0.0, s_b + best), n, evals
 
 
 def classical_correlation(rho: DensityMatrix) -> DiscordResult:
     """Maximize the Holevo quantity over projective qubit measurements of A.
 
-    The search runs over Bloch vectors n and uses chi(n) = chi(-n). It scans
-    the upper half of the GRID_POINTS x GRID_POINTS (theta, phi) grid, 1985
-    points, and the first maximum wins ties, so a flat objective lands on the
-    first grid point in theta-major order. Safeguarded Newton steps then
-    refine that point. Each step reads the gradient and Hessian in closed
-    form when dim_b == 2 and both measurement blocks keep their smaller
-    eigenvalue at or above _SMOOTH_FLOOR; otherwise it takes them from one
-    9-point central-difference stencil. A step follows only directions of
-    negative curvature and is capped by a trust radius. The radius starts at
-    the grid's phi spacing and shrinks to a quarter of any step that does not
-    improve the value. The search stops after the first step shorter than
+    The search runs over Bloch vectors n and uses chi(n) = chi(-n), so a
+    grid covers only the upper half of a rows x rows (theta, phi) grid.
+
+    * dim_b <= 2: it scans the GRID_POINTS = 64 row grid, 1985 points, and
+      the first maximum wins ties, so a flat objective lands on the first
+      grid point in theta-major order. One ascent refines that point.
+    * dim_b > 2: it scans the 16-row grid, 113 points (the pole and
+      theta = k pi / 15, k = 1..7, at 16 values of phi). A start is a point
+      no smaller than its 8 nearest grid points, antipodes identified. Flat
+      objectives make every point a start, so only the 4 largest are kept,
+      ties going to the first in scan order. An ascent runs from each, and
+      the first best result wins.
+
+    An ascent takes safeguarded Newton steps. Each step reads the gradient
+    and Hessian in closed form when dim_b == 2 and both measurement blocks
+    keep their smaller eigenvalue at or above _SMOOTH_FLOOR; otherwise it
+    takes them from one 9-point central-difference stencil. On the fine grid
+    a step follows only directions of negative curvature; from a coarse
+    start it also climbs along directions of positive curvature (saddle-free
+    Newton). A trust radius caps the step: it starts at the grid's phi
+    spacing and shrinks to a quarter of any step that does not improve the
+    value. An ascent stops after the first step shorter than
     ANGLE_RESOLUTION. J_A is the best value found, clamped at 0, and the
     discord is I(A:B) - J_A. Deterministic: no randomness, so repeated calls
     agree exactly.

@@ -13,7 +13,12 @@ from coherence_bounds.bounds import (
     sweep_family,
 )
 from coherence_bounds.checks import generate_cases
-from coherence_bounds.coherence import unilateral_coherence, unilateral_purity
+from coherence_bounds.coherence import (
+    coherence_rel,
+    purity_rel,
+    unilateral_coherence,
+    unilateral_purity,
+)
 from coherence_bounds.correlations import conditional_entropy, holevo, mutual_information
 from coherence_bounds.entropy import shannon_entropy
 from coherence_bounds.errors import DomainError, UnsupportedDimension
@@ -244,3 +249,21 @@ def test_holevo_cap_slack_is_the_outcome_entropy_deficit(reference_run):
     x, z = bloch_basis(worst.theta_x, worst.phi_x), bloch_basis(worst.theta_z, worst.phi_z)
     rho = random_density(2, 2, worst.state_seed)
     assert worst.margin == pytest.approx(deficit(rho, x, z), abs=1e-12)
+
+
+def test_purity_cap_slack_is_the_z_outcome_entropy_deficit(reference_run):
+    # P(rho_A) - C(rho_A, Z) = (1 - S(rho_A)) - (H(p_Z) - S(rho_A)) = 1 - H(p_Z):
+    # the local purity caps the local coherence tightly only for uniform outcomes.
+    def deficit(rho, z):
+        return 1.0 - shannon_entropy(measure(rho, z).probs)
+
+    for case in generate_cases(42, 200):
+        rho_a = marginal_a(case.rho)
+        slack = purity_rel(rho_a) - coherence_rel(rho_a, case.z)
+        assert slack == pytest.approx(deficit(case.rho, case.z), abs=1e-12)
+    # so the corpus's tightest purity_dominates_coherence_z margin is a case
+    # with nearly uniform Z outcomes
+    coherence = next(s for s in reference_run.suites if s.name == "coherence")
+    worst = coherence.worst["purity_dominates_coherence_z"]
+    rho = random_density(2, 2, worst.state_seed)
+    assert worst.margin == pytest.approx(deficit(rho, bloch_basis(worst.theta_z, worst.phi_z)), abs=1e-12)

@@ -172,6 +172,14 @@ class TestCheck:
         assert run(["check", "--seed", "9", "--cases", "1"]) == EXIT_OK
         assert "1/1" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_case_count_below_one_is_a_validation_error(self, capsys, count):
+        # such a run would check nothing and report every suite as passed
+        assert run(["check", "--cases", count]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cases: need at least 1, got {count}\n"
+
     def test_corruption_reports_margin_and_fails(self, capsys, break_suite):
         break_suite("coherence")
         rc = run(["check", "--seed", "3", "--cases", "4"])

@@ -1,3 +1,6 @@
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,9 +9,14 @@ from coherence_bounds.bounds import FAMILIES
 from coherence_bounds.correlations import (
     _bloch,
     _chart,
+    _coarse_grid,
+    _COARSE_SPACING,
+    _GRID_SPACING,
     _HEMISPHERE,
+    _hemisphere_grid,
     _HolevoObjective,
     _maximize_holevo,
+    _refine,
     _tangent_frame,
     classical_correlation,
     conditional_entropy,
@@ -23,6 +31,7 @@ from coherence_bounds.measurement import bloch_basis, measure, pauli_basis
 from coherence_bounds.states import (
     bell_diagonal,
     bell_diagonal_family,
+    load_state_file,
     make_density,
     marginal_a,
     marginal_b,
@@ -328,3 +337,105 @@ class TestLocalModel:
         assert returned and all(r is None for r in returned)
         assert evals == _HEMISPHERE.shape[1] + 9 * len(returned)
         assert j_a == pytest.approx(expected, abs=1e-9)
+
+
+def _grid_search(objective, grid, spacing, s_b, saddle_free=False):
+    """J_A from one ascent at the first maximum of `grid`, as the 1985-point search takes it."""
+    frame = _tangent_frame(*grid[:, int(np.argmax(objective(grid)))].tolist())
+    return max(0.0, s_b + _refine(objective, frame, spacing, 0, saddle_free)[0])
+
+
+def _ginibre(rng, dim, rank):
+    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
+def _strata(dim_b, count=4):
+    """Seeded states with a memory of dim_b, `count` per stratum (one more for product)."""
+    rng = np.random.default_rng(dim_b)
+    d = 2 * dim_b
+    strata = {"pure": [_ginibre(rng, d, 1) for _ in range(count)]}
+    for rank in (2, 3, 4):
+        strata[f"rank{rank}"] = [_ginibre(rng, d, rank) for _ in range(count)]
+    strata["full"] = [_ginibre(rng, d, d) for _ in range(count)]
+    # I/2 (x) rho_B makes every coarse value exactly equal
+    strata["product"] = [np.kron(np.eye(2) / 2, _ginibre(rng, dim_b, dim_b))]
+    strata["product"] += [np.kron(_ginibre(rng, 2, 2), _ginibre(rng, dim_b, dim_b)) for _ in range(count)]
+    strata["classical-quantum"] = [_classical_quantum(rng, dim_b) for _ in range(count)]
+    return {name: [make_density(m, 2, dim_b) for m in states] for name, states in strata.items()}
+
+
+def _classical_quantum(rng, dim_b):
+    """sum_a w_a |u_a><u_a| (x) rho_a for a random basis u of A and rho_a of random rank."""
+    u = random_unitary(2, int(rng.integers(2**31)))
+    w = rng.uniform()
+    blocks = [_ginibre(rng, dim_b, int(rng.integers(1, dim_b + 1))) for _ in range(2)]
+    return sum(p * np.kron(np.outer(u[:, a], u[:, a].conj()), blocks[a]) for a, p in enumerate((w, 1.0 - w)))
+
+
+@pytest.fixture(scope="module", params=[3, 4, 8])
+def stratified(request):
+    """(stratum, state, J_A by the 1985-point search, classical_correlation) per state."""
+    rows = []
+    for name, states in _strata(request.param).items():
+        for rho in states:
+            s_b = von_neumann_entropy(marginal_b(rho))
+            oracle = _grid_search(_HolevoObjective(rho), _HEMISPHERE, _GRID_SPACING, s_b)
+            rows.append((name, rho, oracle, classical_correlation(rho)))
+    return rows
+
+
+class TestCoarseMultiStart:
+    """With dim_b > 2 the search starts from the local maxima of a 113-point grid;
+    the 1985-point single-start search is the oracle."""
+
+    def test_reaches_the_fine_grid_search(self, stratified):
+        for name, _, oracle, res in stratified:
+            assert res.classical_correlation >= oracle - 1e-12, name
+
+    @pytest.mark.parametrize("dim_b", [3, 4, 8])
+    def test_classical_quantum_states_reach_mutual_information(self, dim_b):
+        # measuring A in the basis that defines the state reads all of I(A:B);
+        # with a rank-deficient rho_a the peak is narrower than the coarse grid
+        rng = np.random.default_rng((dim_b, 1))
+        for _ in range(40):
+            rho = make_density(_classical_quantum(rng, dim_b), 2, dim_b)
+            j_a = classical_correlation(rho).classical_correlation
+            assert j_a == pytest.approx(mutual_information(rho), abs=1e-9)
+
+    def test_flat_objectives_refine_few_starts(self, stratified):
+        # every coarse point ties on a flat objective; without the cap on starts
+        # these strata took 599 to 2147 evaluations, with it 185 to 338
+        for name, _, _, res in stratified:
+            if name in ("pure", "product"):
+                assert res.optimizer_evals <= 500, name
+
+    def test_grid_is_built_once_and_read_only(self):
+        grid, neighbours = _coarse_grid()
+        assert _coarse_grid()[0] is grid
+        assert grid.shape == (3, 113) and neighbours.shape == (113, 8)
+        assert not grid.flags.writeable and not neighbours.flags.writeable
+
+
+class TestMultimodalState:
+    """The state of scripts/make_multimodal_state.py: chi has a second local maximum
+    7.45e-3 below the global one, and the best coarse grid point lies next to it."""
+
+    @pytest.fixture(scope="class")
+    def state(self):
+        """The state, its objective, S(B), and J_A from a 256-row grid and one ascent."""
+        rho = load_state_file(Path(__file__).parent / "data" / "multimodal_2x3.txt")
+        objective = _HolevoObjective(rho)
+        s_b = von_neumann_entropy(marginal_b(rho))
+        reference = _grid_search(objective, _hemisphere_grid(256), 2.0 * math.pi / 256, s_b)
+        return rho, objective, s_b, reference
+
+    def test_reaches_the_global_maximum(self, state):
+        rho, _, _, reference = state
+        assert classical_correlation(rho).classical_correlation == pytest.approx(reference, abs=1e-9)
+
+    def test_one_coarse_start_misses_it(self, state):
+        _, objective, s_b, reference = state
+        single = _grid_search(objective, _coarse_grid()[0], _COARSE_SPACING, s_b, saddle_free=True)
+        assert reference - single > 1e-3
