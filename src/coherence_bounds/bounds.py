@@ -39,7 +39,7 @@ checked entropy pass.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -83,7 +83,8 @@ class BoundReport:
     holevo_z: float
 
     def as_dict(self) -> dict[str, float]:
-        return asdict(self)
+        # Shallow: every field is a float, so the deep copy of asdict buys nothing.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def coherence_bound_t1(rho: DensityMatrix, x: ObservableBasis, z: ObservableBasis) -> tuple[float, float]:

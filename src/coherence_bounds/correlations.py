@@ -4,15 +4,15 @@ Holevo quantity of a measurement, and quantum discord for qubit A.
 The discord route follows the usual two-stage optimization of the classical
 correlation J_A over rank-1 projective measurements of A: a scan of the
 Bloch sphere followed by local refinement. A qubit measurement is its Bloch
-vector n, and n and -n give the same measurement, so the scan covers one
-hemisphere; the refinement takes Newton steps in tangent-plane coordinates
+vector n, and n and -n give the same measurement, so the scan needs one
+point of each antipodal pair; the refinement takes Newton steps in tangent-plane coordinates
 at the current n, which no point of the sphere makes singular. With a qubit
 memory the scan is a fine 1985-point grid and one refinement starts from its
 best point; each step's gradient and Hessian are closed-form. With a larger
-memory a 113-point grid picks up to 4 of its local maxima as starts, and
-each is refined with saddle-free Newton steps; gradient and Hessian come
-from a 9-point central-difference stencil, as they do next to a
-rank-deficient block. The search maximises -S(B|Y_n) = chi(n) - S(B),
+memory a 46-point icosahedral geodesic grid picks up to 4 of its local
+maxima as starts; gradient and Hessian come from a 9-point central-difference
+stencil, as they do next to a rank-deficient block. Every refinement takes
+saddle-free Newton steps. The search maximises -S(B|Y_n) = chi(n) - S(B),
 which needs no S(B); J_A adds it back. The optimum is reported as the angles
 of bloch_basis(theta, phi); for a qubit that covers every rank-1 projective
 measurement. The objective's blocks also give evaluate_all the spectra of
@@ -53,8 +53,8 @@ class DiscordResult:
     optimizer_evals counts objective evaluations: the grid points, then one
     per closed-form local model and nine per stencil model. With dim_b == 2
     that is the 1985 points of the fine grid and about 4 more; with dim_b > 2
-    the 113 points of the coarse grid and nine per Newton step of each
-    ascent, about 160 for a full-rank state and at most about 360 for a flat
+    the 46 points of the geodesic grid and nine per Newton step of each
+    ascent, about 90 for a full-rank state and at most about 300 for a flat
     objective.
     """
 
@@ -269,27 +269,51 @@ def _hemisphere_grid(rows: int) -> np.ndarray:
 
 _HEMISPHERE = _hemisphere_grid(GRID_POINTS)
 _GRID_SPACING = 2.0 * np.pi / GRID_POINTS
-# With dim_b > 2 the search starts from the 113 points of the 16-row grid, and
-# a point is a start when no one of its _NEIGHBOURS nearest grid points is larger.
-_COARSE_ROWS = 16
-_COARSE_SPACING = 2.0 * np.pi / _COARSE_ROWS
+# With dim_b > 2 the search starts from the 46 points of the geodesic grid,
+# and a point is a start when no one of its _NEIGHBOURS nearest grid points is
+# larger. An ascent from a start begins with a trust radius of 2 pi / 16,
+# about the 20 to 24 degrees between neighbouring grid points.
+_COARSE_SPACING = 2.0 * np.pi / 16
 _NEIGHBOURS = 8
 # At most this many starts, the largest first: a flat objective makes every
 # coarse point a local maximum.
 _MAX_STARTS = 4
 
 
+def _geodesic_grid() -> np.ndarray:
+    """The frequency-3 icosahedral geodesic grid, one point of each antipodal pair: shape (3, 46).
+
+    Every face of the icosahedron with vertices (0, +-1, +-g), g the golden
+    ratio, and their cyclic shifts gets the points (a u + b v + c w) / 3 with
+    a + b + c = 3, projected onto the sphere: 92 points, and every direction
+    lies within 13.7 degrees of one of them or of its antipode. A point is
+    kept unless an earlier one equals it or its antipode.
+    """
+    g = 0.5 * (1.0 + math.sqrt(5.0))
+    base = np.array([[0.0, 1.0, g], [0.0, 1.0, -g], [0.0, -1.0, g], [0.0, -1.0, -g]])
+    vertices = np.vstack([np.roll(base, shift, axis=1) for shift in range(3)])
+    # Vertices joined by an edge have the inner product g.
+    edge = np.triu(np.abs(vertices @ vertices.T - g) < 1e-9, 1)
+    faces = np.argwhere(edge[:, :, None] & edge[None, :, :] & edge[:, None, :])
+    weights = np.array([(a, b, 3 - a - b) for a in range(4) for b in range(4 - a)]) / 3.0
+    points = (weights @ vertices[faces]).reshape(-1, 3)
+    points /= np.sqrt((points * points).sum(axis=1))[:, None]
+    # The first point that equals each point or its antipode, in scan order.
+    first = np.argmax(np.abs(points @ points.T) > 1.0 - 1e-9, axis=0)
+    return points[first == np.arange(first.size)].T
+
+
 @functools.cache
 def _coarse_grid() -> tuple[np.ndarray, np.ndarray]:
-    """The 113-point _COARSE_ROWS hemisphere grid and, per point, its _NEIGHBOURS nearest.
+    """The 46-point geodesic grid and, per point, its _NEIGHBOURS nearest.
 
     Nearness is |n . m|, so a neighbour across the equator is found through its
     antipode. Rounding |n . m| to 12 digits makes distances that are equal on
     the exact grid equal here, and equal distances go to the first point in
-    scan order. Shapes (3, 113) and (113, _NEIGHBOURS), both read-only. Built
+    scan order. Shapes (3, 46) and (46, _NEIGHBOURS), both read-only. Built
     on the first search with dim_b > 2, not at import.
     """
-    grid = _hemisphere_grid(_COARSE_ROWS)
+    grid = _geodesic_grid()
     near = np.round(np.abs(grid.T @ grid), 12)
     np.fill_diagonal(near, -1.0)
     neighbours = np.argsort(-near, axis=1, kind="stable")[:, :_NEIGHBOURS]
@@ -357,15 +381,15 @@ def _model(objective: _HolevoObjective, frame) -> tuple[tuple[float, ...], int]:
     return _stencil_model(objective, frame), _STENCIL.shape[1]
 
 
-def _newton_step(model: tuple[float, ...], radius: float, saddle_free: bool) -> tuple[float, float]:
+def _newton_step(model: tuple[float, ...], radius: float) -> tuple[float, float]:
     """Ascent step (u, v) in tangent coordinates from the model (value, g1, g2, h11, h22, h12).
 
     The Hessian is split into eigen-directions in closed form. Along a
     direction of negative curvature the step is Newton's, which points
-    uphill. Along one of positive curvature Newton's step points downhill:
-    by default the step has no part there, and with `saddle_free` it goes as
-    far uphill instead (the saddle-free Newton step of Dauphin et al., NIPS
-    2014). The step is at most `radius` long.
+    uphill. Along one of positive curvature Newton's step points downhill,
+    so the step goes as far uphill instead (the saddle-free Newton step of
+    Dauphin et al., NIPS 2014): an ascent that starts on a ridge outside the
+    concave cap of a maximum still climbs. The step is at most `radius` long.
     """
     _, g1, g2, h11, h22, h12 = model
     mean, half_gap = 0.5 * (h11 + h22), math.hypot(0.5 * (h11 - h22), h12)
@@ -373,28 +397,23 @@ def _newton_step(model: tuple[float, ...], radius: float, saddle_free: bool) -> 
     c, s = math.cos(psi), math.sin(psi)
     u = v = 0.0
     for curvature, qu, qv in ((mean + half_gap, c, s), (mean - half_gap, -s, c)):
-        slope = g1 * qu + g2 * qv
-        if curvature < 0.0:
-            coef = -slope / curvature
-        elif saddle_free and curvature > 0.0:
-            coef = slope / curvature
-        else:
-            continue
-        u, v = u + coef * qu, v + coef * qv
+        if curvature != 0.0:
+            coef = (g1 * qu + g2 * qv) / abs(curvature)
+            u, v = u + coef * qu, v + coef * qv
     length = math.hypot(u, v)
     scale = radius / length if length > radius else 1.0
     return u * scale, v * scale
 
 
 def _refine(
-    objective: _HolevoObjective, frame, radius: float, evals: int, saddle_free: bool = False
+    objective: _HolevoObjective, frame, radius: float, evals: int
 ) -> tuple[float, np.ndarray, int]:
     """(best value, its Bloch vector, evals plus the evaluations made) of a Newton ascent from frame[0].
 
-    Safeguarded Newton steps in tangent-plane coordinates at the current
-    point, so no direction is singular. The trust radius starts at `radius`;
-    the ascent stops after the first step shorter than ANGLE_RESOLUTION, or
-    once evals reaches _MAX_EVALS.
+    Safeguarded saddle-free Newton steps in tangent-plane coordinates at the
+    current point, so no direction is singular. The trust radius starts at
+    `radius`; the ascent stops after the first step shorter than
+    ANGLE_RESOLUTION, or once evals reaches _MAX_EVALS.
     """
     model, cost = _model(objective, frame)
     evals += cost
@@ -403,7 +422,7 @@ def _refine(
         # The step that falls below ANGLE_RESOLUTION is still tried: near a
         # kink of the objective (a rank-deficient block) Newton converges only
         # linearly, and that last step is worth up to 1e-11 in value.
-        u, v = _newton_step(model, radius, saddle_free)
+        u, v = _newton_step(model, radius)
         length = math.hypot(u, v)
         trial = _moved(frame, u, v)
         trial_model, cost = _model(objective, trial)
@@ -420,22 +439,17 @@ def _maximize_holevo(objective: _HolevoObjective, s_b: float) -> tuple[float, np
 
     The search maximises the objective, -S(B|Y_n); J_A is max(0, s_b + best).
     With dim_b <= 2 one ascent starts from the first maximum of the 1985-point
-    hemisphere grid. With dim_b > 2 the 113-point coarse grid picks the
+    hemisphere grid. With dim_b > 2 the 46-point geodesic grid picks the
     starts: every point no smaller than its _NEIGHBOURS nearest, at most the
     _MAX_STARTS largest of them, ties going to the first in scan order. An
     ascent runs from each start in scan order, and the first best result wins.
     """
     if objective.db <= 2:
-        grid, radius, saddle_free = _HEMISPHERE, _GRID_SPACING, False
+        grid, radius = _HEMISPHERE, _GRID_SPACING
         values = objective(grid)
         starts = [int(np.argmax(values))]
     else:
-        # A coarse point can lie outside the concave cap around a maximum, on
-        # a ridge that rises along a direction of positive curvature, where
-        # the default step stops at once: on classical-quantum states that
-        # ended up to 8.7e-3 below J_A = I(A:B). So these ascents take
-        # saddle-free steps.
-        (grid, neighbours), radius, saddle_free = _coarse_grid(), _COARSE_SPACING, True
+        (grid, neighbours), radius = _coarse_grid(), _COARSE_SPACING
         values = objective(grid)
         peaks = np.flatnonzero(np.all(values[:, None] >= values[neighbours], axis=1))
         starts = np.sort(peaks[np.argsort(-values[peaks], kind="stable")[:_MAX_STARTS]]).tolist()
@@ -443,7 +457,7 @@ def _maximize_holevo(objective: _HolevoObjective, s_b: float) -> tuple[float, np
     best = -math.inf
     for index in starts:
         frame = _tangent_frame(*grid[:, index].tolist())
-        value, point, evals = _refine(objective, frame, radius, evals, saddle_free)
+        value, point, evals = _refine(objective, frame, radius, evals)
         if value > best:
             best, n = value, point
     return max(0.0, s_b + best), n, evals
@@ -453,27 +467,28 @@ def classical_correlation(rho: DensityMatrix) -> DiscordResult:
     """Maximize the Holevo quantity over projective qubit measurements of A.
 
     The search runs over Bloch vectors n and uses chi(n) = chi(-n), so a
-    grid covers only the upper half of a rows x rows (theta, phi) grid.
+    grid holds one point of each antipodal pair.
 
-    * dim_b <= 2: it scans the GRID_POINTS = 64 row grid, 1985 points, and
-      the first maximum wins ties, so a flat objective lands on the first
-      grid point in theta-major order. One ascent refines that point.
-    * dim_b > 2: it scans the 16-row grid, 113 points (the pole and
-      theta = k pi / 15, k = 1..7, at 16 values of phi). A start is a point
-      no smaller than its 8 nearest grid points, antipodes identified. Flat
-      objectives make every point a start, so only the 4 largest are kept,
-      ties going to the first in scan order. An ascent runs from each, and
-      the first best result wins.
+    * dim_b <= 2: it scans the upper half of the GRID_POINTS = 64 row
+      (theta, phi) grid, 1985 points, and the first maximum wins ties, so a
+      flat objective lands on the first grid point in theta-major order. One
+      ascent refines that point.
+    * dim_b > 2: it scans the frequency-3 icosahedral geodesic grid, 46
+      nearly uniform points, each direction within 13.7 degrees of one. A
+      start is a point no smaller than its 8 nearest grid points, antipodes
+      identified. Flat objectives make every point a start, so only the 4
+      largest are kept, ties going to the first in scan order. An ascent
+      runs from each, and the first best result wins.
 
-    An ascent takes safeguarded Newton steps. Each step reads the gradient
+    An ascent takes safeguarded saddle-free Newton steps: along a direction
+    of negative curvature a step is Newton's, along one of positive
+    curvature it climbs by |slope| / curvature. Each step reads the gradient
     and Hessian in closed form when dim_b == 2 and both measurement blocks
     keep their smaller eigenvalue at or above _SMOOTH_FLOOR; otherwise it
-    takes them from one 9-point central-difference stencil. On the fine grid
-    a step follows only directions of negative curvature; from a coarse
-    start it also climbs along directions of positive curvature (saddle-free
-    Newton). A trust radius caps the step: it starts at the grid's phi
-    spacing and shrinks to a quarter of any step that does not improve the
-    value. An ascent stops after the first step shorter than
+    takes them from one 9-point central-difference stencil. A trust radius
+    caps the step: it starts at the fine grid's phi spacing, or at 2 pi / 16
+    from a geodesic start, and shrinks to a quarter of any step that does
+    not improve the value. An ascent stops after the first step shorter than
     ANGLE_RESOLUTION. J_A is the best value found, clamped at 0, and the
     discord is I(A:B) - J_A. Deterministic: no randomness, so repeated calls
     agree exactly.

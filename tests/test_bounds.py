@@ -1,4 +1,5 @@
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -191,6 +192,7 @@ class TestEvaluateAll:
         d = rep.as_dict()
         assert list(d) == [f.name for f in rep.__dataclass_fields__.values()]
         assert d["q_mu"] == rep.q_mu
+        assert d == asdict(rep)
 
 
 class TestSweeps:
