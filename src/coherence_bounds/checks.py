@@ -365,9 +365,12 @@ def run_checks(seed: int, cases: int) -> RunResult:
     Each suite is looked up in _SUITE_FNS per case, so replacing an entry
     (a suite with shifted margins, say) exercises the failure path.
     A count below 1 raises ValidationError: it would check nothing and pass.
+    So does a negative seed, which numpy's generator rejects.
     """
     if cases < 1:
         raise ValidationError(f"cases: need at least 1, got {cases}")
+    if seed < 0:
+        raise ValidationError(f"seed: need a non-negative integer, got {seed}")
     results = {name: SuiteResult(name=name) for name in SUITE_NAMES}
     for case in generate_cases(seed, cases):
         report = evaluate_all(case.rho, case.x, case.z)

@@ -6,12 +6,11 @@ correlation J_A over rank-1 projective measurements of A: a scan of the
 Bloch sphere followed by local refinement. A qubit measurement is its Bloch
 vector n, and n and -n give the same measurement, so the scan needs one
 point of each antipodal pair; the refinement takes Newton steps in tangent-plane coordinates
-at the current n, which no point of the sphere makes singular. With a qubit
-memory the scan is a fine 1985-point grid and one refinement starts from its
-best point; each step's gradient and Hessian are closed-form. With a larger
-memory a 46-point icosahedral geodesic grid picks up to 4 of its local
-maxima as starts; gradient and Hessian come from a 9-point central-difference
-stencil, as they do next to a rank-deficient block. Every refinement takes
+at the current n, which no point of the sphere makes singular. The scan is
+a 46-point icosahedral geodesic grid, and up to 4 of its local maxima start
+an ascent. With a qubit memory each step's gradient and Hessian are
+closed-form; with a larger memory, and next to a rank-deficient block, they
+come from a 9-point central-difference stencil. Every refinement takes
 saddle-free Newton steps. The search maximises -S(B|Y_n) = chi(n) - S(B),
 which needs no S(B); J_A adds it back. The optimum is reported as the angles
 of bloch_basis(theta, phi); for a qubit that covers every rank-1 projective
@@ -20,7 +19,6 @@ rho_A, rho_B and the two dephased states.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -31,7 +29,6 @@ from .errors import DimensionError, UnsupportedDimension
 from .measurement import ObservableBasis, _assemble_joint, _conditional_blocks
 from .states import DensityMatrix, marginal_a, marginal_b
 
-GRID_POINTS = 64
 ANGLE_RESOLUTION = 1e-6
 _MAX_EVALS = 100_000
 _LN2 = math.log(2.0)
@@ -50,11 +47,10 @@ _SMOOTH_FLOOR = 1e-9
 class DiscordResult:
     """Classical correlation J_A, discord D_A = I(A:B) - J_A, and optimizer trace.
 
-    optimizer_evals counts objective evaluations: the grid points, then one
-    per closed-form local model and nine per stencil model. With dim_b == 2
-    that is the 1985 points of the fine grid and about 4 more; with dim_b > 2
-    the 46 points of the geodesic grid and nine per Newton step of each
-    ascent, about 90 for a full-rank state and at most about 300 for a flat
+    optimizer_evals counts objective evaluations: the 46 points of the
+    geodesic grid, then one per closed-form local model and nine per stencil
+    model of each ascent. That is about 51 for a 2x2 state, about 90 for a
+    full-rank state with a larger memory, and at most about 110 for a flat
     objective.
     """
 
@@ -255,39 +251,31 @@ def _bloch(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
     return np.stack([s * np.cos(phis), s * np.sin(phis), np.cos(thetas)])
 
 
-def _hemisphere_grid(rows: int) -> np.ndarray:
-    # The upper half of the rows x rows (theta, phi) grid: the pole once, then
-    # theta_k = k pi / (rows - 1) for k = 1..rows / 2 - 1 at every phi. For even
-    # rows the map (k, j) -> (rows - 1 - k, j + rows / 2) sends the full grid
-    # onto itself and each point to its antipode, and chi(n) = chi(-n), so this
-    # half sees every value.
-    thetas = np.linspace(0.0, np.pi, rows)[1 : rows // 2]
-    phis = np.linspace(0.0, 2.0 * np.pi, rows, endpoint=False)
-    pole = np.array([[0.0], [0.0], [1.0]])
-    return np.hstack([pole, _bloch(np.repeat(thetas, rows), np.tile(phis, thetas.size))])
-
-
-_HEMISPHERE = _hemisphere_grid(GRID_POINTS)
-_GRID_SPACING = 2.0 * np.pi / GRID_POINTS
-# With dim_b > 2 the search starts from the 46 points of the geodesic grid,
-# and a point is a start when no one of its _NEIGHBOURS nearest grid points is
-# larger. An ascent from a start begins with a trust radius of 2 pi / 16,
-# about the 20 to 24 degrees between neighbouring grid points.
-_COARSE_SPACING = 2.0 * np.pi / 16
+# The search starts from the points of the geodesic grid that are no smaller
+# than any of their _NEIGHBOURS nearest grid points. An ascent from a start
+# begins with a trust radius of 2 pi / 16, about the 20 to 24 degrees between
+# neighbouring grid points.
+_START_RADIUS = 2.0 * np.pi / 16
 _NEIGHBOURS = 8
-# At most this many starts, the largest first: a flat objective makes every
-# coarse point a local maximum.
+# At most this many starts, the largest first. Peaks of equal value start
+# once, so the cap acts only on a nearly flat objective, whose many peaks can
+# differ beyond the 12th digit.
 _MAX_STARTS = 4
 
 
-def _geodesic_grid() -> np.ndarray:
-    """The frequency-3 icosahedral geodesic grid, one point of each antipodal pair: shape (3, 46).
+def _geodesic_grid() -> tuple[np.ndarray, np.ndarray]:
+    """The frequency-3 icosahedral geodesic grid and, per point, its _NEIGHBOURS nearest.
 
     Every face of the icosahedron with vertices (0, +-1, +-g), g the golden
     ratio, and their cyclic shifts gets the points (a u + b v + c w) / 3 with
     a + b + c = 3, projected onto the sphere: 92 points, and every direction
     lies within 13.7 degrees of one of them or of its antipode. A point is
-    kept unless an earlier one equals it or its antipode.
+    kept unless an earlier one equals it or its antipode, which leaves 46.
+
+    Nearness is |n . m|, so a neighbour across the equator is found through its
+    antipode. Rounding |n . m| to 12 digits makes distances that are equal on
+    the exact grid equal here, and equal distances go to the first point in
+    scan order. Shapes (3, 46) and (46, _NEIGHBOURS), both read-only.
     """
     g = 0.5 * (1.0 + math.sqrt(5.0))
     base = np.array([[0.0, 1.0, g], [0.0, 1.0, -g], [0.0, -1.0, g], [0.0, -1.0, -g]])
@@ -300,25 +288,15 @@ def _geodesic_grid() -> np.ndarray:
     points /= np.sqrt((points * points).sum(axis=1))[:, None]
     # The first point that equals each point or its antipode, in scan order.
     first = np.argmax(np.abs(points @ points.T) > 1.0 - 1e-9, axis=0)
-    return points[first == np.arange(first.size)].T
-
-
-@functools.cache
-def _coarse_grid() -> tuple[np.ndarray, np.ndarray]:
-    """The 46-point geodesic grid and, per point, its _NEIGHBOURS nearest.
-
-    Nearness is |n . m|, so a neighbour across the equator is found through its
-    antipode. Rounding |n . m| to 12 digits makes distances that are equal on
-    the exact grid equal here, and equal distances go to the first point in
-    scan order. Shapes (3, 46) and (46, _NEIGHBOURS), both read-only. Built
-    on the first search with dim_b > 2, not at import.
-    """
-    grid = _geodesic_grid()
+    grid = points[first == np.arange(first.size)].T
     near = np.round(np.abs(grid.T @ grid), 12)
     np.fill_diagonal(near, -1.0)
     neighbours = np.argsort(-near, axis=1, kind="stable")[:, :_NEIGHBOURS]
     grid.flags.writeable = neighbours.flags.writeable = False
     return grid, neighbours
+
+
+_GRID, _GRID_NEIGHBOURS = _geodesic_grid()
 
 
 # Central-difference spacing in tangent coordinates: round-off in the Hessian
@@ -438,26 +416,25 @@ def _maximize_holevo(objective: _HolevoObjective, s_b: float) -> tuple[float, np
     """(J_A, its Bloch vector, objective evaluations) for qubit A, given s_b = S(B).
 
     The search maximises the objective, -S(B|Y_n); J_A is max(0, s_b + best).
-    With dim_b <= 2 one ascent starts from the first maximum of the 1985-point
-    hemisphere grid. With dim_b > 2 the 46-point geodesic grid picks the
-    starts: every point no smaller than its _NEIGHBOURS nearest, at most the
-    _MAX_STARTS largest of them, ties going to the first in scan order. An
-    ascent runs from each start in scan order, and the first best result wins.
+    The starts are the points of the geodesic grid no smaller than their
+    _NEIGHBOURS nearest. Of those whose values agree to 12 digits only the
+    first in scan order stays, and of the rest at most the _MAX_STARTS
+    largest, ties going to the first in scan order. An ascent runs from each
+    start in scan order, and the first best result wins.
     """
-    if objective.db <= 2:
-        grid, radius = _HEMISPHERE, _GRID_SPACING
-        values = objective(grid)
-        starts = [int(np.argmax(values))]
-    else:
-        (grid, neighbours), radius = _coarse_grid(), _COARSE_SPACING
-        values = objective(grid)
-        peaks = np.flatnonzero(np.all(values[:, None] >= values[neighbours], axis=1))
-        starts = np.sort(peaks[np.argsort(-values[peaks], kind="stable")[:_MAX_STARTS]]).tolist()
-    evals = values.size
+    values = objective(_GRID)
+    peaks = np.flatnonzero(np.all(values[:, None] >= values[_GRID_NEIGHBOURS], axis=1)).tolist()
+    scores = values.tolist()
+    # A flat or symmetric objective makes many tied peaks; one start serves them all.
+    distinct: dict[float, int] = {}
+    for index in peaks:
+        distinct.setdefault(round(scores[index], 12), index)
+    starts = sorted(sorted(distinct.values(), key=scores.__getitem__, reverse=True)[:_MAX_STARTS])
+    evals = len(scores)
     best = -math.inf
     for index in starts:
-        frame = _tangent_frame(*grid[:, index].tolist())
-        value, point, evals = _refine(objective, frame, radius, evals)
+        frame = _tangent_frame(*_GRID[:, index].tolist())
+        value, point, evals = _refine(objective, frame, _START_RADIUS, evals)
         if value > best:
             best, n = value, point
     return max(0.0, s_b + best), n, evals
@@ -466,19 +443,15 @@ def _maximize_holevo(objective: _HolevoObjective, s_b: float) -> tuple[float, np
 def classical_correlation(rho: DensityMatrix) -> DiscordResult:
     """Maximize the Holevo quantity over projective qubit measurements of A.
 
-    The search runs over Bloch vectors n and uses chi(n) = chi(-n), so a
-    grid holds one point of each antipodal pair.
-
-    * dim_b <= 2: it scans the upper half of the GRID_POINTS = 64 row
-      (theta, phi) grid, 1985 points, and the first maximum wins ties, so a
-      flat objective lands on the first grid point in theta-major order. One
-      ascent refines that point.
-    * dim_b > 2: it scans the frequency-3 icosahedral geodesic grid, 46
-      nearly uniform points, each direction within 13.7 degrees of one. A
-      start is a point no smaller than its 8 nearest grid points, antipodes
-      identified. Flat objectives make every point a start, so only the 4
-      largest are kept, ties going to the first in scan order. An ascent
-      runs from each, and the first best result wins.
+    The search runs over Bloch vectors n and uses chi(n) = chi(-n), so its
+    grid holds one point of each antipodal pair: the frequency-3
+    icosahedral geodesic grid, 46 nearly uniform points, each direction
+    within 13.7 degrees of one. A start is a point no smaller than its 8
+    nearest grid points, antipodes identified. A flat or symmetric objective
+    ties many such points, so peaks whose values agree to 12 digits start
+    once, from the first in scan order, and only the 4 largest starts are
+    kept, ties going to the first in scan order. An ascent runs from each,
+    and the first best result wins.
 
     An ascent takes safeguarded saddle-free Newton steps: along a direction
     of negative curvature a step is Newton's, along one of positive
@@ -486,12 +459,11 @@ def classical_correlation(rho: DensityMatrix) -> DiscordResult:
     and Hessian in closed form when dim_b == 2 and both measurement blocks
     keep their smaller eigenvalue at or above _SMOOTH_FLOOR; otherwise it
     takes them from one 9-point central-difference stencil. A trust radius
-    caps the step: it starts at the fine grid's phi spacing, or at 2 pi / 16
-    from a geodesic start, and shrinks to a quarter of any step that does
-    not improve the value. An ascent stops after the first step shorter than
-    ANGLE_RESOLUTION. J_A is the best value found, clamped at 0, and the
-    discord is I(A:B) - J_A. Deterministic: no randomness, so repeated calls
-    agree exactly.
+    caps the step: it starts at 2 pi / 16 and shrinks to a quarter of any
+    step that does not improve the value. An ascent stops after the first
+    step shorter than ANGLE_RESOLUTION. J_A is the best value found, clamped
+    at 0, and the discord is I(A:B) - J_A. Deterministic: no randomness, so
+    repeated calls agree exactly.
     """
     s_b = von_neumann_entropy(marginal_b(rho))
     j_a, n, evals = _maximize_holevo(_HolevoObjective(rho), s_b)

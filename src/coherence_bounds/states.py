@@ -14,8 +14,8 @@ State file format (one state per file)::
     ...
 
 Indices are 0-based into the full matrix; entries not listed are zero; both
-halves of a Hermitian pair must be listed. Blank lines and lines starting
-with '#' are ignored.
+halves of a Hermitian pair must be listed; dim_a * dim_b is at most 64.
+Blank lines and lines starting with '#' are ignored.
 """
 from __future__ import annotations
 
@@ -193,6 +193,9 @@ def load_state_file(path) -> DensityMatrix:
     if dim_a < 1 or dim_b < 1:
         raise ParseError(f"line {lineno}: dims must be positive")
     d = dim_a * dim_b
+    # The d x d matrix is allocated before any entry is read.
+    if d > 64:
+        raise ParseError(f"line {lineno}: dim_a * dim_b must be at most 64, got {d}")
     m = np.zeros((d, d), dtype=np.complex128)
     seen: set[tuple[int, int]] = set()
     for lineno, line in lines[1:]:

@@ -151,6 +151,14 @@ class TestEval:
         rc = run(["eval", "--state", str(path), "--x", "sigma1", "--z", "sigma3"])
         assert rc == EXIT_VALIDATION
 
+    def test_oversized_dims_header_is_a_parse_error(self, tmp_path, capsys):
+        # the header alone would allocate a 2e9 x 2e9 matrix before any entry is read
+        path = tmp_path / "huge.txt"
+        path.write_text("dims: 2 1000000000\n0 0 1 0\n")
+        rc = run(["eval", "--state", str(path), "--x", "sigma1", "--z", "sigma3"])
+        assert rc == EXIT_PARSE
+        assert capsys.readouterr().err == "error: line 1: dim_a * dim_b must be at most 64, got 2000000000\n"
+
     def test_non_utf8_file_is_a_parse_error(self, tmp_path, capsys):
         path = tmp_path / "binary.txt"
         path.write_bytes(b"\xff\xfe")
@@ -179,6 +187,13 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: cases: need at least 1, got {count}\n"
+
+    def test_negative_seed_is_a_validation_error(self, capsys):
+        # numpy's generator rejects it, and exit 1 would report it as a failed invariant
+        assert run(["check", "--seed", "-1", "--cases", "2"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed: need a non-negative integer, got -1\n"
 
     def test_corruption_reports_margin_and_fails(self, capsys, break_suite):
         break_suite("coherence")

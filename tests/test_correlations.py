@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coherence_bounds import correlations
 from coherence_bounds.bounds import FAMILIES
 from coherence_bounds.correlations import (
     _bloch,
     _chart,
-    _coarse_grid,
-    _GRID_SPACING,
-    _HEMISPHERE,
-    _hemisphere_grid,
+    _GRID,
+    _GRID_NEIGHBOURS,
     _HolevoObjective,
     _maximize_holevo,
     _refine,
@@ -268,8 +267,9 @@ class TestClassicalCorrelation:
             checked += 1
 
     def test_classical_quantum_states_reach_mutual_information(self):
-        # the fine grid's best point can lie on a ridge of chi; with steps along
-        # negative curvature only, 22 of these states stopped up to 6.1e-4 short
+        # a grid start can lie on a ridge of chi; ascents from the 1985-point
+        # grid's best point along negative curvature only stopped up to 6.1e-4
+        # short on 22 of these states
         rng = np.random.default_rng(102)
         for _ in range(300):
             rho = make_density(_classical_quantum(rng, 2, power=3), 2, 2)
@@ -343,14 +343,30 @@ class TestLocalModel:
         monkeypatch.setattr(_HolevoObjective, "_local", recorded)
         j_a, _, evals = _maximize_holevo(_HolevoObjective(rho), von_neumann_entropy(marginal_b(rho)))
         assert returned and all(r is None for r in returned)
-        assert evals == _HEMISPHERE.shape[1] + 9 * len(returned)
+        assert evals == _GRID.shape[1] + 9 * len(returned)
         assert j_a == pytest.approx(expected, abs=1e-9)
 
 
-def _grid_search(objective, grid, spacing, s_b):
-    """J_A from one ascent at the first maximum of `grid`, as the 1985-point search takes it."""
+def _hemisphere_grid(rows: int) -> np.ndarray:
+    """The upper half of the rows x rows (theta, phi) grid: the pole once, then
+    theta_k = k pi / (rows - 1) for k = 1..rows / 2 - 1 at every phi.
+
+    For even rows the map (k, j) -> (rows - 1 - k, j + rows / 2) sends the full
+    grid onto itself and each point to its antipode, and chi(n) = chi(-n), so
+    this half sees every value. 64 rows give 1985 points.
+    """
+    thetas = np.linspace(0.0, np.pi, rows)[1 : rows // 2]
+    phis = np.linspace(0.0, 2.0 * np.pi, rows, endpoint=False)
+    pole = np.array([[0.0], [0.0], [1.0]])
+    return np.hstack([pole, _bloch(np.repeat(thetas, rows), np.tile(phis, thetas.size))])
+
+
+def _grid_search(objective, rows, s_b):
+    """J_A from one ascent at the first maximum of _hemisphere_grid(rows), with the
+    phi spacing as the initial trust radius; 64 rows make the 1985-point oracle."""
+    grid = _hemisphere_grid(rows)
     frame = _tangent_frame(*grid[:, int(np.argmax(objective(grid)))].tolist())
-    return max(0.0, s_b + _refine(objective, frame, spacing, 0)[0])
+    return max(0.0, s_b + _refine(objective, frame, 2.0 * math.pi / rows, 0)[0])
 
 
 def _ginibre(rng, dim, rank):
@@ -384,21 +400,21 @@ def _classical_quantum(rng, dim_b, power=1):
     return sum(p * np.kron(np.outer(u[:, a], u[:, a].conj()), blocks[a]) for a, p in enumerate((w, 1.0 - w)))
 
 
-@pytest.fixture(scope="module", params=[3, 4, 8])
+@pytest.fixture(scope="module", params=[2, 3, 4, 8])
 def stratified(request):
     """(stratum, state, J_A by the 1985-point search, classical_correlation) per state."""
     rows = []
     for name, states in _strata(request.param).items():
         for rho in states:
             s_b = von_neumann_entropy(marginal_b(rho))
-            oracle = _grid_search(_HolevoObjective(rho), _HEMISPHERE, _GRID_SPACING, s_b)
+            oracle = _grid_search(_HolevoObjective(rho), 64, s_b)
             rows.append((name, rho, oracle, classical_correlation(rho)))
     return rows
 
 
 class TestCoarseMultiStart:
-    """With dim_b > 2 the search starts from the local maxima of a 46-point geodesic
-    grid; the 1985-point single-start search is the oracle."""
+    """The search starts from the local maxima of a 46-point geodesic grid; the
+    1985-point single-start search is the oracle."""
 
     def test_reaches_the_fine_grid_search(self, stratified):
         for name, _, oracle, res in stratified:
@@ -415,22 +431,36 @@ class TestCoarseMultiStart:
             assert j_a == pytest.approx(mutual_information(rho), abs=1e-9)
 
     def test_flat_objectives_refine_few_starts(self, stratified):
-        # every coarse point ties on a flat objective; without the cap on starts
-        # these strata took 172 to 874 evaluations, with it 118 to 262
+        # every grid point ties on a flat objective; with one start per peak
+        # value these strata take 48 to 109 evaluations, where for dim_b > 2
+        # the cap on starts alone gave 118 to 262 and no rule 172 to 874
         for name, _, _, res in stratified:
             if name in ("pure", "product"):
                 assert res.optimizer_evals <= 500, name
 
+    def test_flat_objective_refines_from_one_start(self, monkeypatch):
+        # every grid point is a peak of the same value; before peaks of equal
+        # value were merged the product state started 4 ascents
+        refine, starts = correlations._refine, []
+
+        def recorded(objective, frame, radius, evals):
+            starts.append(frame[0])
+            return refine(objective, frame, radius, evals)
+
+        monkeypatch.setattr(correlations, "_refine", recorded)
+        for rho in (werner(0.5), _strata(3)["product"][0]):
+            starts.clear()
+            classical_correlation(rho)
+            assert len(starts) == 1
+
     def test_grid_is_built_once_and_read_only(self):
-        grid, neighbours = _coarse_grid()
-        assert _coarse_grid()[0] is grid
-        assert grid.shape == (3, 46) and neighbours.shape == (46, 8)
-        assert not grid.flags.writeable and not neighbours.flags.writeable
+        # module constants, built at import and shared by every search
+        assert _GRID.shape == (3, 46) and _GRID_NEIGHBOURS.shape == (46, 8)
+        assert not _GRID.flags.writeable and not _GRID_NEIGHBOURS.flags.writeable
 
     def test_grid_covers_the_sphere(self):
-        # every measurement lies within 13.7 degrees of a coarse point, n and -n alike
-        grid = _coarse_grid()[0]
-        nearest = np.abs(_hemisphere_grid(256).T @ grid).max(axis=1)
+        # every measurement lies within 13.7 degrees of a grid point, n and -n alike
+        nearest = np.abs(_hemisphere_grid(256).T @ _GRID).max(axis=1)
         assert np.all(np.arccos(np.minimum(nearest, 1.0)) <= math.radians(13.7))
 
 
@@ -444,7 +474,7 @@ class TestMultimodalState:
         rho = load_state_file(Path(__file__).parent / "data" / "multimodal_2x3.txt")
         objective = _HolevoObjective(rho)
         s_b = von_neumann_entropy(marginal_b(rho))
-        reference = _grid_search(objective, _hemisphere_grid(256), 2.0 * math.pi / 256, s_b)
+        reference = _grid_search(objective, 256, s_b)
         return rho, objective, s_b, reference
 
     def test_reaches_the_global_maximum(self, state):
@@ -455,5 +485,5 @@ class TestMultimodalState:
         # on the 113-point 16-row grid the best point lies next to the lower
         # maximum; on the geodesic grid one start already reaches the global one
         _, objective, s_b, reference = state
-        single = _grid_search(objective, _hemisphere_grid(16), 2.0 * math.pi / 16, s_b)
+        single = _grid_search(objective, 16, s_b)
         assert reference - single > 1e-3
