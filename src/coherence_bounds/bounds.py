@@ -33,7 +33,9 @@ the Bloch vector of Y's outcome-0 ket, the dephased state rho_YB is block
 diagonal with blocks M_+-(n): p_Y is their traces and the spectrum of
 rho_YB is the union of their spectra. rho_B is 2 M_+(0), and the traces'
 affine dependence on n carries the Bloch vector of rho_A. So no marginal is
-traced out, and a 2x2 report makes one eigensolve, for S(AB). All seven
+traced out; the same batched call covers the grid the search for J_A starts
+from. S(AB) reads the spectrum make_density computed for its positivity
+check, so a 2x2 report on a validated state makes no eigensolve. All seven
 distributions are zero-padded rows of one table that takes a single
 checked entropy pass.
 """
@@ -103,18 +105,19 @@ def evaluate_all(rho: DensityMatrix, x: ObservableBasis, z: ObservableBasis) -> 
     field is an expression over them, so exact identities between report
     fields survive floating point unchanged. The seven distributions behind
     the entropies go into one zero-padded table that takes one checked pass.
-    One discord objective gives every row but rho_AB's and is then
-    maximised for J_A. A state with dim_a != 2 raises UnsupportedDimension.
+    rho_AB's row is the spectrum the state keeps; one scan of the discord
+    objective gives every other row and the grid values the search for J_A
+    starts from. A state with dim_a != 2 raises UnsupportedDimension.
     """
     objective = _HolevoObjective(rho)
     # Rows: the spectra of AB, A, B, XB and ZB, then p_X and p_Z.
     table = np.empty((7, 2 * rho.dim_b))
-    table[0] = np.linalg.eigvalsh(rho.matrix)
-    table[1:] = objective._report_rows(x, z)
+    table[0] = rho._spectrum
+    table[1:], values = objective._scan(x, z)
     spectra = table[:5]
     spectra[spectra < SUPPORT_CUT] = 0.0
     s_ab, s_a, s_b, s_xb, s_zb, h_x, h_z = _entropies(table)
-    j_a = _maximize_holevo(objective, s_b)[0]
+    j_a = _maximize_holevo(objective, values, s_b)[0]
     q_mu = incompatibility(x, z)
 
     cond = s_ab - s_b

@@ -16,12 +16,15 @@ Basis selectors: sigma1, sigma2, sigma3, computational, bloch:<theta>:<phi>.
 Exit codes: 0 ok, 1 invariant violation, 2 IO error, 3 parse error,
 4 validation error. The subcommands raise; main alone maps OSError,
 ParseError and the validation errors to their codes, printing the message.
+A reader that closes stdout early (as `| head` does) is not an error: the
+exit code is 0 and nothing is printed.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 
@@ -246,7 +249,14 @@ def main(argv=None) -> int:
     """Run one subcommand; the only place an error becomes an exit code."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; on devnull that flush succeeds.
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_OK
     except OSError as exc:
         error, code = exc, EXIT_IO
     except ParseError as exc:

@@ -15,7 +15,8 @@ saddle-free Newton steps. The search maximises -S(B|Y_n) = chi(n) - S(B),
 which needs no S(B); J_A adds it back. The optimum is reported as the angles
 of bloch_basis(theta, phi); for a qubit that covers every rank-1 projective
 measurement. The objective's blocks also give evaluate_all the spectra of
-rho_A, rho_B and the two dephased states.
+rho_A, rho_B and the two dephased states, in the same batched call as the
+grid's values.
 """
 from __future__ import annotations
 
@@ -48,10 +49,10 @@ class DiscordResult:
     """Classical correlation J_A, discord D_A = I(A:B) - J_A, and optimizer trace.
 
     optimizer_evals counts objective evaluations: the 46 points of the
-    geodesic grid, then one per closed-form local model and nine per stencil
-    model of each ascent. That is about 51 for a 2x2 state, about 90 for a
-    full-rank state with a larger memory, and at most about 110 for a flat
-    objective.
+    geodesic grid, then one per point an ascent tries, and eight more per
+    point it steps from without a closed-form model (the rest of the 9-point
+    stencil). That is about 51 for a 2x2 state, about 81 for a full-rank
+    state with a larger memory, and at most about 70 for a flat objective.
     """
 
     discord: float
@@ -100,10 +101,11 @@ class _HolevoObjective:
     M_+- = (rho_B +- sum_i n_i K_i) / 2 with K_i = Tr_A[(sigma_i (x) I) rho],
     so a whole batch reduces to one matrix product plus batched small
     eigenproblems, closed-form when dim_b == 2. This class is the one place
-    that splits the state into B blocks: evaluate_all reads every spectrum of
-    its report except rho_AB's from them (_report_rows), and with
-    dim_b == 2 the optimiser's Newton steps read a closed-form local model
-    (_local). The constant S(B) is left to the caller.
+    that splits the state into B blocks. A report scans it once (_scan): one
+    batched call gives every spectrum of the report except rho_AB's and the
+    values on the search's grid. With dim_b == 2 the optimiser's Newton
+    steps read a closed-form local model (_local), and the set-up runs on
+    Python floats. The constant S(B) is left to the caller.
     """
 
     def __init__(self, rho: DensityMatrix):
@@ -112,26 +114,41 @@ class _HolevoObjective:
                 f"measurement optimization needs dim_a == 2, got {rho.dim_a}"
             )
         db = rho.dim_b
-        # b_aa' is the B block of rho at A entry (a, a').
-        (b00, b01), (b10, b11) = rho.matrix.reshape(2, db, 2, db).transpose(0, 2, 1, 3)
-        # Row b * db + b' holds entry (b, b') of M_+ against the coefficients (1, n_1, n_2, n_3).
-        k = 0.5 * np.array([b00 + b11, b10 + b01, 1j * (b01 - b10), b00 - b11]).reshape(4, db * db).T
-        # Tr M_+ = P0 + P.n, with 2 P0 = Tr rho and 2 P the Bloch vector of rho_A.
-        self._trace = tuple(k[:: db + 1].sum(axis=0).real.tolist())
+        # _trace: Tr M_+ = P0 + P.n, with 2 P0 = Tr rho and 2 P the Bloch vector of rho_A.
         if db == 2:
+            # The numpy build below on Python floats, the same operations in the same
+            # order, for entries (0, 0), (1, 1) and (0, 1) of M_+; b_aa'[b, b'] = m[2a + b][2a' + b'].
+            m = rho.matrix.tolist()
+            k00, k11, k01 = (
+                (0.5 * (m[b][c] + m[b + 2][c + 2]), 0.5 * (m[b + 2][c] + m[b][c + 2]),
+                 0.5 * (1j * (m[b][c + 2] - m[b + 2][c])), 0.5 * (m[b][c] - m[b + 2][c + 2]))
+                for b, c in ((0, 0), (1, 1), (0, 1))
+            )
+            self._trace = tuple((x + y).real for x, y in zip(k00, k11))
             # One real affine map to the trace p and the gap vector
             # u = (M_00 - M_11, 2 Re M_01, 2 Im M_01), whose norm g sets the
             # eigenvalues (p +- g) / 2.
-            k = np.array([self._trace, (k[0] - k[3]).real, 2.0 * k[1].real, 2.0 * k[1].imag])
-            self._rows = k.tolist()
-        self.k = k
+            self._rows = (self._trace, [(x - y).real for x, y in zip(k00, k11)],
+                          [2.0 * x.real for x in k01], [2.0 * x.imag for x in k01])
+            self.k = np.array(self._rows)
+        else:
+            # b_aa' is the B block of rho at A entry (a, a').
+            (b00, b01), (b10, b11) = rho.matrix.reshape(2, db, 2, db).transpose(0, 2, 1, 3)
+            # Row b * db + b' holds entry (b, b') of M_+ against the coefficients (1, n_1, n_2, n_3).
+            self.k = 0.5 * np.array([b00 + b11, b10 + b01, 1j * (b01 - b10), b00 - b11]).reshape(4, db * db).T
+            self._trace = tuple(self.k[:: db + 1].sum(axis=0).real.tolist())
         self.db = db
 
     def __call__(self, n: np.ndarray) -> np.ndarray:
-        terms = xlog2x(self._spectra(n))
+        return self._values(self._spectra(n))
+
+    @staticmethod
+    def _values(spectra: np.ndarray) -> np.ndarray:
+        """The objective at the N points whose 2 N columns of _spectra are given."""
+        terms = xlog2x(spectra)
         # p_y S(M_y / p_y) = p_y log2 p_y - sum_k w_k log2 w_k for eigenvalues w of M_y.
         s_cond = terms[0] - terms[1:].sum(axis=0)
-        size = n.shape[1]
+        size = spectra.shape[1] // 2
         return -(s_cond[:size] + s_cond[size:])
 
     def _spectra(self, n: np.ndarray) -> np.ndarray:
@@ -159,20 +176,24 @@ class _HolevoObjective:
         rows[1:] = np.linalg.eigvalsh(m).T
         return rows
 
-    def _report_rows(self, x: ObservableBasis, z: ObservableBasis) -> np.ndarray:
-        """Rows: the spectra of rho_A, rho_B, rho_XB and rho_ZB, then p_X and p_Z.
+    def _scan(self, x: ObservableBasis, z: ObservableBasis) -> tuple[np.ndarray, np.ndarray]:
+        """(report rows, the objective on _GRID) from one _spectra call.
 
-        Each row is zero-padded to 2 dim_b. With n the Bloch vector of a
-        basis's outcome-0 ket, the dephased state rho_YB is block diagonal
+        The rows are the spectra of rho_A, rho_B, rho_XB and rho_ZB, then
+        p_X and p_Z, each zero-padded to 2 dim_b. With n the Bloch vector of
+        a basis's outcome-0 ket, the dephased state rho_YB is block diagonal
         with blocks M_+-(n) and p_Y is their traces; rho_B = 2 M_+(0), and
-        rho_A has the eigenvalues P0 +- |P| of Tr M_+ = P0 + P.n. One
-        _spectra call covers n = 0, n_X and n_Z.
+        rho_A has the eigenvalues P0 +- |P| of Tr M_+ = P0 + P.n. The call
+        covers n = 0, n_X, n_Z and then the points of _GRID, whose values
+        start the discord search.
         """
         db = self.db
-        n = np.zeros((3, 3))
+        n = np.zeros((3, 3 + _GRID.shape[1]))
         n[:, 1], n[:, 2] = _outcome0_bloch(x), _outcome0_bloch(z)
+        n[:, 3:] = _GRID
+        spectra = self._spectra(n)
         # Axes: row of _spectra, block M_+ or M_-, point n = 0, n_X or n_Z.
-        cols = self._spectra(n).reshape(1 + db, 2, 3)
+        cols = spectra.reshape(1 + db, 2, -1)[:, :, :3]
         rows = np.zeros((6, 2 * db))
         p0, px, py, pz = self._trace
         r = math.sqrt(px * px + py * py + pz * pz)
@@ -180,7 +201,7 @@ class _HolevoObjective:
         rows[1, :db] = 2.0 * cols[1:, 0, 0]
         rows[2:4] = cols[1:, :, 1:].transpose(2, 0, 1).reshape(2, 2 * db)
         rows[4:, :2] = cols[0, :, 1:].T
-        return rows
+        return rows, self._values(spectra)[3:]
 
     def _local(self, frame) -> tuple[float, ...] | None:
         """(-S(B|Y_n), g1, g2, h11, h22, h12) at n = frame[0] in the coordinates of _chart(frame, .).
@@ -302,9 +323,9 @@ _GRID, _GRID_NEIGHBOURS = _geodesic_grid()
 # Central-difference spacing in tangent coordinates: round-off in the Hessian
 # (~eps / h^2) and truncation (~h^2) both stay near 1e-8.
 _STENCIL_H = 1e-4
-# (u, v) offsets of the 9-point stencil; the centre comes first.
+# (u, v) offsets of the 9-point stencil's points around its centre.
 _STENCIL = _STENCIL_H * np.array(
-    [[0, 1, -1, 0, 0, 1, 1, -1, -1], [0, 0, 0, 1, -1, 1, -1, 1, -1]], dtype=np.float64
+    [[1, -1, 0, 0, 1, 1, -1, -1], [0, 0, 1, -1, 1, -1, 1, -1]], dtype=np.float64
 )
 
 
@@ -334,9 +355,17 @@ def _moved(frame, u: float, v: float) -> tuple[tuple[float, float, float], ...]:
     return _tangent_frame(x / norm, y / norm, z / norm)
 
 
-def _stencil_model(objective: _HolevoObjective, frame) -> tuple[float, ...]:
-    """(value, g1, g2, h11, h22, h12) at frame[0] by central differences on the 9-point stencil."""
-    f0, f1, f2, f3, f4, f5, f6, f7, f8 = objective(_chart(frame, _STENCIL)).tolist()
+def _evaluate(objective: _HolevoObjective, frame) -> tuple[float, tuple[float, ...] | None]:
+    """The objective at frame[0], one evaluation, and the closed-form local model there, else None."""
+    local = objective._local(frame)
+    if local is not None:
+        return local[0], local
+    return float(objective(_chart(frame, np.zeros((2, 1))))[0]), None
+
+
+def _stencil_model(objective: _HolevoObjective, frame, f0: float) -> tuple[float, ...]:
+    """(f0, g1, g2, h11, h22, h12) at frame[0], where the value is f0, by central differences."""
+    f1, f2, f3, f4, f5, f6, f7, f8 = objective(_chart(frame, _STENCIL)).tolist()
     h = _STENCIL_H
     return (
         f0,
@@ -346,17 +375,6 @@ def _stencil_model(objective: _HolevoObjective, frame) -> tuple[float, ...]:
         (f3 - 2.0 * f0 + f4) / (h * h),
         (f5 - f6 - f7 + f8) / (4.0 * h * h),
     )
-
-
-def _model(objective: _HolevoObjective, frame) -> tuple[tuple[float, ...], int]:
-    """The local model at frame[0] and the objective evaluations it took.
-
-    The closed form costs one evaluation; where it does not apply the stencil costs nine.
-    """
-    local = objective._local(frame)
-    if local is not None:
-        return local, 1
-    return _stencil_model(objective, frame), _STENCIL.shape[1]
 
 
 def _newton_step(model: tuple[float, ...], radius: float) -> tuple[float, float]:
@@ -393,27 +411,34 @@ def _refine(
     `radius`; the ascent stops after the first step shorter than
     ANGLE_RESOLUTION, or once evals reaches _MAX_EVALS.
     """
-    model, cost = _model(objective, frame)
-    evals += cost
+    value, model = _evaluate(objective, frame)
+    evals += 1
     length = radius
     while length >= ANGLE_RESOLUTION and evals < _MAX_EVALS:
+        if model is None:
+            # Only a point the ascent steps from needs the rest of the stencil:
+            # a trial that is rejected, or that ends the ascent, costs one evaluation.
+            model = _stencil_model(objective, frame, value)
+            evals += _STENCIL.shape[1]
         # The step that falls below ANGLE_RESOLUTION is still tried: near a
         # kink of the objective (a rank-deficient block) Newton converges only
         # linearly, and that last step is worth up to 1e-11 in value.
         u, v = _newton_step(model, radius)
         length = math.hypot(u, v)
         trial = _moved(frame, u, v)
-        trial_model, cost = _model(objective, trial)
-        evals += cost
-        if trial_model[0] > model[0]:
-            frame, model = trial, trial_model
+        trial_value, trial_model = _evaluate(objective, trial)
+        evals += 1
+        if trial_value > value:
+            frame, value, model = trial, trial_value, trial_model
         else:
             radius = 0.25 * length
-    return model[0], np.array(frame[0]), evals
+    return value, np.array(frame[0]), evals
 
 
-def _maximize_holevo(objective: _HolevoObjective, s_b: float) -> tuple[float, np.ndarray, int]:
-    """(J_A, its Bloch vector, objective evaluations) for qubit A, given s_b = S(B).
+def _maximize_holevo(
+    objective: _HolevoObjective, values: np.ndarray, s_b: float
+) -> tuple[float, np.ndarray, int]:
+    """(J_A, its Bloch vector, objective evaluations) for qubit A, given objective(_GRID) and S(B).
 
     The search maximises the objective, -S(B|Y_n); J_A is max(0, s_b + best).
     The starts are the points of the geodesic grid no smaller than their
@@ -422,8 +447,7 @@ def _maximize_holevo(objective: _HolevoObjective, s_b: float) -> tuple[float, np
     largest, ties going to the first in scan order. An ascent runs from each
     start in scan order, and the first best result wins.
     """
-    values = objective(_GRID)
-    peaks = np.flatnonzero(np.all(values[:, None] >= values[_GRID_NEIGHBOURS], axis=1)).tolist()
+    peaks = np.flatnonzero(values >= values[_GRID_NEIGHBOURS].max(axis=1)).tolist()
     scores = values.tolist()
     # A flat or symmetric objective makes many tied peaks; one start serves them all.
     distinct: dict[float, int] = {}
@@ -466,7 +490,8 @@ def classical_correlation(rho: DensityMatrix) -> DiscordResult:
     repeated calls agree exactly.
     """
     s_b = von_neumann_entropy(marginal_b(rho))
-    j_a, n, evals = _maximize_holevo(_HolevoObjective(rho), s_b)
+    objective = _HolevoObjective(rho)
+    j_a, n, evals = _maximize_holevo(objective, objective(_GRID), s_b)
     info = von_neumann_entropy(marginal_a(rho)) + s_b - von_neumann_entropy(rho)
     return DiscordResult(
         discord=info - j_a,

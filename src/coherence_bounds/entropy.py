@@ -75,8 +75,8 @@ def binary_entropy(x: float) -> float:
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """S(rho) = -Tr rho log2 rho via the eigenvalue vector."""
-    return _spectrum_entropy(np.linalg.eigvalsh(rho.matrix))
+    """S(rho) = -Tr rho log2 rho via the eigenvalue vector the state keeps."""
+    return _spectrum_entropy(rho._spectrum)
 
 
 def _spectrum_entropy(w: np.ndarray) -> float:

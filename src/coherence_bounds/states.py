@@ -6,6 +6,8 @@ Conventions used everywhere in this package:
   complex matrix. Subsystem A occupies the slow (left) index, so for two
   qubits the computational basis is ordered |00>, |01>, |10>, |11>.
 * A monopartite state is a DensityMatrix with dim_b == 1.
+* A DensityMatrix's matrix is read-only. Its spectrum is the one make_density
+  computed for the positivity check, or is computed on first use.
 
 State file format (one state per file)::
 
@@ -20,6 +22,7 @@ Blank lines and lines starting with '#' are ignored.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,12 +49,21 @@ class DensityMatrix:
 
     The constructor trusts its input: matrices from outside the library go
     through make_density, while states derived from a valid DensityMatrix
-    (marginals, dephased and conditional states) are built directly.
+    (marginals, dephased and conditional states) are built directly. matrix
+    is made read-only, so the spectrum kept with it cannot go stale.
     """
 
     matrix: np.ndarray
     dim_a: int
     dim_b: int
+
+    def __post_init__(self) -> None:
+        self.matrix.flags.writeable = False
+
+    @cached_property
+    def _spectrum(self) -> np.ndarray:
+        """np.linalg.eigvalsh(matrix), computed once; make_density stores the one it computed."""
+        return np.linalg.eigvalsh(self.matrix)
 
     @property
     def dim(self) -> int:
@@ -84,12 +96,15 @@ def make_density(matrix, dim_a: int, dim_b: int) -> DensityMatrix:
     tr = float(np.trace(arr).real)
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValidationError(f"trace: Tr = {tr!r} is not 1 within {TRACE_TOL}")
-    smallest = float(np.linalg.eigvalsh(arr)[0])
-    if smallest < EIGENVALUE_FLOOR:
+    spectrum = np.linalg.eigvalsh(arr)
+    if spectrum[0] < EIGENVALUE_FLOOR:
         raise ValidationError(
-            f"positivity: smallest eigenvalue {smallest:.3e} is below {EIGENVALUE_FLOOR}"
+            f"positivity: smallest eigenvalue {spectrum[0]:.3e} is below {EIGENVALUE_FLOOR}"
         )
-    return DensityMatrix(matrix=arr, dim_a=int(dim_a), dim_b=int(dim_b))
+    rho = DensityMatrix(matrix=arr, dim_a=int(dim_a), dim_b=int(dim_b))
+    # Where the cached property would store it: the same eigvalsh of the same array.
+    vars(rho)["_spectrum"] = spectrum
+    return rho
 
 
 def marginal_a(rho: DensityMatrix) -> DensityMatrix:

@@ -25,6 +25,7 @@ from coherence_bounds.entropy import shannon_entropy
 from coherence_bounds.errors import DomainError, UnsupportedDimension
 from coherence_bounds.measurement import ObservableBasis, bloch_basis, measure, pauli_basis
 from coherence_bounds.states import (
+    DensityMatrix,
     make_density,
     marginal_a,
     marginal_b,
@@ -119,9 +120,10 @@ class TestEvaluateAll:
             evaluate_all(random_density(3, 2, 2), X, Z)
 
     def test_spectra_are_computed_in_one_pass(self, monkeypatch):
-        # S(AB) and nothing else: the marginals' spectra, the dephased states'
-        # spectra and the discord search are closed-form for a qubit memory,
-        # and no measurement is carried out and no marginal traced out
+        # no eigensolve at all: the spectrum of rho_AB is the one make_density
+        # computed, the marginals' spectra, the dephased states' spectra and
+        # the discord search are closed-form for a qubit memory, and no
+        # measurement is carried out and no marginal traced out
         qubit_memory, wide_memory = random_density(2, 2, 7), random_density(2, 8, 7)
         calls = []
         for name in ("eigvalsh", "eigh"):
@@ -151,13 +153,28 @@ class TestEvaluateAll:
                 if getattr(module, name, None) is function:
                     monkeypatch.setattr(module, name, refuse(name))
         evaluate_all(qubit_memory, bloch_basis(1.0, 2.0), bloch_basis(2.5, 0.3))
-        assert len(calls) <= 1
-        # beyond a qubit memory: one eigensolve for rho_AB, one batched
-        # eigensolve for rho_B and the four dephased blocks
-        monkeypatch.setattr(bounds, "_maximize_holevo", lambda objective, s_b: (0.0, None, 0))
+        assert len(calls) == 0
+        # the same matrix wrapped by the trusted constructor: one eigensolve, for rho_AB
+        evaluate_all(DensityMatrix(qubit_memory.matrix, 2, 2), bloch_basis(1.0, 2.0), bloch_basis(2.5, 0.3))
+        assert len(calls) == 1
+        # beyond a qubit memory: one batched eigensolve for rho_B, the four
+        # dephased blocks and the blocks of the search's grid
+        monkeypatch.setattr(bounds, "_maximize_holevo", lambda objective, values, s_b: (0.0, None, 0))
         calls.clear()
         evaluate_all(wide_memory, bloch_basis(1.0, 2.0), bloch_basis(2.5, 0.3))
-        assert len(calls) == 2
+        assert len(calls) == 1
+
+    def test_stored_spectrum_gives_the_same_report(self):
+        # the spectrum make_density keeps is the eigensolve a state built
+        # directly makes, so both report the same bits
+        cases = [(case.rho, case.x, case.z) for case in generate_cases(42, 100)]
+        cases += [
+            (random_density(2, dim_b, 600 + dim_b), bloch_basis(0.8, 1.9), bloch_basis(2.1, 0.4))
+            for dim_b in (3, 4, 8)
+        ]
+        for rho, x, z in cases:
+            wrapped = DensityMatrix(rho.matrix, rho.dim_a, rho.dim_b)
+            assert evaluate_all(rho, x, z).as_dict() == evaluate_all(wrapped, x, z).as_dict()
 
     def test_fields_match_public_functions(self):
         # evaluate_all builds these fields from its own entropies, not by

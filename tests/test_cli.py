@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -118,6 +119,20 @@ class TestEval:
         assert payload["eur_berta"] == pytest.approx(0.0, abs=1e-9)
         assert payload["q_mu"] == pytest.approx(1.0, abs=1e-9)
         assert payload["ub_purity"] == pytest.approx(4.0, abs=1e-9)
+
+    @pytest.mark.parametrize("buffering", [-1, 1])
+    def test_closed_stdout_is_not_an_error(self, bell_file, buffering, capsys, monkeypatch):
+        # as under `| head`: the reader is gone before the report is written,
+        # block-buffered (the write fails at the flush) or line-buffered (at print)
+        read, write = os.pipe()
+        os.close(read)
+        with open(write, "w", buffering=buffering, encoding="utf-8") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert run(["eval", "--state", bell_file, "--x", "sigma1", "--z", "sigma3"]) == EXIT_OK
+            # Python flushes stdout once more at exit
+            stdout.write("{}\n")
+            stdout.flush()
+        assert capsys.readouterr().err == ""
 
     def test_bloch_selectors_accepted(self, bell_file):
         rc = run(["eval", "--state", bell_file, "--x", "bloch:1.5707963267948966:0", "--z", "sigma3"])

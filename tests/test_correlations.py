@@ -52,6 +52,11 @@ def product_state(seed: int):
     return make_density(tensor_product(a.matrix, b.matrix), 2, 2)
 
 
+def _search(rho, s_b):
+    objective = _HolevoObjective(rho)
+    return _maximize_holevo(objective, objective(_GRID), s_b)
+
+
 def test_conditional_entropy_values():
     assert conditional_entropy(werner(0.5)) == pytest.approx(S_COND_WERNER_HALF, abs=1e-12)
     assert conditional_entropy(x_state(1.0)) == pytest.approx(-1.0, abs=1e-12)
@@ -144,6 +149,20 @@ class TestFastObjective:
         with pytest.raises(UnsupportedDimension):
             _HolevoObjective(random_density(3, 2, 0))
 
+    def test_qubit_memory_set_up_matches_the_numpy_build(self):
+        # the dim_b == 2 set-up runs on Python floats; the numpy build that
+        # larger memories use gives it the same bits
+        states = [case.rho for case in generate_cases(42, 100)]
+        states += [x_state(0.0), x_state(1.0), werner(0.5), bell_diagonal(0.0, 0.0, 0.6), product_state(21)]
+        for rho in states:
+            objective = _HolevoObjective(rho)
+            (b00, b01), (b10, b11) = rho.matrix.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
+            k = 0.5 * np.array([b00 + b11, b10 + b01, 1j * (b01 - b10), b00 - b11]).reshape(4, 4).T
+            trace = k[::3].sum(axis=0).real
+            expected = np.array([trace, (k[0] - k[3]).real, 2.0 * k[1].real, 2.0 * k[1].imag])
+            assert objective.k.tobytes() == expected.tobytes()
+            assert np.array(objective._trace).tobytes() == trace.tobytes()
+
     @pytest.mark.parametrize("dim_b", [1, 2, 3, 4, 8])
     def test_report_rows_hold_the_marginal_spectra(self, dim_b):
         # rho_A from the blocks' traces, rho_B as twice the n = 0 block
@@ -151,11 +170,19 @@ class TestFastObjective:
         if dim_b == 2:
             states += [x_state(0.0), x_state(1.0), product_state(21)]
         for rho in states:
-            rows = _HolevoObjective(rho)._report_rows(pauli_basis(1), pauli_basis(3))
+            rows = _HolevoObjective(rho)._scan(pauli_basis(1), pauli_basis(3))[0]
             assert np.all(rows[0, 2:] == 0.0) and np.all(rows[1, dim_b:] == 0.0)
             for row, marginal in ((rows[0, :2], marginal_a(rho)), (rows[1, :dim_b], marginal_b(rho))):
                 expected = np.linalg.eigvalsh(marginal.matrix)
                 assert np.max(np.abs(np.sort(row) - expected)) <= 1e-15
+
+    @pytest.mark.parametrize("dim_b", [1, 2, 3, 8])
+    def test_scan_values_are_the_grid_objective(self, dim_b):
+        # evaluate_all's search starts from the values of its one spectra scan
+        for seed in range(90, 93):
+            objective = _HolevoObjective(random_density(2, dim_b, seed))
+            values = objective._scan(bloch_basis(0.3, 1.2), pauli_basis(3))[1]
+            assert values.tobytes() == objective(_GRID).tobytes()
 
 
 class TestClassicalCorrelation:
@@ -324,26 +351,34 @@ class TestLocalModel:
         states = [c.rho for c in generate_cases(42, 200)]
         states += [FAMILIES[f](float(p)) for f in sorted(FAMILIES) for p in np.linspace(0.0, 1.0, 101)]
         s_b = [von_neumann_entropy(marginal_b(rho)) for rho in states]
-        closed = [_maximize_holevo(_HolevoObjective(rho), s)[0] for rho, s in zip(states, s_b)]
+        closed = [_search(rho, s)[0] for rho, s in zip(states, s_b)]
         monkeypatch.setattr(_HolevoObjective, "_local", lambda self, frame: None)
-        stencil = [_maximize_holevo(_HolevoObjective(rho), s)[0] for rho, s in zip(states, s_b)]
+        stencil = [_search(rho, s)[0] for rho, s in zip(states, s_b)]
         assert np.max(np.abs(np.array(closed) - np.array(stencil))) <= 1e-12
 
     @pytest.mark.parametrize("rho, expected", [(x_state(1.0), 1.0), (x_state(0.0), 0.0)])
     def test_rank_deficient_blocks_take_the_stencil(self, monkeypatch, rho, expected):
-        # a pure state leaves rank-1 blocks for every measurement: each model
-        # falls back to the 9-point stencil, and J_A still reaches its closed form
-        local = _HolevoObjective._local
-        returned = []
+        # a pure state leaves rank-1 blocks for every measurement: each point
+        # tried costs one evaluation and falls back to the 9-point stencil,
+        # whose other 8 points are evaluated only where the ascent steps on,
+        # and J_A still reaches its closed form
+        local, stencil = _HolevoObjective._local, correlations._stencil_model
+        returned, models = [], []
 
         def recorded(self, frame):
             returned.append(local(self, frame))
             return returned[-1]
 
+        def counted(*args):
+            models.append(stencil(*args))
+            return models[-1]
+
         monkeypatch.setattr(_HolevoObjective, "_local", recorded)
-        j_a, _, evals = _maximize_holevo(_HolevoObjective(rho), von_neumann_entropy(marginal_b(rho)))
+        monkeypatch.setattr(correlations, "_stencil_model", counted)
+        j_a, _, evals = _search(rho, von_neumann_entropy(marginal_b(rho)))
         assert returned and all(r is None for r in returned)
-        assert evals == _GRID.shape[1] + 9 * len(returned)
+        assert 0 < len(models) < len(returned)
+        assert evals == _GRID.shape[1] + len(returned) + 8 * len(models)
         assert j_a == pytest.approx(expected, abs=1e-9)
 
 
@@ -432,8 +467,9 @@ class TestCoarseMultiStart:
 
     def test_flat_objectives_refine_few_starts(self, stratified):
         # every grid point ties on a flat objective; with one start per peak
-        # value these strata take 48 to 109 evaluations, where for dim_b > 2
-        # the cap on starts alone gave 118 to 262 and no rule 172 to 874
+        # value these strata take 48 to 69 evaluations, where for dim_b > 2
+        # the cap on starts alone gave 118 to 262 and no rule 172 to 874,
+        # counted when every stencil trial cost 9
         for name, _, _, res in stratified:
             if name in ("pure", "product"):
                 assert res.optimizer_evals <= 500, name

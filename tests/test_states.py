@@ -7,6 +7,7 @@ from coherence_bounds.errors import DomainError, ParseError, ValidationError
 from coherence_bounds.states import (
     PSI_MINUS,
     PSI_PLUS,
+    DensityMatrix,
     bell_diagonal,
     bell_diagonal_family,
     load_state_file,
@@ -51,6 +52,15 @@ class TestMakeDensity:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValidationError, match="dimension"):
             make_density(np.eye(3) / 3, 2, 2)
+
+    @pytest.mark.parametrize("dim_b", [1, 2, 3, 8])
+    def test_keeps_the_spectrum_of_a_read_only_matrix(self, dim_b):
+        rho = random_density(2, dim_b, 30 + dim_b)
+        derived = DensityMatrix(rho.matrix.copy(), 2, dim_b)
+        for state in (rho, derived):
+            with pytest.raises(ValueError):
+                state.matrix[0, 0] = 0.5
+            assert state._spectrum.tobytes() == np.linalg.eigvalsh(state.matrix).tobytes()
 
 
 class TestXState:
