@@ -15,7 +15,8 @@ Subcommands:
 Basis selectors: sigma1, sigma2, sigma3, computational, bloch:<theta>:<phi>.
 Exit codes: 0 ok, 1 invariant violation, 2 IO error, 3 parse error,
 4 validation error. The subcommands raise; main alone maps OSError,
-ParseError and the validation errors to their codes, printing the message.
+ParseError and ValidationError (which every validation error subclasses)
+to their codes, printing the message.
 A reader that closes stdout early (as `| head` does) is not an error: the
 exit code is 0 and nothing is printed.
 """
@@ -32,14 +33,7 @@ import numpy as np
 
 from .bounds import evaluate_all, sweep_family
 from .checks import CheckRecord, run_checks
-from .errors import (
-    DimensionError,
-    DomainError,
-    ParseError,
-    ProbabilityError,
-    UnsupportedDimension,
-    ValidationError,
-)
+from .errors import ParseError, ValidationError
 from .measurement import ObservableBasis, bloch_basis, computational_basis, pauli_basis
 from .states import load_state_file
 
@@ -48,14 +42,6 @@ EXIT_INVARIANT = 1
 EXIT_IO = 2
 EXIT_PARSE = 3
 EXIT_VALIDATION = 4
-
-_VALIDATION_ERRORS = (
-    ValidationError,
-    DomainError,
-    DimensionError,
-    ProbabilityError,
-    UnsupportedDimension,
-)
 
 
 @dataclass(frozen=True)
@@ -261,7 +247,7 @@ def main(argv=None) -> int:
         error, code = exc, EXIT_IO
     except ParseError as exc:
         error, code = exc, EXIT_PARSE
-    except _VALIDATION_ERRORS as exc:
+    except ValidationError as exc:
         error, code = exc, EXIT_VALIDATION
     print(f"error: {error}", file=sys.stderr)
     return code

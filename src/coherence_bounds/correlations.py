@@ -49,10 +49,10 @@ class DiscordResult:
     """Classical correlation J_A, discord D_A = I(A:B) - J_A, and optimizer trace.
 
     optimizer_evals counts objective evaluations: the 46 points of the
-    geodesic grid, then one per point an ascent tries, and eight more per
-    point it steps from without a closed-form model (the rest of the 9-point
-    stencil). That is about 51 for a 2x2 state, about 81 for a full-rank
-    state with a larger memory, and at most about 70 for a flat objective.
+    geodesic grid, then per point an ascent tries one for the closed-form
+    model or nine for the 9-point stencil. That is about 51 for a 2x2
+    state, about 91 for a full-rank state with a larger memory, and at most
+    about 130 for a flat objective.
     """
 
     discord: float
@@ -323,9 +323,9 @@ _GRID, _GRID_NEIGHBOURS = _geodesic_grid()
 # Central-difference spacing in tangent coordinates: round-off in the Hessian
 # (~eps / h^2) and truncation (~h^2) both stay near 1e-8.
 _STENCIL_H = 1e-4
-# (u, v) offsets of the 9-point stencil's points around its centre.
+# (u, v) offsets of the 9-point stencil: its centre, then the 8 points around it.
 _STENCIL = _STENCIL_H * np.array(
-    [[1, -1, 0, 0, 1, 1, -1, -1], [0, 0, 1, -1, 1, -1, 1, -1]], dtype=np.float64
+    [[0, 1, -1, 0, 0, 1, 1, -1, -1], [0, 0, 0, 1, -1, 1, -1, 1, -1]], dtype=np.float64
 )
 
 
@@ -355,19 +355,18 @@ def _moved(frame, u: float, v: float) -> tuple[tuple[float, float, float], ...]:
     return _tangent_frame(x / norm, y / norm, z / norm)
 
 
-def _evaluate(objective: _HolevoObjective, frame) -> tuple[float, tuple[float, ...] | None]:
-    """The objective at frame[0], one evaluation, and the closed-form local model there, else None."""
+def _model(objective: _HolevoObjective, frame) -> tuple[tuple[float, ...], int]:
+    """((value, g1, g2, h11, h22, h12) at frame[0], the evaluations it took).
+
+    The closed-form local model where there is one, at 1 evaluation;
+    otherwise central differences over the 9-point _STENCIL, at 9.
+    """
     local = objective._local(frame)
     if local is not None:
-        return local[0], local
-    return float(objective(_chart(frame, np.zeros((2, 1))))[0]), None
-
-
-def _stencil_model(objective: _HolevoObjective, frame, f0: float) -> tuple[float, ...]:
-    """(f0, g1, g2, h11, h22, h12) at frame[0], where the value is f0, by central differences."""
-    f1, f2, f3, f4, f5, f6, f7, f8 = objective(_chart(frame, _STENCIL)).tolist()
+        return local, 1
+    f0, f1, f2, f3, f4, f5, f6, f7, f8 = objective(_chart(frame, _STENCIL)).tolist()
     h = _STENCIL_H
-    return (
+    model = (
         f0,
         (f1 - f2) / (2.0 * h),
         (f3 - f4) / (2.0 * h),
@@ -375,6 +374,7 @@ def _stencil_model(objective: _HolevoObjective, frame, f0: float) -> tuple[float
         (f3 - 2.0 * f0 + f4) / (h * h),
         (f5 - f6 - f7 + f8) / (4.0 * h * h),
     )
+    return model, _STENCIL.shape[1]
 
 
 def _newton_step(model: tuple[float, ...], radius: float) -> tuple[float, float]:
@@ -407,32 +407,29 @@ def _refine(
     """(best value, its Bloch vector, evals plus the evaluations made) of a Newton ascent from frame[0].
 
     Safeguarded saddle-free Newton steps in tangent-plane coordinates at the
-    current point, so no direction is singular. The trust radius starts at
-    `radius`; the ascent stops after the first step shorter than
-    ANGLE_RESOLUTION, or once evals reaches _MAX_EVALS.
+    current point, so no direction is singular. Every point the ascent
+    tries gets its local model from one _model call, and an accepted trial's
+    model gives the next step. The trust radius starts at `radius`; the
+    ascent stops after the first step shorter than ANGLE_RESOLUTION, or once
+    evals reaches _MAX_EVALS.
     """
-    value, model = _evaluate(objective, frame)
-    evals += 1
+    model, count = _model(objective, frame)
+    evals += count
     length = radius
     while length >= ANGLE_RESOLUTION and evals < _MAX_EVALS:
-        if model is None:
-            # Only a point the ascent steps from needs the rest of the stencil:
-            # a trial that is rejected, or that ends the ascent, costs one evaluation.
-            model = _stencil_model(objective, frame, value)
-            evals += _STENCIL.shape[1]
         # The step that falls below ANGLE_RESOLUTION is still tried: near a
         # kink of the objective (a rank-deficient block) Newton converges only
         # linearly, and that last step is worth up to 1e-11 in value.
         u, v = _newton_step(model, radius)
         length = math.hypot(u, v)
         trial = _moved(frame, u, v)
-        trial_value, trial_model = _evaluate(objective, trial)
-        evals += 1
-        if trial_value > value:
-            frame, value, model = trial, trial_value, trial_model
+        trial_model, count = _model(objective, trial)
+        evals += count
+        if trial_model[0] > model[0]:
+            frame, model = trial, trial_model
         else:
             radius = 0.25 * length
-    return value, np.array(frame[0]), evals
+    return model[0], np.array(frame[0]), evals
 
 
 def _maximize_holevo(

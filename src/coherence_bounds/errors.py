@@ -1,23 +1,27 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
 
-
-class DimensionError(Exception):
-    """Operands have incompatible or non-square shapes."""
-
-
-class ProbabilityError(Exception):
-    """Vector has negative entries or does not sum to one."""
-
-
-class DomainError(Exception):
-    """Scalar argument lies outside the function's domain."""
+Every error about an argument's value or shape is a ValidationError, so one
+except clause catches them all; ParseError, about a state file's text, is not.
+"""
 
 
 class ValidationError(Exception):
     """State failed validation; the message names the violated invariant."""
 
 
-class UnsupportedDimension(Exception):
+class DimensionError(ValidationError):
+    """Operands have incompatible or non-square shapes."""
+
+
+class ProbabilityError(ValidationError):
+    """Vector has negative entries or does not sum to one."""
+
+
+class DomainError(ValidationError):
+    """Scalar argument lies outside the function's domain."""
+
+
+class UnsupportedDimension(ValidationError):
     """Operation is only implemented for qubit-sized subsystems."""
 
 

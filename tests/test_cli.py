@@ -19,7 +19,14 @@ from coherence_bounds.cli import (
     main,
     parse_basis,
 )
-from coherence_bounds.errors import ParseError
+from coherence_bounds.errors import (
+    DimensionError,
+    DomainError,
+    ParseError,
+    ProbabilityError,
+    UnsupportedDimension,
+    ValidationError,
+)
 from coherence_bounds.states import save_state_file, werner
 
 FIG1_HEADER = "p,lb_berta_coh,lb_pati_coh,lb_adabi_coh"
@@ -28,6 +35,15 @@ DATA = Path(__file__).resolve().parent.parent / "data"
 
 def run(argv):
     return main(argv)
+
+
+@pytest.mark.parametrize(
+    "error", [DimensionError, DomainError, ProbabilityError, UnsupportedDimension]
+)
+def test_validation_errors_share_one_base(error):
+    # main maps ValidationError to EXIT_VALIDATION, so every validation error must be one.
+    assert issubclass(error, ValidationError)
+    assert not issubclass(ParseError, ValidationError)
 
 
 class TestParseBasis:

@@ -13,6 +13,7 @@ from coherence_bounds.correlations import (
     _GRID,
     _GRID_NEIGHBOURS,
     _HolevoObjective,
+    _STENCIL,
     _maximize_holevo,
     _refine,
     _tangent_frame,
@@ -358,28 +359,91 @@ class TestLocalModel:
 
     @pytest.mark.parametrize("rho, expected", [(x_state(1.0), 1.0), (x_state(0.0), 0.0)])
     def test_rank_deficient_blocks_take_the_stencil(self, monkeypatch, rho, expected):
-        # a pure state leaves rank-1 blocks for every measurement: each point
-        # tried costs one evaluation and falls back to the 9-point stencil,
-        # whose other 8 points are evaluated only where the ascent steps on,
-        # and J_A still reaches its closed form
-        local, stencil = _HolevoObjective._local, correlations._stencil_model
-        returned, models = [], []
+        # a pure state leaves rank-1 blocks for every measurement: every point
+        # tried falls back to the 9-point stencil, and J_A still reaches its closed form
+        local, returned = _HolevoObjective._local, []
 
         def recorded(self, frame):
             returned.append(local(self, frame))
             return returned[-1]
 
-        def counted(*args):
-            models.append(stencil(*args))
-            return models[-1]
-
         monkeypatch.setattr(_HolevoObjective, "_local", recorded)
-        monkeypatch.setattr(correlations, "_stencil_model", counted)
         j_a, _, evals = _search(rho, von_neumann_entropy(marginal_b(rho)))
         assert returned and all(r is None for r in returned)
-        assert 0 < len(models) < len(returned)
-        assert evals == _GRID.shape[1] + len(returned) + 8 * len(models)
+        assert evals == _GRID.shape[1] + _STENCIL.shape[1] * len(returned)
         assert j_a == pytest.approx(expected, abs=1e-9)
+
+
+def _xlog2x(w):
+    return w * np.log2(np.where(w > 0.0, w, 1.0))
+
+
+def _x_state_chi(r, c, thetas):
+    """-S(B|Y_n) at n = (sin t, 0, cos t) for the real X states with diagonals r[:, k], for thetas t[k, .].
+
+    The X state leaves M_+-(n) = (rho_B +- n_z K_z +- off) / 2 with rho_B and
+    K_z diagonal and |off| = c sin t, c = |rho_14 + rho_23| at phi = 0 and
+    |rho_14 - rho_23| at phi = pi / 2; -S(B|Y_n) sums lam log2 lam - p log2 p
+    over both blocks' eigenvalues lam and traces p.
+    """
+    r, c = r[:, :, None], c[:, None]
+    cos, sin = np.cos(thetas), np.sin(thetas)
+    chi = 0.0
+    for s in (1.0, -1.0):
+        d1 = 0.5 * (r[0] + r[2] + s * cos * (r[0] - r[2]))
+        d2 = 0.5 * (r[1] + r[3] + s * cos * (r[1] - r[3]))
+        gap = np.sqrt(0.25 * (d1 - d2) ** 2 + 0.25 * (c * sin) ** 2)
+        mean = 0.5 * (d1 + d2)
+        chi = chi + _xlog2x(mean + gap) + _xlog2x(mean - gap) - _xlog2x(d1 + d2)
+    return chi
+
+
+def _x_state_oracle(states):
+    """J_A of real X states from two 1-D searches over theta each, at phi = 0 and at phi = pi / 2.
+
+    The blocks' eigenvalues depend on phi only through
+    n_x^2 (a + b)^2 + n_y^2 (a - b)^2, a = rho_14, b = rho_23, which is
+    extremal at those two phi. Each search takes the best point of a
+    2001-point grid on [0, pi], then golden-section search between its
+    neighbours. All searches run as one batch.
+    """
+    m = np.array([rho.matrix.real for rho in states])
+    r = np.tile(np.diagonal(m, axis1=1, axis2=2).T, 2)
+    c = np.abs(np.concatenate([m[:, 0, 3] + m[:, 1, 2], m[:, 0, 3] - m[:, 1, 2]]))
+    thetas = np.linspace(0.0, np.pi, 2001)
+    k = np.argmax(_x_state_chi(r, c, np.broadcast_to(thetas, (c.size, thetas.size))), axis=1)
+    lo, hi = thetas[np.maximum(k - 1, 0)], thetas[np.minimum(k + 1, thetas.size - 1)]
+    golden = 0.5 * (math.sqrt(5.0) - 1.0)
+    for _ in range(60):
+        t1, t2 = hi - golden * (hi - lo), lo + golden * (hi - lo)
+        f1, f2 = _x_state_chi(r, c, np.stack([t1, t2], axis=1)).T
+        lo, hi = np.where(f1 >= f2, lo, t1), np.where(f1 >= f2, t2, hi)
+    best = _x_state_chi(r, c, np.stack([lo, hi], axis=1)).max(axis=1)
+    best = np.maximum(best[: len(states)], best[len(states) :])
+    s_b = -_xlog2x(r[0] + r[2]) - _xlog2x(r[1] + r[3])
+    return np.maximum(0.0, s_b[: len(states)] + best)
+
+
+def _random_x_states(rng, count):
+    """Real X states: diagonal from a Dirichlet draw, corners inside the positivity bound."""
+    states = []
+    for _ in range(count):
+        r = rng.dirichlet(np.ones(4))
+        m = np.diag(r)
+        m[0, 3] = m[3, 0] = rng.uniform(-1.0, 1.0) * math.sqrt(r[0] * r[3])
+        m[1, 2] = m[2, 1] = rng.uniform(-1.0, 1.0) * math.sqrt(r[1] * r[2])
+        states.append(make_density(m, 2, 2))
+    return states
+
+
+class TestXStateOracle:
+    def test_matches_the_one_dimensional_search(self):
+        # figure 1's x_state rows, of which p = 0 and p = 1 leave rank-deficient
+        # blocks everywhere and take the stencil, then random real X states
+        states = [x_state(float(p)) for p in np.linspace(0.0, 1.0, 101)]
+        states += _random_x_states(np.random.default_rng(61), 100)
+        got = np.array([classical_correlation(rho).classical_correlation for rho in states])
+        assert np.max(np.abs(got - _x_state_oracle(states))) <= 1e-12
 
 
 def _hemisphere_grid(rows: int) -> np.ndarray:
@@ -467,9 +531,8 @@ class TestCoarseMultiStart:
 
     def test_flat_objectives_refine_few_starts(self, stratified):
         # every grid point ties on a flat objective; with one start per peak
-        # value these strata take 48 to 69 evaluations, where for dim_b > 2
-        # the cap on starts alone gave 118 to 262 and no rule 172 to 874,
-        # counted when every stencil trial cost 9
+        # value these strata take 48 to 109 evaluations, where for dim_b > 2
+        # the cap on starts alone gave 118 to 262 and no rule 172 to 874
         for name, _, _, res in stratified:
             if name in ("pure", "product"):
                 assert res.optimizer_evals <= 500, name
