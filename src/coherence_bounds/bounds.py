@@ -38,9 +38,17 @@ from. S(AB) reads the spectrum make_density computed for its positivity
 check, so a 2x2 report on a validated state makes no eigensolve. All seven
 distributions are zero-padded rows of one table that takes a single
 checked entropy pass.
+
+J_A, and with it the non-convex search, enters exactly three fields:
+discord_gap, lb_theorem3 and eur_pati. Every other field is an expression
+over entropies alone. evaluate_all and sweep_family always run the search. A
+figure sweep names the fields it prints, and its reports run the search only
+when one of those fields reads J_A; otherwise the three fields are NaN. Of
+the four standard figures only figure 1 (lb_theorem3) searches.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -56,9 +64,13 @@ from .states import DensityMatrix, bell_diagonal_family, werner, x_state
 # theoretical zero never turns into 1e-16 and flips a tightness comparison.
 DUST = 1e-12
 
+# The report fields that read J_A; _report leaves them NaN without the search.
+_DISCORD_FIELDS = frozenset({"discord_gap", "lb_theorem3", "eur_pati"})
+
 
 def _positive_part(x: float) -> float:
-    return max(0.0, 0.0 if abs(x) < DUST else x)
+    # max{0, x} with dust cut to zero; NaN (J_A not searched) passes through.
+    return 0.0 if x < DUST else x
 
 
 @dataclass(frozen=True)
@@ -109,6 +121,11 @@ def evaluate_all(rho: DensityMatrix, x: ObservableBasis, z: ObservableBasis) -> 
     objective gives every other row and the grid values the search for J_A
     starts from. A state with dim_a != 2 raises UnsupportedDimension.
     """
+    return _report(rho, x, z, discord=True)
+
+
+def _report(rho: DensityMatrix, x: ObservableBasis, z: ObservableBasis, discord: bool) -> BoundReport:
+    """evaluate_all's report; without `discord` the search is skipped and J_A is NaN."""
     objective = _HolevoObjective(rho)
     # Rows: the spectra of AB, A, B, XB and ZB, then p_X and p_Z.
     table = np.empty((7, 2 * rho.dim_b))
@@ -117,7 +134,7 @@ def evaluate_all(rho: DensityMatrix, x: ObservableBasis, z: ObservableBasis) -> 
     spectra = table[:5]
     spectra[spectra < SUPPORT_CUT] = 0.0
     s_ab, s_a, s_b, s_xb, s_zb, h_x, h_z = _entropies(table)
-    j_a = _maximize_holevo(objective, values, s_b)[0]
+    j_a = _maximize_holevo(objective, values, s_b)[0] if discord else math.nan
     q_mu = incompatibility(x, z)
 
     cond = s_ab - s_b
@@ -162,8 +179,20 @@ def sweep_family(
     family: str, x: ObservableBasis, z: ObservableBasis, p_values
 ) -> list[tuple[float, BoundReport]]:
     """Evaluate a named one-parameter family on a grid of p values."""
+    return _sweep(family, x, z, p_values, _DISCORD_FIELDS)
+
+
+def _sweep(
+    family: str, x: ObservableBasis, z: ObservableBasis, p_values, field_names
+) -> list[tuple[float, BoundReport]]:
+    """sweep_family for a caller that reads only `field_names` of each report.
+
+    The search for J_A runs only if one of `field_names` reads it;
+    otherwise the J_A fields of every report are NaN.
+    """
     try:
         constructor = FAMILIES[family]
     except KeyError:
         raise DomainError(f"unknown family {family!r}, expected one of {sorted(FAMILIES)}") from None
-    return [(float(p), evaluate_all(constructor(float(p)), x, z)) for p in p_values]
+    discord = not _DISCORD_FIELDS.isdisjoint(field_names)
+    return [(float(p), _report(constructor(float(p)), x, z, discord)) for p in p_values]

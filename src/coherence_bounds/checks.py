@@ -306,6 +306,11 @@ def _suite_correlations(case: CheckCase, report: BoundReport) -> list[tuple[str,
     u = tensor_product(np.eye(2), random_unitary(2, case.state_seed + 77))
     conjugated = DensityMatrix(hermitize(u @ case.rho.matrix @ u.conj().T), 2, 2)
     j_conj = classical_correlation(conjugated).classical_correlation
+    # A unitary on A rotates the objective against the search's fixed grid,
+    # so unlike the B-side one this check reaches the search itself.
+    u = tensor_product(random_unitary(2, case.state_seed + 78), np.eye(2))
+    conjugated = DensityMatrix(hermitize(u @ case.rho.matrix @ u.conj().T), 2, 2)
+    j_conj_a = classical_correlation(conjugated).classical_correlation
     return [
         ("classical_correlation_nonnegative", j_a, 1e-9),
         ("classical_correlation_below_mutual_info", info - j_a, 1e-9),
@@ -314,6 +319,7 @@ def _suite_correlations(case: CheckCase, report: BoundReport) -> list[tuple[str,
         ("holevo_below_mutual_info_z", info - report.holevo_z, 1e-9),
         ("optimizer_dominates_probes", j_a - probe_best, 1e-9),
         _Identity("classical_correlation_b_unitary_invariant", -abs(j_a - j_conj), 1e-6),
+        _Identity("classical_correlation_a_unitary_invariant", -abs(j_a - j_conj_a), 1e-9),
     ]
 
 

@@ -31,7 +31,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import evaluate_all, sweep_family
+# sweep_family builds no figure rows but stays importable from here:
+# perfbench's figures workload wraps cli.sweep_family.
+from .bounds import _sweep, evaluate_all, sweep_family  # noqa: F401
 from .checks import CheckRecord, run_checks
 from .errors import ParseError, ValidationError
 from .measurement import ObservableBasis, bloch_basis, computational_basis, pauli_basis
@@ -133,9 +135,14 @@ def format_value(value: float) -> str:
 
 
 def render_figure_csv(config: SweepConfig) -> str:
+    """The CSV text of one figure sweep.
+
+    bounds decides from config.fields whether the rows need the search for
+    J_A. A field it left unsearched is NaN, which format_value rejects.
+    """
     x = parse_basis(config.x_selector)
     z = parse_basis(config.z_selector)
-    rows = sweep_family(config.family, x, z, config.grid())
+    rows = _sweep(config.family, x, z, config.grid(), config.fields)
     lines = ["p," + ",".join(config.columns)]
     for p, report in rows:
         values = report.as_dict()

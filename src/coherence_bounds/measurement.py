@@ -32,7 +32,7 @@ class ObservableBasis:
         if v.shape != (self.dim, self.dim):
             raise DimensionError(f"basis vectors must be {self.dim} x {self.dim}, got {v.shape}")
         defect = float(np.max(np.abs(v.conj().T @ v - np.eye(self.dim))))
-        if defect > 1e-10:
+        if not defect <= 1e-10:  # NaN entries fail too
             raise ValidationError(f"orthonormality: max|V^dag V - I| = {defect:.3e} exceeds 1e-10")
         object.__setattr__(self, "vectors", v)
 

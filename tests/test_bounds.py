@@ -1,3 +1,4 @@
+import math
 import sys
 from dataclasses import asdict
 
@@ -244,6 +245,27 @@ class TestSweeps:
         for family in ("bell_diagonal", "werner"):
             for p, rep in sweep_family(family, X, Z, np.linspace(0.0, 1.0, 11)):
                 assert rep.lhs_coherence == pytest.approx(rep.ub_holevo, abs=1e-9)
+
+
+def test_report_without_search_leaves_exactly_the_j_a_fields_nan():
+    # a sweep whose fields do not read J_A skips the search; every field it
+    # does print must keep evaluate_all's bits
+    cases = [
+        (FAMILIES[family](float(p)), X, Z)
+        for family in sorted(FAMILIES)
+        for p in np.linspace(0.0, 1.0, 11)
+    ]
+    cases += [
+        (random_density(2, dim_b, 700 + dim_b), bloch_basis(0.8, 1.9), bloch_basis(2.1, 0.4))
+        for dim_b in (2, 3, 8)
+    ]
+    for rho, x, z in cases:
+        full = evaluate_all(rho, x, z).as_dict()
+        unsearched = bounds._report(rho, x, z, discord=False).as_dict()
+        nan_fields = {name for name, value in unsearched.items() if math.isnan(value)}
+        assert nan_fields == bounds._DISCORD_FIELDS
+        for name in full.keys() - nan_fields:
+            assert float(unsearched[name]).hex() == float(full[name]).hex(), name
 
 
 def test_theorem1_on_marginal_agrees_with_report_inputs():

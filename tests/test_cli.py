@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coherence_bounds import cli
+from coherence_bounds import bounds, cli
 from coherence_bounds.bounds import BoundReport
 from coherence_bounds.cli import (
     EXIT_INVARIANT,
@@ -118,6 +119,26 @@ class TestFigure:
     def test_unwritable_path(self):
         rc = run(["figure", "1", "--out", "/nonexistent-dir/f.csv"])
         assert rc == EXIT_IO
+
+    @pytest.mark.parametrize("which, searches", [(1, 101), (2, 0), (3, 0), (4, 0)])
+    def test_only_a_figure_printing_a_j_a_field_searches(self, which, searches, monkeypatch):
+        # figure 1 prints lb_theorem3; figures 2-4 print entropies alone
+        calls = []
+        search = bounds._maximize_holevo
+
+        def counted(*args):
+            calls.append(1)
+            return search(*args)
+
+        monkeypatch.setattr(bounds, "_maximize_holevo", counted)
+        cli.render_figure_csv(cli.FIGURES[which])
+        assert len(calls) == searches
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_are_not_written(self, value):
+        # NaN is what an unsearched J_A field holds
+        with pytest.raises(ValidationError, match="non-finite"):
+            cli.format_value(value)
 
 
 class TestEval:

@@ -72,6 +72,11 @@ def test_bloch_basis_always_orthonormal(ang):
 def test_observable_basis_rejects_non_orthonormal_columns():
     with pytest.raises(ValidationError, match="orthonormality"):
         ObservableBasis(2, np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex), "bad")
+    # a NaN defect compares false against the threshold, so it must fail explicitly
+    with pytest.raises(ValidationError, match="orthonormality"):
+        bloch_basis(float("nan"), 0.0)
+    with pytest.raises(ValidationError, match="orthonormality"):
+        ObservableBasis(2, np.array([[1.0, np.nan], [0.0, 1.0]], dtype=complex), "bad")
     with pytest.raises(DimensionError):
         ObservableBasis(3, np.eye(2, dtype=complex), "bad")
 
