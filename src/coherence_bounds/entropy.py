@@ -4,11 +4,14 @@ from __future__ import annotations
 import math
 from functools import reduce
 from operator import add
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DimensionError, DomainError, ProbabilityError
-from .states import DensityMatrix
+
+if TYPE_CHECKING:  # states imports this module for the entropy a state keeps
+    from .states import DensityMatrix
 
 # Eigenvalues and probabilities at or below this are treated as exact zeros.
 SUPPORT_CUT = 1e-12
@@ -75,8 +78,8 @@ def binary_entropy(x: float) -> float:
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """S(rho) = -Tr rho log2 rho via the eigenvalue vector the state keeps."""
-    return _spectrum_entropy(rho._spectrum)
+    """S(rho) = -Tr rho log2 rho, kept by the state and computed once from the eigenvalues it keeps."""
+    return rho._entropy
 
 
 def _spectrum_entropy(w: np.ndarray) -> float:

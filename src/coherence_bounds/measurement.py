@@ -109,10 +109,9 @@ def measure(rho: DensityMatrix, basis: ObservableBasis) -> MeasurementOutcome:
     probs[probs < 0.0] = 0.0
     states = []
     degenerate = []
-    eye_b = DensityMatrix(np.eye(rho.dim_b, dtype=np.complex128) / rho.dim_b, rho.dim_b, 1)
     for y, p in enumerate(probs):
         if p <= DEGENERATE_PROB:
-            states.append(eye_b)
+            states.append(DensityMatrix(np.eye(rho.dim_b, dtype=np.complex128) / rho.dim_b, rho.dim_b, 1))
             degenerate.append(True)
         else:
             states.append(DensityMatrix(hermitize(cond[y] / p), rho.dim_b, 1))

@@ -6,8 +6,10 @@ Conventions used everywhere in this package:
   complex matrix. Subsystem A occupies the slow (left) index, so for two
   qubits the computational basis is ordered |00>, |01>, |10>, |11>.
 * A monopartite state is a DensityMatrix with dim_b == 1.
-* A DensityMatrix's matrix is read-only. Its spectrum is the one make_density
-  computed for the positivity check, or is computed on first use.
+* A DensityMatrix's matrix is read-only, so the values a state keeps cannot go
+  stale: its spectrum (the one make_density computed for the positivity
+  check, or computed on first use), its von Neumann entropy and its two
+  marginals, each computed on first use and kept on that object only.
 
 State file format (one state per file)::
 
@@ -26,6 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .entropy import _spectrum_entropy
 from .errors import DomainError, ParseError, ValidationError
 from .linalg import _trace_out, as_square_matrix, hermiticity_defect, hermitize, tensor_product
 
@@ -50,7 +53,10 @@ class DensityMatrix:
     The constructor trusts its input: matrices from outside the library go
     through make_density, while states derived from a valid DensityMatrix
     (marginals, dephased and conditional states) are built directly. matrix
-    is made read-only, so the spectrum kept with it cannot go stale.
+    is made read-only, so what the state keeps from it cannot go stale: the
+    spectrum, the entropy and the two marginals, each a cached_property
+    computed on first use. They belong to this object, never to its
+    content: a state rebuilt from a copy of the matrix computes its own.
     """
 
     matrix: np.ndarray
@@ -64,6 +70,19 @@ class DensityMatrix:
     def _spectrum(self) -> np.ndarray:
         """np.linalg.eigvalsh(matrix), computed once; make_density stores the one it computed."""
         return np.linalg.eigvalsh(self.matrix)
+
+    @cached_property
+    def _entropy(self) -> float:
+        """The von Neumann entropy of _spectrum, computed once."""
+        return _spectrum_entropy(self._spectrum)
+
+    @cached_property
+    def _marginal_a(self) -> DensityMatrix:
+        return DensityMatrix(hermitize(_trace_out(self.matrix, self.dim_a, self.dim_b, "B")), self.dim_a, 1)
+
+    @cached_property
+    def _marginal_b(self) -> DensityMatrix:
+        return DensityMatrix(hermitize(_trace_out(self.matrix, self.dim_a, self.dim_b, "A")), self.dim_b, 1)
 
     @property
     def dim(self) -> int:
@@ -108,13 +127,13 @@ def make_density(matrix, dim_a: int, dim_b: int) -> DensityMatrix:
 
 
 def marginal_a(rho: DensityMatrix) -> DensityMatrix:
-    """Reduced state on A (a monopartite DensityMatrix)."""
-    return DensityMatrix(hermitize(_trace_out(rho.matrix, rho.dim_a, rho.dim_b, "B")), rho.dim_a, 1)
+    """Reduced state on A (a monopartite DensityMatrix), the one rho keeps."""
+    return rho._marginal_a
 
 
 def marginal_b(rho: DensityMatrix) -> DensityMatrix:
-    """Reduced state on B (a monopartite DensityMatrix)."""
-    return DensityMatrix(hermitize(_trace_out(rho.matrix, rho.dim_a, rho.dim_b, "A")), rho.dim_b, 1)
+    """Reduced state on B (a monopartite DensityMatrix), the one rho keeps."""
+    return rho._marginal_b
 
 
 def _check_unit_interval(p: float, name: str) -> float:

@@ -41,6 +41,20 @@ Z = pauli_basis(3)
 angles = st.tuples(st.floats(0.0, np.pi), st.floats(0.0, 2 * np.pi))
 
 
+def _count_eigensolves(monkeypatch) -> list:
+    """Wrap np.linalg.eigvalsh and eigh; the returned list gains one entry per call."""
+    calls = []
+    for name in ("eigvalsh", "eigh"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 def test_monopartite_bound_maximally_mixed_saturates():
     rho = make_density(np.eye(2) / 2, 2, 1)
     lhs, lb = coherence_bound_t1(rho, X, Z)
@@ -126,15 +140,7 @@ class TestEvaluateAll:
         # the discord search are closed-form for a qubit memory, and no
         # measurement is carried out and no marginal traced out
         qubit_memory, wide_memory = random_density(2, 2, 7), random_density(2, 8, 7)
-        calls = []
-        for name in ("eigvalsh", "eigh"):
-            original = getattr(np.linalg, name)
-
-            def counted(*args, _original=original, **kwargs):
-                calls.append(1)
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
+        calls = _count_eigensolves(monkeypatch)
 
         def no_measure(*args, **kwargs):
             raise AssertionError("evaluate_all called measure")
@@ -164,6 +170,28 @@ class TestEvaluateAll:
         calls.clear()
         evaluate_all(wide_memory, bloch_basis(1.0, 2.0), bloch_basis(2.5, 0.3))
         assert len(calls) == 1
+
+    def test_reference_path_reuses_the_kept_marginals(self, monkeypatch):
+        # the public functions read the marginals and entropies the state
+        # keeps: one eigensolve for rho_B, one for rho_A and one per dephased
+        # state; rho_AB's spectrum is the one make_density computed
+        rho = random_density(2, 2, 7)
+
+        def reference_values(state):
+            return [
+                conditional_entropy(state),
+                mutual_information(state),
+                holevo(state, X),
+                holevo(state, Z),
+                unilateral_purity(state),
+            ]
+
+        calls = _count_eigensolves(monkeypatch)
+        values = reference_values(rho)
+        assert len(calls) == 4
+        monkeypatch.undo()
+        fresh = reference_values(make_density(rho.matrix.copy(), 2, 2))
+        assert [v.hex() for v in values] == [v.hex() for v in fresh]
 
     def test_stored_spectrum_gives_the_same_report(self):
         # the spectrum make_density keeps is the eigensolve a state built

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from coherence_bounds.entropy import _spectrum_entropy, von_neumann_entropy
 from coherence_bounds.errors import DomainError, ParseError, ValidationError
+from coherence_bounds.linalg import hermitize, partial_trace
 from coherence_bounds.states import (
     PSI_MINUS,
     PSI_PLUS,
@@ -61,6 +63,25 @@ class TestMakeDensity:
             with pytest.raises(ValueError):
                 state.matrix[0, 0] = 0.5
             assert state._spectrum.tobytes() == np.linalg.eigvalsh(state.matrix).tobytes()
+
+    @pytest.mark.parametrize("dim_b", [1, 2, 3, 8])
+    def test_keeps_its_marginals_and_entropy(self, dim_b):
+        rho = random_density(2, dim_b, 40 + dim_b)
+        rebuilt = DensityMatrix(rho.matrix.copy(), 2, dim_b)
+        for state in (rho, rebuilt):
+            assert marginal_a(state) is marginal_a(state)
+            assert marginal_b(state) is marginal_b(state)
+            for kept, over in ((marginal_a(state), "B"), (marginal_b(state), "A")):
+                with pytest.raises(ValueError):
+                    kept.matrix[0, 0] = 0.5
+                expected = hermitize(partial_trace(state.matrix, 2, dim_b, over))
+                assert kept.matrix.tobytes() == expected.tobytes()
+            expected = _spectrum_entropy(np.linalg.eigvalsh(state.matrix))
+            assert state._entropy.hex() == expected.hex()
+            assert von_neumann_entropy(state) is state._entropy
+        # kept per object, not per content: the rebuilt state computed its own
+        assert marginal_a(rebuilt) is not marginal_a(rho)
+        assert marginal_b(rebuilt) is not marginal_b(rho)
 
 
 class TestXState:
