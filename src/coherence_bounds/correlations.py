@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .entropy import shannon_entropy, von_neumann_entropy, xlog2x
 from .errors import DimensionError, UnsupportedDimension
-from .measurement import ObservableBasis, _assemble_joint, _conditional_blocks
+from .measurement import ObservableBasis, _conditional_blocks, _dephased_entropy
 from .states import DensityMatrix, marginal_a, marginal_b
 
 ANGLE_RESOLUTION = 1e-6
@@ -81,16 +82,16 @@ def holevo(rho: DensityMatrix, basis: ObservableBasis) -> float:
 
     Evaluated through the identity I(Y:B) = S(rho_B) + H(p_Y) - S(rho_YB), which
     holds because the dephased joint state rho_YB is block diagonal in Y, so
-    S(rho_YB) = H(p_Y) + sum_y p_y S(rho_B|y). It reads p_y = Tr M_y and rho_YB
-    from the unnormalised blocks M_y that measure uses, and so builds no
-    conditional state; shannon_entropy rejects p_y < -1e-12 as measure does.
+    S(rho_YB) = H(p_Y) + sum_y p_y S(rho_B|y). It reads p_y = Tr M_y from the
+    unnormalised blocks M_y that measure uses, and so builds no conditional
+    state; shannon_entropy rejects p_y < -1e-12 as measure does. S(rho_YB) is
+    the dephased entropy rho keeps for the basis object, the one
+    unilateral_coherence reads.
     """
-    cond = _conditional_blocks(rho, basis)
+    probs = np.einsum("yaa->y", _conditional_blocks(rho, basis)).real
     return max(
         0.0,
-        von_neumann_entropy(marginal_b(rho))
-        + shannon_entropy(np.einsum("yaa->y", cond).real)
-        - von_neumann_entropy(_assemble_joint(cond, basis, rho)),
+        von_neumann_entropy(marginal_b(rho)) + shannon_entropy(probs) - _dephased_entropy(rho, basis),
     )
 
 
@@ -177,20 +178,21 @@ class _HolevoObjective:
         return rows
 
     def _scan(self, x: ObservableBasis, z: ObservableBasis) -> tuple[np.ndarray, np.ndarray]:
-        """(report rows, the objective on _GRID) from one _spectra call.
+        """(report rows, the objective on the geodesic grid) from one _spectra call.
 
         The rows are the spectra of rho_A, rho_B, rho_XB and rho_ZB, then
         p_X and p_Z, each zero-padded to 2 dim_b. With n the Bloch vector of
         a basis's outcome-0 ket, the dephased state rho_YB is block diagonal
         with blocks M_+-(n) and p_Y is their traces; rho_B = 2 M_+(0), and
         rho_A has the eigenvalues P0 +- |P| of Tr M_+ = P0 + P.n. The call
-        covers n = 0, n_X, n_Z and then the points of _GRID, whose values
-        start the discord search.
+        covers n = 0, n_X, n_Z and then the points of _geodesic_grid(), whose
+        values start the discord search.
         """
         db = self.db
-        n = np.zeros((3, 3 + _GRID.shape[1]))
+        grid = _geodesic_grid()[0]
+        n = np.zeros((3, 3 + grid.shape[1]))
         n[:, 1], n[:, 2] = _outcome0_bloch(x), _outcome0_bloch(z)
-        n[:, 3:] = _GRID
+        n[:, 3:] = grid
         spectra = self._spectra(n)
         # Axes: row of _spectra, block M_+ or M_-, point n = 0, n_X or n_Z.
         cols = spectra.reshape(1 + db, 2, -1)[:, :, :3]
@@ -284,6 +286,7 @@ _NEIGHBOURS = 8
 _MAX_STARTS = 4
 
 
+@cache
 def _geodesic_grid() -> tuple[np.ndarray, np.ndarray]:
     """The frequency-3 icosahedral geodesic grid and, per point, its _NEIGHBOURS nearest.
 
@@ -296,7 +299,8 @@ def _geodesic_grid() -> tuple[np.ndarray, np.ndarray]:
     Nearness is |n . m|, so a neighbour across the equator is found through its
     antipode. Rounding |n . m| to 12 digits makes distances that are equal on
     the exact grid equal here, and equal distances go to the first point in
-    scan order. Shapes (3, 46) and (46, _NEIGHBOURS), both read-only.
+    scan order. Shapes (3, 46) and (46, _NEIGHBOURS), both read-only, built
+    on the first call and kept: an import builds no grid.
     """
     g = 0.5 * (1.0 + math.sqrt(5.0))
     base = np.array([[0.0, 1.0, g], [0.0, 1.0, -g], [0.0, -1.0, g], [0.0, -1.0, -g]])
@@ -315,9 +319,6 @@ def _geodesic_grid() -> tuple[np.ndarray, np.ndarray]:
     neighbours = np.argsort(-near, axis=1, kind="stable")[:, :_NEIGHBOURS]
     grid.flags.writeable = neighbours.flags.writeable = False
     return grid, neighbours
-
-
-_GRID, _GRID_NEIGHBOURS = _geodesic_grid()
 
 
 # Central-difference spacing in tangent coordinates: round-off in the Hessian
@@ -435,7 +436,7 @@ def _refine(
 def _maximize_holevo(
     objective: _HolevoObjective, values: np.ndarray, s_b: float
 ) -> tuple[float, np.ndarray, int]:
-    """(J_A, its Bloch vector, objective evaluations) for qubit A, given objective(_GRID) and S(B).
+    """(J_A, its Bloch vector, objective evaluations) for qubit A, given the objective on the grid and S(B).
 
     The search maximises the objective, -S(B|Y_n); J_A is max(0, s_b + best).
     The starts are the points of the geodesic grid no smaller than their
@@ -444,7 +445,8 @@ def _maximize_holevo(
     largest, ties going to the first in scan order. An ascent runs from each
     start in scan order, and the first best result wins.
     """
-    peaks = np.flatnonzero(values >= values[_GRID_NEIGHBOURS].max(axis=1)).tolist()
+    grid, neighbours = _geodesic_grid()
+    peaks = np.flatnonzero(values >= values[neighbours].max(axis=1)).tolist()
     scores = values.tolist()
     # A flat or symmetric objective makes many tied peaks; one start serves them all.
     distinct: dict[float, int] = {}
@@ -454,7 +456,7 @@ def _maximize_holevo(
     evals = len(scores)
     best = -math.inf
     for index in starts:
-        frame = _tangent_frame(*_GRID[:, index].tolist())
+        frame = _tangent_frame(*grid[:, index].tolist())
         value, point, evals = _refine(objective, frame, _START_RADIUS, evals)
         if value > best:
             best, n = value, point
@@ -488,7 +490,7 @@ def classical_correlation(rho: DensityMatrix) -> DiscordResult:
     """
     s_b = von_neumann_entropy(marginal_b(rho))
     objective = _HolevoObjective(rho)
-    j_a, n, evals = _maximize_holevo(objective, objective(_GRID), s_b)
+    j_a, n, evals = _maximize_holevo(objective, objective(_geodesic_grid()[0]), s_b)
     info = von_neumann_entropy(marginal_a(rho)) + s_b - von_neumann_entropy(rho)
     return DiscordResult(
         discord=info - j_a,

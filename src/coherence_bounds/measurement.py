@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .entropy import von_neumann_entropy
 from .errors import DimensionError, DomainError, ProbabilityError, ValidationError
 from .linalg import hermitize
 from .states import DensityMatrix
@@ -19,21 +20,27 @@ from .states import DensityMatrix
 DEGENERATE_PROB = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservableBasis:
-    """Orthonormal measurement basis; column y of `vectors` is the outcome-y ket."""
+    """Orthonormal measurement basis; column y of `vectors` is the outcome-y ket.
+
+    vectors is a read-only copy of the array passed in, so a basis cannot
+    change after its check. Bases compare and hash by identity: a state keeps
+    its dephased entropy per basis object, never per content.
+    """
 
     dim: int
     vectors: np.ndarray
     label: str
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.vectors, dtype=np.complex128)
+        v = np.array(self.vectors, dtype=np.complex128)
         if v.shape != (self.dim, self.dim):
             raise DimensionError(f"basis vectors must be {self.dim} x {self.dim}, got {v.shape}")
         defect = float(np.max(np.abs(v.conj().T @ v - np.eye(self.dim))))
         if not defect <= 1e-10:  # NaN entries fail too
             raise ValidationError(f"orthonormality: max|V^dag V - I| = {defect:.3e} exceeds 1e-10")
+        v.flags.writeable = False
         object.__setattr__(self, "vectors", v)
 
 
@@ -98,6 +105,14 @@ def dephase(rho: DensityMatrix, basis: ObservableBasis) -> DensityMatrix:
     in the basis.
     """
     return _assemble_joint(_conditional_blocks(rho, basis), basis, rho)
+
+
+def _dephased_entropy(rho: DensityMatrix, basis: ObservableBasis) -> float:
+    """S(dephase(rho, basis)), kept by rho per basis object and computed once."""
+    kept = rho._dephased_entropies
+    if basis not in kept:
+        kept[basis] = von_neumann_entropy(dephase(rho, basis))
+    return kept[basis]
 
 
 def measure(rho: DensityMatrix, basis: ObservableBasis) -> MeasurementOutcome:

@@ -8,8 +8,10 @@ Conventions used everywhere in this package:
 * A monopartite state is a DensityMatrix with dim_b == 1.
 * A DensityMatrix's matrix is read-only, so the values a state keeps cannot go
   stale: its spectrum (the one make_density computed for the positivity
-  check, or computed on first use), its von Neumann entropy and its two
-  marginals, each computed on first use and kept on that object only.
+  check, or computed on first use), its von Neumann entropy, its two
+  marginals and, per measurement basis, the entropy of the state dephased in
+  that basis, keyed by the basis object. Each is computed on first use and
+  kept on that object only.
 
 State file format (one state per file)::
 
@@ -55,8 +57,9 @@ class DensityMatrix:
     (marginals, dephased and conditional states) are built directly. matrix
     is made read-only, so what the state keeps from it cannot go stale: the
     spectrum, the entropy and the two marginals, each a cached_property
-    computed on first use. They belong to this object, never to its
-    content: a state rebuilt from a copy of the matrix computes its own.
+    computed on first use, and the dephased entropy per basis object. They
+    belong to this object, never to its content: a state rebuilt from a copy
+    of the matrix computes its own.
     """
 
     matrix: np.ndarray
@@ -83,6 +86,11 @@ class DensityMatrix:
     @cached_property
     def _marginal_b(self) -> DensityMatrix:
         return DensityMatrix(hermitize(_trace_out(self.matrix, self.dim_a, self.dim_b, "A")), self.dim_b, 1)
+
+    @cached_property
+    def _dephased_entropies(self) -> dict:
+        """S(dephase(self, basis)) per ObservableBasis object, filled by measurement._dephased_entropy."""
+        return {}
 
     @property
     def dim(self) -> int:

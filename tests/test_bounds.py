@@ -174,21 +174,36 @@ class TestEvaluateAll:
     def test_reference_path_reuses_the_kept_marginals(self, monkeypatch):
         # the public functions read the marginals and entropies the state
         # keeps: one eigensolve for rho_B, one for rho_A and one per dephased
-        # state; rho_AB's spectrum is the one make_density computed
+        # state, rho_XB and rho_ZB shared by holevo and unilateral_coherence,
+        # rho_A dephased in X and Z shared by coherence_rel and
+        # coherence_bound_t1; rho_AB's spectrum is the one make_density computed
         rho = random_density(2, 2, 7)
 
         def reference_values(state):
+            rho_a = marginal_a(state)
             return [
                 conditional_entropy(state),
                 mutual_information(state),
                 holevo(state, X),
                 holevo(state, Z),
                 unilateral_purity(state),
+                unilateral_coherence(state, X),
+                unilateral_coherence(state, Z),
+                coherence_rel(rho_a, X),
+                coherence_rel(rho_a, Z),
+                *coherence_bound_t1(rho_a, X, Z),
             ]
 
         calls = _count_eigensolves(monkeypatch)
         values = reference_values(rho)
-        assert len(calls) == 4
+        assert len(calls) == 6
+        calls.clear()
+        assert reference_values(rho) == values
+        assert len(calls) == 0
+        # kept per basis object, not per content: an equal basis is diagonalised anew
+        same_x = ObservableBasis(2, X.vectors, X.label)
+        assert unilateral_coherence(rho, same_x).hex() == values[5].hex()
+        assert len(calls) == 1
         monkeypatch.undo()
         fresh = reference_values(make_density(rho.matrix.copy(), 2, 2))
         assert [v.hex() for v in values] == [v.hex() for v in fresh]

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +12,7 @@ from coherence_bounds.bounds import FAMILIES
 from coherence_bounds.correlations import (
     _bloch,
     _chart,
-    _GRID,
-    _GRID_NEIGHBOURS,
+    _geodesic_grid,
     _HolevoObjective,
     _STENCIL,
     _maximize_holevo,
@@ -55,7 +56,7 @@ def product_state(seed: int):
 
 def _search(rho, s_b):
     objective = _HolevoObjective(rho)
-    return _maximize_holevo(objective, objective(_GRID), s_b)
+    return _maximize_holevo(objective, objective(_geodesic_grid()[0]), s_b)
 
 
 def test_conditional_entropy_values():
@@ -183,7 +184,7 @@ class TestFastObjective:
         for seed in range(90, 93):
             objective = _HolevoObjective(random_density(2, dim_b, seed))
             values = objective._scan(bloch_basis(0.3, 1.2), pauli_basis(3))[1]
-            assert values.tobytes() == objective(_GRID).tobytes()
+            assert values.tobytes() == objective(_geodesic_grid()[0]).tobytes()
 
 
 class TestClassicalCorrelation:
@@ -370,7 +371,7 @@ class TestLocalModel:
         monkeypatch.setattr(_HolevoObjective, "_local", recorded)
         j_a, _, evals = _search(rho, von_neumann_entropy(marginal_b(rho)))
         assert returned and all(r is None for r in returned)
-        assert evals == _GRID.shape[1] + _STENCIL.shape[1] * len(returned)
+        assert evals == _geodesic_grid()[0].shape[1] + _STENCIL.shape[1] * len(returned)
         assert j_a == pytest.approx(expected, abs=1e-9)
 
 
@@ -553,13 +554,25 @@ class TestCoarseMultiStart:
             assert len(starts) == 1
 
     def test_grid_is_built_once_and_read_only(self):
-        # module constants, built at import and shared by every search
-        assert _GRID.shape == (3, 46) and _GRID_NEIGHBOURS.shape == (46, 8)
-        assert not _GRID.flags.writeable and not _GRID_NEIGHBOURS.flags.writeable
+        # built on the first call and shared by every later search
+        grid, neighbours = _geodesic_grid()
+        assert _geodesic_grid()[0] is grid and _geodesic_grid()[1] is neighbours
+        assert grid.shape == (3, 46) and neighbours.shape == (46, 8)
+        assert not grid.flags.writeable and not neighbours.flags.writeable
+
+    def test_import_builds_no_grid(self):
+        # a process that never searches never pays for the grid
+        code = (
+            "import coherence_bounds\n"
+            "from coherence_bounds.correlations import _geodesic_grid\n"
+            "print(_geodesic_grid.cache_info().currsize)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout == "0\n"
 
     def test_grid_covers_the_sphere(self):
         # every measurement lies within 13.7 degrees of a grid point, n and -n alike
-        nearest = np.abs(_hemisphere_grid(256).T @ _GRID).max(axis=1)
+        nearest = np.abs(_hemisphere_grid(256).T @ _geodesic_grid()[0]).max(axis=1)
         assert np.all(np.arccos(np.minimum(nearest, 1.0)) <= math.radians(13.7))
 
 

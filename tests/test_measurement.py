@@ -81,6 +81,26 @@ def test_observable_basis_rejects_non_orthonormal_columns():
         ObservableBasis(3, np.eye(2, dtype=complex), "bad")
 
 
+def test_observable_basis_keeps_a_read_only_copy():
+    # editing the caller's array after the orthonormality check leaves the basis as checked
+    v = np.eye(2, dtype=complex)
+    basis = ObservableBasis(2, v, "c")
+    assert not basis.vectors.flags.writeable
+    v[:] = [[1, 1], [0, 0]]
+    assert v.flags.writeable and np.array_equal(v, [[1, 1], [0, 0]])
+    assert np.array_equal(basis.vectors, np.eye(2))
+    assert np.sum(measure(random_density(2, 2, 1), basis).probs) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ValueError):
+        basis.vectors[0, 0] = 0.0
+
+
+def test_observable_bases_compare_by_identity():
+    # a state keeps its dephased entropies per basis object
+    a, b = pauli_basis(1), pauli_basis(1)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2 and hash(a) != hash(b)
+
+
 def test_dephase_removes_off_diagonals_in_computational_basis():
     rho = make_density(np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex), 2, 1)
     out = dephase(rho, computational_basis(2))
