@@ -33,18 +33,20 @@ the Bloch vector of Y's outcome-0 ket, the dephased state rho_YB is block
 diagonal with blocks M_+-(n): p_Y is their traces and the spectrum of
 rho_YB is the union of their spectra. rho_B is 2 M_+(0), and the traces'
 affine dependence on n carries the Bloch vector of rho_A. So no marginal is
-traced out; the same batched call covers the grid the search for J_A starts
-from. S(AB) reads the spectrum make_density computed for its positivity
-check, so a 2x2 report on a validated state makes no eigensolve. All seven
-distributions are zero-padded rows of one table that takes a single
-checked entropy pass.
+traced out; when the report searches for J_A, the same batched call covers
+the grid the search starts from. S(AB) reads the spectrum make_density
+computed for its positivity check, so a 2x2 report on a validated state
+makes no eigensolve. All seven distributions are zero-padded rows of one
+table that takes a single checked entropy pass.
 
 J_A, and with it the non-convex search, enters exactly three fields:
 discord_gap, lb_theorem3 and eur_pati. Every other field is an expression
 over entropies alone. evaluate_all and sweep_family always run the search. A
 figure sweep names the fields it prints, and its reports run the search only
-when one of those fields reads J_A; otherwise the three fields are NaN. Of
-the four standard figures only figure 1 (lb_theorem3) searches.
+when one of those fields reads J_A; otherwise the three fields are NaN, and
+the batched call covers n = 0, n_X and n_Z alone. Of the four standard
+figures only figure 1 (lb_theorem3) searches. A sweep computes q_mu once,
+since every row shares X and Z.
 """
 from __future__ import annotations
 
@@ -121,21 +123,26 @@ def evaluate_all(rho: DensityMatrix, x: ObservableBasis, z: ObservableBasis) -> 
     objective gives every other row and the grid values the search for J_A
     starts from. A state with dim_a != 2 raises UnsupportedDimension.
     """
-    return _report(rho, x, z, discord=True)
+    return _report(rho, x, z, incompatibility(x, z), discord=True)
 
 
-def _report(rho: DensityMatrix, x: ObservableBasis, z: ObservableBasis, discord: bool) -> BoundReport:
-    """evaluate_all's report; without `discord` the search is skipped and J_A is NaN."""
+def _report(
+    rho: DensityMatrix, x: ObservableBasis, z: ObservableBasis, q_mu: float, discord: bool
+) -> BoundReport:
+    """evaluate_all's report, given q_mu = incompatibility(x, z).
+
+    Without `discord` the scan covers n = 0, n_X and n_Z only, the search
+    is skipped and J_A is NaN.
+    """
     objective = _HolevoObjective(rho)
     # Rows: the spectra of AB, A, B, XB and ZB, then p_X and p_Z.
     table = np.empty((7, 2 * rho.dim_b))
     table[0] = rho._spectrum
-    table[1:], values = objective._scan(x, z)
+    table[1:], values = objective._scan(x, z, grid=discord)
     spectra = table[:5]
     spectra[spectra < SUPPORT_CUT] = 0.0
     s_ab, s_a, s_b, s_xb, s_zb, h_x, h_z = _entropies(table)
     j_a = _maximize_holevo(objective, values, s_b)[0] if discord else math.nan
-    q_mu = incompatibility(x, z)
 
     cond = s_ab - s_b
     info = s_a + s_b - s_ab
@@ -195,4 +202,5 @@ def _sweep(
     except KeyError:
         raise DomainError(f"unknown family {family!r}, expected one of {sorted(FAMILIES)}") from None
     discord = not _DISCORD_FIELDS.isdisjoint(field_names)
-    return [(float(p), _report(constructor(float(p)), x, z, discord)) for p in p_values]
+    q_mu = incompatibility(x, z)
+    return [(float(p), _report(constructor(float(p)), x, z, q_mu, discord)) for p in p_values]

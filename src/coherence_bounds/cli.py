@@ -45,6 +45,10 @@ EXIT_IO = 2
 EXIT_PARSE = 3
 EXIT_VALIDATION = 4
 
+# The most grid points a figure sweep takes. 10^6 rows take a few minutes and
+# about 50 MB of CSV; 10^8 would allocate an 800 MB grid and run for hours.
+_MAX_STEPS = 10**6
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -60,8 +64,10 @@ class SweepConfig:
     p_max: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.steps < 2:
-            raise ValidationError(f"steps: need at least 2 grid points, got {self.steps}")
+        if not 2 <= self.steps <= _MAX_STEPS:
+            raise ValidationError(
+                f"steps: need between 2 and {_MAX_STEPS} grid points, got {self.steps}"
+            )
         if not 0.0 <= self.p_min <= self.p_max <= 1.0:
             raise ValidationError(
                 f"grid: need 0 <= pmin <= pmax <= 1, got [{self.p_min}, {self.p_max}]"
@@ -145,9 +151,8 @@ def render_figure_csv(config: SweepConfig) -> str:
     rows = _sweep(config.family, x, z, config.grid(), config.fields)
     lines = ["p," + ",".join(config.columns)]
     for p, report in rows:
-        values = report.as_dict()
         lines.append(
-            ",".join([format_value(p)] + [format_value(values[f]) for f in config.fields])
+            ",".join([format_value(p)] + [format_value(getattr(report, f)) for f in config.fields])
         )
     return "\n".join(lines) + "\n"
 

@@ -8,11 +8,12 @@ vector n, and n and -n give the same measurement, so the scan needs one
 point of each antipodal pair; the refinement takes Newton steps in tangent-plane coordinates
 at the current n, which no point of the sphere makes singular. The scan is
 a 46-point icosahedral geodesic grid, and up to 4 of its local maxima start
-an ascent. With a qubit memory each step's gradient and Hessian are
-closed-form; with a larger memory, and next to a rank-deficient block, they
-come from a 9-point central-difference stencil. Every refinement takes
-saddle-free Newton steps. The search maximises -S(B|Y_n) = chi(n) - S(B),
-which needs no S(B); J_A adds it back. The optimum is reported as the angles
+an ascent. With a qubit memory each trial's value is closed-form, and so
+are the gradient and Hessian at a point the ascent steps from; with a
+larger memory, and next to a rank-deficient block, every trial takes a
+9-point central-difference stencil. Every refinement takes saddle-free
+Newton steps. The search maximises -S(B|Y_n) = chi(n) - S(B), which needs
+no S(B); J_A adds it back. The optimum is reported as the angles
 of bloch_basis(theta, phi); for a qubit that covers every rank-1 projective
 measurement. The objective's blocks also give evaluate_all the spectra of
 rho_A, rho_B and the two dephased states, in the same batched call as the
@@ -22,7 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
+from typing import Callable
 
 import numpy as np
 
@@ -103,10 +105,12 @@ class _HolevoObjective:
     so a whole batch reduces to one matrix product plus batched small
     eigenproblems, closed-form when dim_b == 2. This class is the one place
     that splits the state into B blocks. A report scans it once (_scan): one
-    batched call gives every spectrum of the report except rho_AB's and the
-    values on the search's grid. With dim_b == 2 the optimiser's Newton
-    steps read a closed-form local model (_local), and the set-up runs on
-    Python floats. The constant S(B) is left to the caller.
+    batched call gives every spectrum of the report except rho_AB's and, if
+    the report searches, the values on the search's grid. With dim_b == 2
+    the optimiser reads each trial's value from a closed-form value pass
+    (_value_pass) and the Newton steps' local model from a derivative pass
+    over its terms (_derivative_pass); the set-up runs on Python floats. The
+    constant S(B) is left to the caller.
     """
 
     def __init__(self, rho: DensityMatrix):
@@ -177,22 +181,26 @@ class _HolevoObjective:
         rows[1:] = np.linalg.eigvalsh(m).T
         return rows
 
-    def _scan(self, x: ObservableBasis, z: ObservableBasis) -> tuple[np.ndarray, np.ndarray]:
-        """(report rows, the objective on the geodesic grid) from one _spectra call.
+    def _scan(
+        self, x: ObservableBasis, z: ObservableBasis, grid: bool = True
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """(report rows, the objective on the geodesic grid or None) from one _spectra call.
 
         The rows are the spectra of rho_A, rho_B, rho_XB and rho_ZB, then
         p_X and p_Z, each zero-padded to 2 dim_b. With n the Bloch vector of
         a basis's outcome-0 ket, the dephased state rho_YB is block diagonal
         with blocks M_+-(n) and p_Y is their traces; rho_B = 2 M_+(0), and
         rho_A has the eigenvalues P0 +- |P| of Tr M_+ = P0 + P.n. The call
-        covers n = 0, n_X, n_Z and then the points of _geodesic_grid(), whose
-        values start the discord search.
+        covers n = 0, n_X, n_Z and, with `grid`, then the points of
+        _geodesic_grid(), whose values start the discord search. A report
+        without the search passes grid=False and gets None for the values;
+        its rows have the same bits.
         """
         db = self.db
-        grid = _geodesic_grid()[0]
-        n = np.zeros((3, 3 + grid.shape[1]))
+        points = _geodesic_grid()[0] if grid else np.empty((3, 0))
+        n = np.zeros((3, 3 + points.shape[1]))
         n[:, 1], n[:, 2] = _outcome0_bloch(x), _outcome0_bloch(z)
-        n[:, 3:] = grid
+        n[:, 3:] = points
         spectra = self._spectra(n)
         # Axes: row of _spectra, block M_+ or M_-, point n = 0, n_X or n_Z.
         cols = spectra.reshape(1 + db, 2, -1)[:, :, :3]
@@ -203,33 +211,29 @@ class _HolevoObjective:
         rows[1, :db] = 2.0 * cols[1:, 0, 0]
         rows[2:4] = cols[1:, :, 1:].transpose(2, 0, 1).reshape(2, 2 * db)
         rows[4:, :2] = cols[0, :, 1:].T
-        return rows, self._values(spectra)[3:]
+        return rows, self._values(spectra)[3:] if grid else None
 
-    def _local(self, frame) -> tuple[float, ...] | None:
-        """(-S(B|Y_n), g1, g2, h11, h22, h12) at n = frame[0] in the coordinates of _chart(frame, .).
+    def _value_pass(self, n) -> tuple[float, tuple] | None:
+        """(-S(B|Y_n), the blocks' terms) at the unit vector n, in closed form; None without one.
 
         For dim_b == 2 a block's trace p and gap vector u are affine in n, and
-        its eigenvalues are (p +- |u|) / 2, so chi's Euclidean gradient and
-        Hessian are closed-form. Along the sphere the second derivatives gain
-        -(grad chi . n) on the diagonal. None when dim_b > 2 or a block's
-        smaller eigenvalue is below _SMOOTH_FLOOR; the caller then differences.
+        its eigenvalues are hi, lo = (p +- g) / 2 with g = |u|. The terms,
+        which _derivative_pass reads, are the derivatives of p and of u along
+        n for M_+ (M_- negates them), then per block M_+ and M_- the tuple
+        (p, u, g, hi, lo, log2 p, log2 hi, log2 lo). None when dim_b > 2 or a
+        block's smaller eigenvalue is below _SMOOTH_FLOOR; the caller then
+        differences.
         """
         if self.db != 2:
             return None
         (p0, px, py, pz), (w0, wx, wy, wz), (v0, vx, vy, vz), (t0, tx, ty, tz) = self._rows
-        # Derivatives of p and of u along n, e1 and e2 for M_+; M_- negates them.
-        dp0, dp1, dp2 = (px * x + py * y + pz * z for x, y, z in frame)
-        (n0, n1, n2), (a0, a1, a2), (b0, b1, b2) = (
-            (wx * x + wy * y + wz * z, vx * x + vy * y + vz * z, tx * x + ty * y + tz * z)
-            for x, y, z in frame
-        )
-        # Second derivatives of |u|^2 / 2 along (e1, e1), (e2, e2), (e1, e2).
-        uu11 = a0 * a0 + a1 * a1 + a2 * a2
-        uu22 = b0 * b0 + b1 * b1 + b2 * b2
-        uu12 = a0 * b0 + a1 * b1 + a2 * b2
+        x, y, z = n
+        dp0 = px * x + py * y + pz * z
+        n0, n1, n2 = wx * x + wy * y + wz * z, vx * x + vy * y + vz * z, tx * x + ty * y + tz * z
         # f = sum over the blocks of p log2 p - hi log2 hi - lo log2 lo, the
-        # conditional entropy S(B|Y_n), and its derivatives.
-        f = fn = f1 = f2 = f11 = f22 = f12 = 0.0
+        # conditional entropy S(B|Y_n).
+        f = 0.0
+        blocks = []
         for s in (1.0, -1.0):
             p = p0 + s * dp0
             u0, u1, u2 = w0 + s * n0, v0 + s * n1, t0 + s * n2
@@ -239,6 +243,31 @@ class _HolevoObjective:
                 return None
             log_p, log_hi, log_lo = math.log2(p), math.log2(hi), math.log2(lo)
             f += p * log_p - hi * log_hi - lo * log_lo
+            blocks.append((p, u0, u1, u2, g, hi, lo, log_p, log_hi, log_lo))
+        return -f, (dp0, n0, n1, n2, blocks)
+
+    def _derivative_pass(self, frame, local: tuple[float, tuple]) -> tuple[float, ...]:
+        """(-S(B|Y_n), g1, g2, h11, h22, h12) at n = frame[0] in the coordinates of _chart(frame, .).
+
+        `local` is _value_pass(frame[0]), whose value and block terms are read,
+        not recomputed. chi's Euclidean gradient and Hessian are closed-form;
+        along the sphere the second derivatives gain -(grad chi . n) on the
+        diagonal.
+        """
+        value, (dp0, n0, n1, n2, blocks) = local
+        (_, px, py, pz), (_, wx, wy, wz), (_, vx, vy, vz), (_, tx, ty, tz) = self._rows
+        _, (x1, y1, z1), (x2, y2, z2) = frame
+        # Derivatives of p and of u along e1 and e2 for M_+; M_- negates them.
+        dp1, dp2 = px * x1 + py * y1 + pz * z1, px * x2 + py * y2 + pz * z2
+        a0, a1, a2 = wx * x1 + wy * y1 + wz * z1, vx * x1 + vy * y1 + vz * z1, tx * x1 + ty * y1 + tz * z1
+        b0, b1, b2 = wx * x2 + wy * y2 + wz * z2, vx * x2 + vy * y2 + vz * z2, tx * x2 + ty * y2 + tz * z2
+        # Second derivatives of |u|^2 / 2 along (e1, e1), (e2, e2), (e1, e2).
+        uu11 = a0 * a0 + a1 * a1 + a2 * a2
+        uu22 = b0 * b0 + b1 * b1 + b2 * b2
+        uu12 = a0 * b0 + a1 * b1 + a2 * b2
+        # The derivatives of f = S(B|Y_n), block by block.
+        fn = f1 = f2 = f11 = f22 = f12 = 0.0
+        for s, (p, u0, u1, u2, g, hi, lo, log_p, log_hi, log_lo) in zip((1.0, -1.0), blocks):
             # kappa = (log2 hi - log2 lo) / (2 g), which stays finite as g -> 0.
             kappa = math.atanh(g / p) / (g * _LN2) if g > 0.0 else 1.0 / (p * _LN2)
             mid = log_p - 0.5 * (log_hi + log_lo)
@@ -257,7 +286,7 @@ class _HolevoObjective:
             f11 += dp1 * dp1 * c_p - hi1 * hi1 * c_hi - lo1 * lo1 * c_lo - kappa * (uu11 - dg1 * dg1)
             f22 += dp2 * dp2 * c_p - hi2 * hi2 * c_hi - lo2 * lo2 * c_lo - kappa * (uu22 - dg2 * dg2)
             f12 += dp1 * dp2 * c_p - hi1 * hi2 * c_hi - lo1 * lo2 * c_lo - kappa * (uu12 - dg1 * dg2)
-        return -f, -f1, -f2, fn - f11, fn - f22, -f12
+        return value, -f1, -f2, fn - f11, fn - f22, -f12
 
 
 def _outcome0_bloch(basis: ObservableBasis) -> tuple[float, float, float]:
@@ -356,15 +385,17 @@ def _moved(frame, u: float, v: float) -> tuple[tuple[float, float, float], ...]:
     return _tangent_frame(x / norm, y / norm, z / norm)
 
 
-def _model(objective: _HolevoObjective, frame) -> tuple[tuple[float, ...], int]:
-    """((value, g1, g2, h11, h22, h12) at frame[0], the evaluations it took).
+def _probe(objective: _HolevoObjective, frame) -> tuple[float, Callable[[], tuple[float, ...]], int]:
+    """(value at frame[0], a function that gives its local model, the evaluations it took).
 
-    The closed-form local model where there is one, at 1 evaluation;
-    otherwise central differences over the 9-point _STENCIL, at 9.
+    The model is (value, g1, g2, h11, h22, h12). Where there is a closed form
+    the value pass costs 1 evaluation, and the derivative pass runs only
+    when the function is called. Otherwise central differences over the
+    9-point _STENCIL give the whole model at once, at 9.
     """
-    local = objective._local(frame)
+    local = objective._value_pass(frame[0])
     if local is not None:
-        return local, 1
+        return local[0], partial(objective._derivative_pass, frame, local), 1
     f0, f1, f2, f3, f4, f5, f6, f7, f8 = objective(_chart(frame, _STENCIL)).tolist()
     h = _STENCIL_H
     model = (
@@ -375,18 +406,19 @@ def _model(objective: _HolevoObjective, frame) -> tuple[tuple[float, ...], int]:
         (f3 - 2.0 * f0 + f4) / (h * h),
         (f5 - f6 - f7 + f8) / (4.0 * h * h),
     )
-    return model, _STENCIL.shape[1]
+    return f0, lambda: model, _STENCIL.shape[1]
 
 
-def _newton_step(model: tuple[float, ...], radius: float) -> tuple[float, float]:
-    """Ascent step (u, v) in tangent coordinates from the model (value, g1, g2, h11, h22, h12).
+def _newton_step(model: tuple[float, ...]) -> tuple[float, float, float]:
+    """Ascent step (u, v) in tangent coordinates from the model (value, g1, g2, h11, h22, h12), and its length.
 
     The Hessian is split into eigen-directions in closed form. Along a
     direction of negative curvature the step is Newton's, which points
     uphill. Along one of positive curvature Newton's step points downhill,
     so the step goes as far uphill instead (the saddle-free Newton step of
     Dauphin et al., NIPS 2014): an ascent that starts on a ridge outside the
-    concave cap of a maximum still climbs. The step is at most `radius` long.
+    concave cap of a maximum still climbs. The step is not yet capped:
+    _refine scales it down to each trial's trust radius.
     """
     _, g1, g2, h11, h22, h12 = model
     mean, half_gap = 0.5 * (h11 + h22), math.hypot(0.5 * (h11 - h22), h12)
@@ -397,9 +429,7 @@ def _newton_step(model: tuple[float, ...], radius: float) -> tuple[float, float]
         if curvature != 0.0:
             coef = (g1 * qu + g2 * qv) / abs(curvature)
             u, v = u + coef * qu, v + coef * qv
-    length = math.hypot(u, v)
-    scale = radius / length if length > radius else 1.0
-    return u * scale, v * scale
+    return u, v, math.hypot(u, v)
 
 
 def _refine(
@@ -408,29 +438,37 @@ def _refine(
     """(best value, its Bloch vector, evals plus the evaluations made) of a Newton ascent from frame[0].
 
     Safeguarded saddle-free Newton steps in tangent-plane coordinates at the
-    current point, so no direction is singular. Every point the ascent
-    tries gets its local model from one _model call, and an accepted trial's
-    model gives the next step. The trust radius starts at `radius`; the
-    ascent stops after the first step shorter than ANGLE_RESOLUTION, or once
-    evals reaches _MAX_EVALS.
+    current point, so no direction is singular. A trial is accepted on its
+    value alone (_probe), so a rejected closed-form trial costs one value
+    pass. Only a point that steps (the start, and an accepted trial while
+    the ascent goes on) gets its local model and its Newton step, once; each
+    trial from it scales that step down to the trust radius. The trust
+    radius starts at `radius` and shrinks to a quarter of any rejected step;
+    the ascent stops after the first step shorter than ANGLE_RESOLUTION, or
+    once evals reaches _MAX_EVALS.
     """
-    model, count = _model(objective, frame)
+    value, model, count = _probe(objective, frame)
     evals += count
+    step = None
     length = radius
     while length >= ANGLE_RESOLUTION and evals < _MAX_EVALS:
         # The step that falls below ANGLE_RESOLUTION is still tried: near a
         # kink of the objective (a rank-deficient block) Newton converges only
         # linearly, and that last step is worth up to 1e-11 in value.
-        u, v = _newton_step(model, radius)
+        if step is None:
+            step = _newton_step(model())
+        u, v, step_length = step
+        scale = radius / step_length if step_length > radius else 1.0
+        u, v = u * scale, v * scale
         length = math.hypot(u, v)
         trial = _moved(frame, u, v)
-        trial_model, count = _model(objective, trial)
+        trial_value, trial_model, count = _probe(objective, trial)
         evals += count
-        if trial_model[0] > model[0]:
-            frame, model = trial, trial_model
+        if trial_value > value:
+            frame, value, model, step = trial, trial_value, trial_model, None
         else:
             radius = 0.25 * length
-    return model[0], np.array(frame[0]), evals
+    return value, np.array(frame[0]), evals
 
 
 def _maximize_holevo(
@@ -478,10 +516,11 @@ def classical_correlation(rho: DensityMatrix) -> DiscordResult:
 
     An ascent takes safeguarded saddle-free Newton steps: along a direction
     of negative curvature a step is Newton's, along one of positive
-    curvature it climbs by |slope| / curvature. Each step reads the gradient
-    and Hessian in closed form when dim_b == 2 and both measurement blocks
-    keep their smaller eigenvalue at or above _SMOOTH_FLOOR; otherwise it
-    takes them from one 9-point central-difference stencil. A trust radius
+    curvature it climbs by |slope| / curvature. Each point reads its value,
+    and the point it steps from its gradient and Hessian, in closed form
+    when dim_b == 2 and both measurement blocks keep their smaller
+    eigenvalue at or above _SMOOTH_FLOOR; otherwise each point the ascent
+    tries takes one 9-point central-difference stencil. A trust radius
     caps the step: it starts at 2 pi / 16 and shrinks to a quarter of any
     step that does not improve the value. An ascent stops after the first
     step shorter than ANGLE_RESOLUTION. J_A is the best value found, clamped

@@ -48,6 +48,19 @@ PSI_PLUS = np.array([0, 1, 1, 0], dtype=np.complex128) / np.sqrt(2)
 PSI_MINUS = np.array([0, 1, -1, 0], dtype=np.complex128) / np.sqrt(2)
 
 
+def _constant(matrix: np.ndarray) -> np.ndarray:
+    matrix.flags.writeable = False
+    return matrix
+
+
+# What the family constructors build from, made once: |Psi+><Psi+|, the 4 x 4
+# identity and sigma_i (x) sigma_i for i = 0..3. They are read-only; each
+# constructor's arithmetic makes a new array from them.
+_PSI_PLUS_PROJECTOR = _constant(np.outer(PSI_PLUS, PSI_PLUS.conj()))
+_IDENTITY4 = _constant(np.eye(4))
+_SIGMA_PAIRS = tuple(_constant(tensor_product(s, s)) for s in (SIGMA0, SIGMA1, SIGMA2, SIGMA3))
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Density matrix together with its A x B factorization.
@@ -154,7 +167,7 @@ def _check_unit_interval(p: float, name: str) -> float:
 def x_state(p: float) -> DensityMatrix:
     """Two-qubit mixture p |Psi+><Psi+| + (1-p) |11><11|."""
     p = _check_unit_interval(p, "p")
-    m = p * np.outer(PSI_PLUS, PSI_PLUS.conj())
+    m = p * _PSI_PLUS_PROJECTOR
     m[3, 3] += 1.0 - p
     return make_density(m, 2, 2)
 
@@ -162,7 +175,7 @@ def x_state(p: float) -> DensityMatrix:
 def werner(p: float) -> DensityMatrix:
     """Two-qubit mixture p |Psi+><Psi+| + (1-p) I/4."""
     p = _check_unit_interval(p, "p")
-    m = p * np.outer(PSI_PLUS, PSI_PLUS.conj()) + (1.0 - p) / 4.0 * np.eye(4)
+    m = p * _PSI_PLUS_PROJECTOR + (1.0 - p) / 4.0 * _IDENTITY4
     return make_density(m, 2, 2)
 
 
@@ -172,9 +185,9 @@ def bell_diagonal(t1: float, t2: float, t3: float) -> DensityMatrix:
     The correlation triple (t1, t2, t3) must keep the matrix positive
     semidefinite; otherwise validation fails.
     """
-    m = tensor_product(SIGMA0, SIGMA0)
-    for t, s in ((t1, SIGMA1), (t2, SIGMA2), (t3, SIGMA3)):
-        m = m + float(t) * tensor_product(s, s)
+    m = _SIGMA_PAIRS[0]
+    for t, pair in zip((t1, t2, t3), _SIGMA_PAIRS[1:]):
+        m = m + float(t) * pair
     return make_density(0.25 * m, 2, 2)
 
 

@@ -24,7 +24,7 @@ from coherence_bounds.coherence import (
 from coherence_bounds.correlations import conditional_entropy, holevo, mutual_information
 from coherence_bounds.entropy import shannon_entropy
 from coherence_bounds.errors import DomainError, UnsupportedDimension
-from coherence_bounds.measurement import ObservableBasis, bloch_basis, measure, pauli_basis
+from coherence_bounds.measurement import ObservableBasis, bloch_basis, incompatibility, measure, pauli_basis
 from coherence_bounds.states import (
     DensityMatrix,
     make_density,
@@ -291,8 +291,8 @@ class TestSweeps:
 
 
 def test_report_without_search_leaves_exactly_the_j_a_fields_nan():
-    # a sweep whose fields do not read J_A skips the search; every field it
-    # does print must keep evaluate_all's bits
+    # a sweep whose fields do not read J_A skips the search and scans n = 0,
+    # n_X and n_Z alone; every field it does print must keep evaluate_all's bits
     cases = [
         (FAMILIES[family](float(p)), X, Z)
         for family in sorted(FAMILIES)
@@ -304,7 +304,7 @@ def test_report_without_search_leaves_exactly_the_j_a_fields_nan():
     ]
     for rho, x, z in cases:
         full = evaluate_all(rho, x, z).as_dict()
-        unsearched = bounds._report(rho, x, z, discord=False).as_dict()
+        unsearched = bounds._report(rho, x, z, incompatibility(x, z), discord=False).as_dict()
         nan_fields = {name for name, value in unsearched.items() if math.isnan(value)}
         assert nan_fields == bounds._DISCORD_FIELDS
         for name in full.keys() - nan_fields:

@@ -11,6 +11,7 @@ import pytest
 
 from coherence_bounds import bounds, cli
 from coherence_bounds.bounds import BoundReport
+from coherence_bounds.correlations import _HolevoObjective
 from coherence_bounds.cli import (
     EXIT_INVARIANT,
     EXIT_IO,
@@ -106,6 +107,16 @@ class TestFigure:
         assert run(["figure", "1", "--out", str(out), "--steps", "1"]) == EXIT_VALIDATION
         assert not out.exists()
 
+    def test_step_count_above_the_cap_rejected(self, tmp_path, monkeypatch):
+        # the grid is never allocated: the config is rejected as it is built
+        out = tmp_path / "f.csv"
+        grids = []
+        monkeypatch.setattr(cli.SweepConfig, "grid", lambda self: grids.append(self))
+        steps = str(cli._MAX_STEPS + 1)
+        assert run(["figure", "2", "--out", str(out), "--steps", steps]) == EXIT_VALIDATION
+        assert not out.exists() and not grids
+        cli.SweepConfig("werner", "sigma1", "sigma3", (), (), steps=cli._MAX_STEPS)
+
     def test_inverted_grid_rejected(self, tmp_path):
         out = tmp_path / "f.csv"
         rc = run(["figure", "1", "--out", str(out), "--pmin", "0.8", "--pmax", "0.2"])
@@ -133,6 +144,33 @@ class TestFigure:
         monkeypatch.setattr(bounds, "_maximize_holevo", counted)
         cli.render_figure_csv(cli.FIGURES[which])
         assert len(calls) == searches
+
+    @pytest.mark.parametrize("which", [2, 3, 4])
+    def test_an_unsearched_sweep_scans_three_points_per_row(self, which, monkeypatch):
+        # n = 0, n_X and n_Z; the 46 grid points only start the search
+        widths = []
+        spectra = _HolevoObjective._spectra
+
+        def recorded(self, n):
+            widths.append(n.shape[1])
+            return spectra(self, n)
+
+        monkeypatch.setattr(_HolevoObjective, "_spectra", recorded)
+        cli.render_figure_csv(cli.FIGURES[which])
+        assert widths == [3] * cli.FIGURES[which].steps
+
+    @pytest.mark.parametrize("which", [1, 2, 3, 4])
+    def test_a_sweep_computes_q_mu_once(self, which, monkeypatch):
+        calls = []
+        q_mu = bounds.incompatibility
+
+        def counted(*args):
+            calls.append(1)
+            return q_mu(*args)
+
+        monkeypatch.setattr(bounds, "incompatibility", counted)
+        cli.render_figure_csv(cli.FIGURES[which])
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_values_are_not_written(self, value):

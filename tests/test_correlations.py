@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coherence_bounds import correlations
+from coherence_bounds import cli, correlations
 from coherence_bounds.bounds import FAMILIES
 from coherence_bounds.correlations import (
     _bloch,
@@ -340,21 +340,21 @@ class TestLocalModel:
         for rho, n in cases:
             objective = _HolevoObjective(rho)
             frame = _tangent_frame(*(n / np.linalg.norm(n)).tolist())
-            chi, *model = objective._local(frame)
+            chi, *model = objective._derivative_pass(frame, objective._value_pass(frame[0]))
             assert chi == pytest.approx(objective(_chart(frame, np.zeros((2, 1))))[0], abs=1e-14)
             expected = _central_model(objective, frame)
             scale = max(1.0, float(np.max(np.abs(expected))))
             assert np.max(np.abs(np.array(model) - expected)) <= 1e-6 * scale
 
     def test_no_closed_form_beyond_a_qubit_memory(self):
-        assert _HolevoObjective(random_density(2, 3, 5))._local(_tangent_frame(0.0, 0.0, 1.0)) is None
+        assert _HolevoObjective(random_density(2, 3, 5))._value_pass((0.0, 0.0, 1.0)) is None
 
     def test_stencil_only_path_agrees(self, monkeypatch):
         states = [c.rho for c in generate_cases(42, 200)]
         states += [FAMILIES[f](float(p)) for f in sorted(FAMILIES) for p in np.linspace(0.0, 1.0, 101)]
         s_b = [von_neumann_entropy(marginal_b(rho)) for rho in states]
         closed = [_search(rho, s)[0] for rho, s in zip(states, s_b)]
-        monkeypatch.setattr(_HolevoObjective, "_local", lambda self, frame: None)
+        monkeypatch.setattr(_HolevoObjective, "_value_pass", lambda self, n: None)
         stencil = [_search(rho, s)[0] for rho, s in zip(states, s_b)]
         assert np.max(np.abs(np.array(closed) - np.array(stencil))) <= 1e-12
 
@@ -362,17 +362,92 @@ class TestLocalModel:
     def test_rank_deficient_blocks_take_the_stencil(self, monkeypatch, rho, expected):
         # a pure state leaves rank-1 blocks for every measurement: every point
         # tried falls back to the 9-point stencil, and J_A still reaches its closed form
-        local, returned = _HolevoObjective._local, []
+        value_pass, returned = _HolevoObjective._value_pass, []
 
-        def recorded(self, frame):
-            returned.append(local(self, frame))
+        def recorded(self, n):
+            returned.append(value_pass(self, n))
             return returned[-1]
 
-        monkeypatch.setattr(_HolevoObjective, "_local", recorded)
+        monkeypatch.setattr(_HolevoObjective, "_value_pass", recorded)
         j_a, _, evals = _search(rho, von_neumann_entropy(marginal_b(rho)))
         assert returned and all(r is None for r in returned)
         assert evals == _geodesic_grid()[0].shape[1] + _STENCIL.shape[1] * len(returned)
         assert j_a == pytest.approx(expected, abs=1e-9)
+
+
+def _full_model_refine(objective, frame, radius, evals):
+    """The ascent as it was before trials were decided on their value alone: every
+    trial gets its whole local model, and every trial computes its own Newton step."""
+    _, model, count = correlations._probe(objective, frame)
+    model = model()
+    evals += count
+    length = radius
+    while length >= correlations.ANGLE_RESOLUTION and evals < correlations._MAX_EVALS:
+        u, v, length = correlations._newton_step(model)
+        scale = radius / length if length > radius else 1.0
+        u, v = u * scale, v * scale
+        length = math.hypot(u, v)
+        trial = correlations._moved(frame, u, v)
+        _, trial_model, count = correlations._probe(objective, trial)
+        trial_model = trial_model()
+        evals += count
+        if trial_model[0] > model[0]:
+            frame, model = trial, trial_model
+        else:
+            radius = 0.25 * length
+    return model[0], np.array(frame[0]), evals
+
+
+def _hex(search):
+    j_a, n, evals = search
+    return j_a.hex(), [float(x).hex() for x in n], evals
+
+
+class TestValueFirstAscent:
+    """Trials are accepted on their value alone, and only a point the ascent steps
+    from gets its derivatives; the full-model ascent above is the oracle."""
+
+    def test_matches_the_full_model_ascent(self, monkeypatch):
+        states = [c.rho for c in generate_cases(42, 200)]
+        states += [FAMILIES[f](float(p)) for f in sorted(FAMILIES) for p in np.linspace(0.0, 1.0, 101)]
+        states += [random_density(2, dim_b, k) for dim_b in (3, 4, 8) for k in range(20)]
+        states.append(load_state_file(Path(__file__).parent / "data" / "multimodal_2x3.txt"))
+        s_b = [von_neumann_entropy(marginal_b(rho)) for rho in states]
+        value_first = [_hex(_search(rho, s)) for rho, s in zip(states, s_b)]
+        monkeypatch.setattr(correlations, "_refine", _full_model_refine)
+        full_model = [_hex(_search(rho, s)) for rho, s in zip(states, s_b)]
+        assert value_first == full_model
+
+    def test_derivatives_only_where_the_ascent_steps(self, monkeypatch):
+        # figure 1's x_state rows: the derivative pass runs at the start and at
+        # accepted trials that step again (about 1.5 per row), each model gets
+        # one Newton step, and every other trial costs a value pass (8.7 per row)
+        passes, derived, stepped = [], [], []
+        value_pass, derivative_pass, newton_step = (
+            _HolevoObjective._value_pass, _HolevoObjective._derivative_pass, correlations._newton_step
+        )
+
+        def count_value(self, n):
+            passes.append(n)
+            return value_pass(self, n)
+
+        def count_derivative(self, frame, local):
+            derived.append(derivative_pass(self, frame, local))
+            return derived[-1]
+
+        def count_step(model):
+            stepped.append(model)
+            return newton_step(model)
+
+        monkeypatch.setattr(_HolevoObjective, "_value_pass", count_value)
+        monkeypatch.setattr(_HolevoObjective, "_derivative_pass", count_derivative)
+        monkeypatch.setattr(correlations, "_newton_step", count_step)
+        rows = cli.FIGURES[1].steps
+        cli.render_figure_csv(cli.FIGURES[1])
+        assert len({id(model) for model in stepped}) == len(stepped)
+        assert {id(model) for model in derived} <= {id(model) for model in stepped}
+        assert len(derived) <= 2 * rows
+        assert len(passes) >= 8 * rows
 
 
 def _xlog2x(w):

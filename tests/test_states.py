@@ -5,10 +5,15 @@ from numpy.testing import assert_allclose
 
 from coherence_bounds.entropy import _spectrum_entropy, von_neumann_entropy
 from coherence_bounds.errors import DomainError, ParseError, ValidationError
-from coherence_bounds.linalg import hermitize, partial_trace
+from coherence_bounds import states
+from coherence_bounds.linalg import hermitize, partial_trace, tensor_product
 from coherence_bounds.states import (
     PSI_MINUS,
     PSI_PLUS,
+    SIGMA0,
+    SIGMA1,
+    SIGMA2,
+    SIGMA3,
     DensityMatrix,
     bell_diagonal,
     bell_diagonal_family,
@@ -173,6 +178,44 @@ class TestBellDiagonal:
         rho = bell_diagonal_family(p)
         assert_allclose(marginal_a(rho).matrix, np.eye(2) / 2, atol=1e-12)
         assert_allclose(marginal_b(rho).matrix, np.eye(2) / 2, atol=1e-12)
+
+
+class TestFamilyConstructors:
+    """The families build from read-only module constants and still validate once."""
+
+    @pytest.mark.parametrize("family", [x_state, werner, bell_diagonal_family])
+    def test_each_state_is_validated_once(self, family, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return make_density(*args)
+
+        monkeypatch.setattr(states, "make_density", counted)
+        for p in np.linspace(0.0, 1.0, 11):
+            calls.clear()
+            family(float(p))
+            assert len(calls) == 1
+
+    def test_matrices_match_a_build_from_scratch(self):
+        # the constants change no bit: the same operations in the same order
+        projector = np.outer(PSI_PLUS, PSI_PLUS.conj())
+        pairs = [tensor_product(s, s) for s in (SIGMA0, SIGMA1, SIGMA2, SIGMA3)]
+        for p in np.linspace(0.0, 1.0, 101):
+            p = float(p)
+            m = p * projector
+            m[3, 3] += 1.0 - p
+            assert np.array_equal(x_state(p).matrix, make_density(m, 2, 2).matrix)
+            m = p * projector + (1.0 - p) / 4.0 * np.eye(4)
+            assert np.array_equal(werner(p).matrix, make_density(m, 2, 2).matrix)
+            m = pairs[0]
+            for t, pair in zip((1.0 - 2.0 * p, -p, -p), pairs[1:]):
+                m = m + t * pair
+            assert np.array_equal(bell_diagonal_family(p).matrix, make_density(0.25 * m, 2, 2).matrix)
+
+    def test_constants_are_read_only(self):
+        for constant in (states._PSI_PLUS_PROJECTOR, states._IDENTITY4, *states._SIGMA_PAIRS):
+            assert not constant.flags.writeable
 
 
 class TestRandomStates:
