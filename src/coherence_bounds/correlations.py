@@ -8,10 +8,11 @@ vector n, and n and -n give the same measurement, so the scan needs one
 point of each antipodal pair; the refinement takes Newton steps in tangent-plane coordinates
 at the current n, which no point of the sphere makes singular. The scan is
 a 46-point icosahedral geodesic grid, and up to 4 of its local maxima start
-an ascent. With a qubit memory each trial's value is closed-form, and so
-are the gradient and Hessian at a point the ascent steps from; with a
-larger memory, and next to a rank-deficient block, every trial takes a
-9-point central-difference stencil. Every refinement takes saddle-free
+an ascent. Each trial's value is closed-form, and so are the gradient and
+Hessian at a point the ascent steps from: with a qubit memory from the
+blocks' traces and gaps, with a larger one from one eigendecomposition of
+both blocks. Next to a rank-deficient block a trial takes a 9-point
+central-difference stencil instead. Every refinement takes saddle-free
 Newton steps. The search maximises -S(B|Y_n) = chi(n) - S(B), which needs
 no S(B); J_A adds it back. The optimum is reported as the angles
 of bloch_basis(theta, phi); for a qubit that covers every rank-1 projective
@@ -36,14 +37,15 @@ from .states import DensityMatrix, marginal_a, marginal_b
 ANGLE_RESOLUTION = 1e-6
 _MAX_EVALS = 100_000
 _LN2 = math.log(2.0)
-# The closed-form local model is used only while both blocks' smaller
-# eigenvalue is at least this. Its curvature carries terms (d lambda)^2 /
-# (lambda ln 2), unbounded as a block loses rank, so toward a rank-deficient
-# block (a kink of chi, as at the optimum of x_state(p)) exact Newton steps
-# shrink with lambda and stall; the 9-point stencil, whose 1e-4 spacing spans
-# the kink, takes those steps instead. With a floor of 1e-12 the search ended
-# up to 2e-14 away from the stencil-only value on the x_state family and on
-# classical-quantum states; at 1e-9 it agrees to 4e-15.
+# The closed-form local model, for every dim_b, is used only while both
+# blocks' smallest eigenvalue is at least this. Its curvature carries terms
+# (d lambda)^2 / (lambda ln 2), unbounded as a block loses rank, so toward a
+# rank-deficient block (a kink of chi, as at the optimum of x_state(p)) exact
+# Newton steps shrink with lambda and stall; the 9-point stencil, whose 1e-4
+# spacing spans the kink, takes those steps instead. With a floor of 1e-12
+# the 2x2 search ended up to 2e-14 away from the stencil-only value on the
+# x_state family and on classical-quantum states; at 1e-9 it agrees to
+# 4e-15, and to 1.4e-15 on random 2x3, 2x4 and 2x8 states.
 _SMOOTH_FLOOR = 1e-9
 
 
@@ -53,9 +55,9 @@ class DiscordResult:
 
     optimizer_evals counts objective evaluations: the 46 points of the
     geodesic grid, then per point an ascent tries one for the closed-form
-    model or nine for the 9-point stencil. That is about 51 for a 2x2
-    state, about 91 for a full-rank state with a larger memory, and at most
-    about 130 for a flat objective.
+    model or nine for the 9-point stencil. That is about 51 for a 2x2 state
+    and for a full-rank state with a larger memory, and at most about 130
+    for a flat objective.
     """
 
     discord: float
@@ -106,11 +108,12 @@ class _HolevoObjective:
     eigenproblems, closed-form when dim_b == 2. This class is the one place
     that splits the state into B blocks. A report scans it once (_scan): one
     batched call gives every spectrum of the report except rho_AB's and, if
-    the report searches, the values on the search's grid. With dim_b == 2
-    the optimiser reads each trial's value from a closed-form value pass
-    (_value_pass) and the Newton steps' local model from a derivative pass
-    over its terms (_derivative_pass); the set-up runs on Python floats. The
-    constant S(B) is left to the caller.
+    the report searches, the values on the search's grid. The optimiser
+    reads each trial's value from a value pass (_value_pass) and the Newton
+    steps' local model from a derivative pass over its terms
+    (_derivative_pass): with dim_b == 2 in closed form on Python floats,
+    otherwise from one eigh of both blocks. The constant S(B) is left to the
+    caller.
     """
 
     def __init__(self, rho: DensityMatrix):
@@ -142,6 +145,9 @@ class _HolevoObjective:
             # Row b * db + b' holds entry (b, b') of M_+ against the coefficients (1, n_1, n_2, n_3).
             self.k = 0.5 * np.array([b00 + b11, b10 + b01, 1j * (b01 - b10), b00 - b11]).reshape(4, db * db).T
             self._trace = tuple(self.k[:: db + 1].sum(axis=0).real.tolist())
+            # Row j is column j of k with real and imaginary parts interleaved, so
+            # (1, n) @ _planes, viewed as complex, is M_+ at n.
+            self._planes = np.ascontiguousarray(self.k.T).view(np.float64)
         self.db = db
 
     def __call__(self, n: np.ndarray) -> np.ndarray:
@@ -214,18 +220,18 @@ class _HolevoObjective:
         return rows, self._values(spectra)[3:] if grid else None
 
     def _value_pass(self, n) -> tuple[float, tuple] | None:
-        """(-S(B|Y_n), the blocks' terms) at the unit vector n, in closed form; None without one.
+        """(-S(B|Y_n), the blocks' terms) at the unit vector n; None next to a rank-deficient block.
 
         For dim_b == 2 a block's trace p and gap vector u are affine in n, and
         its eigenvalues are hi, lo = (p +- g) / 2 with g = |u|. The terms,
         which _derivative_pass reads, are the derivatives of p and of u along
         n for M_+ (M_- negates them), then per block M_+ and M_- the tuple
-        (p, u, g, hi, lo, log2 p, log2 hi, log2 lo). None when dim_b > 2 or a
-        block's smaller eigenvalue is below _SMOOTH_FLOOR; the caller then
-        differences.
+        (p, u, g, hi, lo, log2 p, log2 hi, log2 lo). Any other dim_b takes
+        _eigh_value_pass. None when a block's smallest eigenvalue is below
+        _SMOOTH_FLOOR; the caller then differences.
         """
         if self.db != 2:
-            return None
+            return self._eigh_value_pass(n)
         (p0, px, py, pz), (w0, wx, wy, wz), (v0, vx, vy, vz), (t0, tx, ty, tz) = self._rows
         x, y, z = n
         dp0 = px * x + py * y + pz * z
@@ -254,6 +260,8 @@ class _HolevoObjective:
         along the sphere the second derivatives gain -(grad chi . n) on the
         diagonal.
         """
+        if self.db != 2:
+            return self._eigh_derivative_pass(frame, local)
         value, (dp0, n0, n1, n2, blocks) = local
         (_, px, py, pz), (_, wx, wy, wz), (_, vx, vy, vz), (_, tx, ty, tz) = self._rows
         _, (x1, y1, z1), (x2, y2, z2) = frame
@@ -286,6 +294,67 @@ class _HolevoObjective:
             f11 += dp1 * dp1 * c_p - hi1 * hi1 * c_hi - lo1 * lo1 * c_lo - kappa * (uu11 - dg1 * dg1)
             f22 += dp2 * dp2 * c_p - hi2 * hi2 * c_hi - lo2 * lo2 * c_lo - kappa * (uu22 - dg2 * dg2)
             f12 += dp1 * dp2 * c_p - hi1 * hi2 * c_hi - lo1 * lo2 * c_lo - kappa * (uu12 - dg1 * dg2)
+        return value, -f1, -f2, fn - f11, fn - f22, -f12
+
+    def _eigh_value_pass(self, n) -> tuple[float, tuple] | None:
+        """_value_pass for dim_b != 2: one eigh of the stacked blocks M_+ and M_-.
+
+        The terms, which _eigh_derivative_pass reads, are the eigenvalues w
+        (ascending, one row per block), the eigenvectors v, log2 w, the traces
+        p_+ and p_-, and log2 p_+ - log2 p_-.
+        """
+        x, y, z = n
+        db = self.db
+        blocks = (np.array([(1.0, x, y, z), (1.0, -x, -y, -z)]) @ self._planes).view(np.complex128)
+        w, v = np.linalg.eigh(blocks.reshape(2, db, db))
+        if w[0, 0] < _SMOOTH_FLOOR or w[1, 0] < _SMOOTH_FLOOR:
+            return None
+        p0, px, py, pz = self._trace
+        dp0 = px * x + py * y + pz * z
+        p_plus, p_minus = p0 + dp0, p0 - dp0
+        log_plus, log_minus = math.log2(p_plus), math.log2(p_minus)
+        logs = np.log2(w)
+        value = float((w * logs).sum()) - (p_plus * log_plus + p_minus * log_minus)
+        return value, (w, v, logs, p_plus, p_minus, log_plus - log_minus)
+
+    def _eigh_derivative_pass(self, frame, local: tuple[float, tuple]) -> tuple[float, ...]:
+        """_derivative_pass for dim_b != 2, from the eigenvectors of the value pass.
+
+        Along a direction d, M_+ moves by D = sum_i d_i K_i / 2 and M_- by -D;
+        A = V^H D V in a block's eigenbasis, and its trace dp moves p.
+        f = S(B|Y_n) sums p log2 p - tr M log2 M over the blocks. A block's
+        slope is dp log2 p - sum_i log2 w_i A_ii (the 1 / ln 2 terms cancel),
+        and its second derivative along d1, d2 is
+        dp1 dp2 / (p ln 2) - sum_ij G_ij Re(A1_ij conj(A2_ij)), where
+        G_ij = (log2 w_i - log2 w_j) / (w_i - w_j) is the Daleckii-Krein
+        divided difference, 2 / ((w_i + w_j) ln 2) on ties. It is evaluated as
+        2 atanh(t) / (t (w_i + w_j) ln 2) with t = |w_i - w_j| / (w_i + w_j),
+        which loses no digits to near ties. Along the sphere the second
+        derivatives gain -(grad chi . n) on the diagonal, as for dim_b == 2.
+        """
+        value, (w, v, logs, p_plus, p_minus, log_ratio) = local
+        db = self.db
+        # a[k, s] = V_s^H D V_s for D along frame row k (n, e1, e2) and block s (M_+, M_-).
+        d = (np.array(frame) @ self._planes[1:]).view(np.complex128).reshape(3, 1, db, db)
+        a = v.conj().transpose(0, 2, 1) @ d @ v
+        slopes = (np.diagonal(a, 0, 2, 3).real * logs).sum(axis=2).tolist()
+        _, px, py, pz = self._trace
+        dp = [px * x + py * y + pz * z for x, y, z in frame]
+        # M_- moves by -D, so its slope enters with the opposite sign.
+        fn, f1, f2 = (dp_k * log_ratio - (plus - minus) for dp_k, (plus, minus) in zip(dp, slopes))
+        wi, wj = w[:, :, None], w[:, None, :]
+        total = wi + wj
+        t = np.maximum(np.abs(wi - wj) / total, 1e-300)
+        gamma = np.arctanh(t) / (t * total)
+        # Re(A1_ij conj(A2_ij)) summed over i, j and the blocks is a dot product of real views.
+        e = a[1:].view(np.float64).reshape(2, 2, db, db, 2)
+        weighted = (e * gamma[:, :, :, None]).reshape(2, -1)
+        (q11, q12), (_, q22) = (weighted @ e.reshape(2, -1).T * (2.0 / _LN2)).tolist()
+        c = (1.0 / p_plus + 1.0 / p_minus) / _LN2
+        _, dp1, dp2 = dp
+        f11 = dp1 * dp1 * c - q11
+        f22 = dp2 * dp2 * c - q22
+        f12 = dp1 * dp2 * c - q12
         return value, -f1, -f2, fn - f11, fn - f22, -f12
 
 
@@ -518,9 +587,10 @@ def classical_correlation(rho: DensityMatrix) -> DiscordResult:
     of negative curvature a step is Newton's, along one of positive
     curvature it climbs by |slope| / curvature. Each point reads its value,
     and the point it steps from its gradient and Hessian, in closed form
-    when dim_b == 2 and both measurement blocks keep their smaller
-    eigenvalue at or above _SMOOTH_FLOOR; otherwise each point the ascent
-    tries takes one 9-point central-difference stencil. A trust radius
+    while both measurement blocks keep their smallest eigenvalue at or above
+    _SMOOTH_FLOOR: for dim_b == 2 from the blocks' traces and gaps, for
+    other dim_b from one eigh of both blocks. Otherwise each point the
+    ascent tries takes one 9-point central-difference stencil. A trust radius
     caps the step: it starts at 2 pi / 16 and shrinks to a quarter of any
     step that does not improve the value. An ascent stops after the first
     step shorter than ANGLE_RESOLUTION. J_A is the best value found, clamped

@@ -21,7 +21,7 @@ from coherence_bounds.coherence import (
     unilateral_coherence,
     unilateral_purity,
 )
-from coherence_bounds.correlations import conditional_entropy, holevo, mutual_information
+from coherence_bounds.correlations import classical_correlation, conditional_entropy, holevo, mutual_information
 from coherence_bounds.entropy import shannon_entropy
 from coherence_bounds.errors import DomainError, UnsupportedDimension
 from coherence_bounds.measurement import ObservableBasis, bloch_basis, incompatibility, measure, pauli_basis
@@ -42,14 +42,14 @@ angles = st.tuples(st.floats(0.0, np.pi), st.floats(0.0, 2 * np.pi))
 
 
 def _count_eigensolves(monkeypatch) -> list:
-    """Wrap np.linalg.eigvalsh and eigh; the returned list gains one entry per call."""
+    """Wrap np.linalg.eigvalsh and eigh; the returned list gains one entry per call, its number of matrices."""
     calls = []
     for name in ("eigvalsh", "eigh"):
         original = getattr(np.linalg, name)
 
-        def counted(*args, _original=original, **kwargs):
-            calls.append(1)
-            return _original(*args, **kwargs)
+        def counted(a, *args, _original=original, **kwargs):
+            calls.append(math.prod(np.shape(a)[:-2]))
+            return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
     return calls
@@ -170,6 +170,21 @@ class TestEvaluateAll:
         calls.clear()
         evaluate_all(wide_memory, bloch_basis(1.0, 2.0), bloch_basis(2.5, 0.3))
         assert len(calls) == 1
+
+    def test_wide_memory_search_solves_two_blocks_per_ascent_point(self, monkeypatch):
+        # full-rank 2x8 states: one eigvalsh over the 98 blocks of the scan (n = 0,
+        # n_X, n_Z and the 46 grid points, M_+ and M_- each), then one eigh of
+        # M_+ and M_- per point an ascent tries, which costs 1 evaluation; no
+        # point falls back to the 9-point stencil
+        for seed in range(4):
+            rho = random_density(2, 8, 20 + seed)
+            x, z = bloch_basis(1.0, 2.0 + seed), bloch_basis(2.5, 0.3 * seed)
+            evals = classical_correlation(rho).optimizer_evals
+            calls = _count_eigensolves(monkeypatch)
+            evaluate_all(rho, x, z)
+            monkeypatch.undo()
+            assert calls[0] == 98 and calls[1:] == [2] * (evals - 46)
+            assert 48 <= evals <= 60
 
     def test_reference_path_reuses_the_kept_marginals(self, monkeypatch):
         # the public functions read the marginals and entropies the state
