@@ -36,7 +36,8 @@ affine dependence on n carries the Bloch vector of rho_A. So no marginal is
 traced out; when the report searches for J_A, the same batched call covers
 the grid the search starts from. S(AB) reads the spectrum make_density
 computed for its positivity check, so a 2x2 report on a validated state
-makes no eigensolve. All seven distributions are zero-padded rows of one
+makes no eigensolve; a family state, built unvalidated, makes one 4x4
+eigvalsh for it. All seven distributions are zero-padded rows of one
 table that takes a single checked entropy pass.
 
 J_A, and with it the non-convex search, enters exactly three fields:

@@ -6,12 +6,17 @@ Conventions used everywhere in this package:
   complex matrix. Subsystem A occupies the slow (left) index, so for two
   qubits the computational basis is ordered |00>, |01>, |10>, |11>.
 * A monopartite state is a DensityMatrix with dim_b == 1.
+* make_density validates a matrix from outside the library; load_state_file,
+  random_density and bell_diagonal (whose triple can leave the PSD cone) go
+  through it. x_state, werner and bell_diagonal_family check p, build their
+  matrix from read-only constants and wrap it with the DensityMatrix
+  constructor, unvalidated.
 * A DensityMatrix's matrix is read-only, so the values a state keeps cannot go
-  stale: its spectrum (the one make_density computed for the positivity
-  check, or computed on first use), its von Neumann entropy, its two
-  marginals and, per measurement basis, the entropy of the state dephased in
-  that basis, keyed by the basis object. Each is computed on first use and
-  kept on that object only.
+  stale: its spectrum and its von Neumann entropy (make_density keeps the
+  ones its positivity and support checks computed), its two marginals and,
+  per measurement basis, the entropy of the state dephased in that basis,
+  keyed by the basis object. Each is computed once, on first use where
+  make_density has not, and kept on that object only.
 
 State file format (one state per file)::
 
@@ -30,8 +35,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .entropy import _spectrum_entropy
-from .errors import DomainError, ParseError, ValidationError
+from .entropy import SUPPORT_CUT, _spectrum_entropy
+from .errors import DomainError, ParseError, ProbabilityError, ValidationError
 from .linalg import _trace_out, as_square_matrix, hermiticity_defect, hermitize, tensor_product
 
 # Largest allowed deviation max|M - M^dag| before a matrix is rejected as non-Hermitian.
@@ -66,8 +71,9 @@ class DensityMatrix:
     """Density matrix together with its A x B factorization.
 
     The constructor trusts its input: matrices from outside the library go
-    through make_density, while states derived from a valid DensityMatrix
-    (marginals, dephased and conditional states) are built directly. matrix
+    through make_density, while states the library builds itself (the
+    one-parameter families, and marginals, dephased and conditional states of
+    a valid DensityMatrix) are built directly. matrix
     is made read-only, so what the state keeps from it cannot go stale: the
     spectrum, the entropy and the two marginals, each a cached_property
     computed on first use, and the dephased entropy per basis object. They
@@ -84,12 +90,12 @@ class DensityMatrix:
 
     @cached_property
     def _spectrum(self) -> np.ndarray:
-        """np.linalg.eigvalsh(matrix), computed once; make_density stores the one it computed."""
+        """np.linalg.eigvalsh(matrix), computed once; make_density stores the one it checked."""
         return np.linalg.eigvalsh(self.matrix)
 
     @cached_property
     def _entropy(self) -> float:
-        """The von Neumann entropy of _spectrum, computed once."""
+        """The von Neumann entropy of _spectrum, computed once; make_density stores the one it checked."""
         return _spectrum_entropy(self._spectrum)
 
     @cached_property
@@ -119,8 +125,13 @@ def make_density(matrix, dim_a: int, dim_b: int) -> DensityMatrix:
 
     Checks, in order: dimensions factor as dim_a * dim_b, Hermiticity within
     HERMITICITY_TOL (the stored matrix is the symmetrized (M + M^dag)/2),
-    unit trace within 1e-9, and smallest eigenvalue >= -1e-9. Each failure raises
-    ValidationError naming the violated invariant.
+    unit trace within 1e-9, smallest eigenvalue >= -1e-9, and support: the
+    eigenvalues of at least entropy.SUPPORT_CUT sum to 1 within 1e-9, the
+    check every entropy of the state makes. The last one rejects a state
+    whose negative eigenvalues each clear the floor but together exceed
+    about 1e-9. Each failure raises ValidationError naming the violated
+    invariant. The state keeps the spectrum and the entropy these checks
+    computed.
     """
     arr = as_square_matrix(matrix)
     if dim_a < 1 or dim_b < 1 or arr.shape[0] != dim_a * dim_b:
@@ -141,9 +152,17 @@ def make_density(matrix, dim_a: int, dim_b: int) -> DensityMatrix:
         raise ValidationError(
             f"positivity: smallest eigenvalue {spectrum[0]:.3e} is below {EIGENVALUE_FLOOR}"
         )
+    # The entropy pass's own check, so that every state accepted here evaluates.
+    try:
+        entropy = _spectrum_entropy(spectrum)
+    except ProbabilityError as exc:
+        raise ValidationError(
+            f"support: the eigenvalues of at least {SUPPORT_CUT} are not a distribution ({exc})"
+        ) from None
     rho = DensityMatrix(matrix=arr, dim_a=int(dim_a), dim_b=int(dim_b))
-    # Where the cached property would store it: the same eigvalsh of the same array.
+    # Where the cached properties would store them: the same values of the same array.
     vars(rho)["_spectrum"] = spectrum
+    vars(rho)["_entropy"] = entropy
     return rho
 
 
@@ -169,14 +188,21 @@ def x_state(p: float) -> DensityMatrix:
     p = _check_unit_interval(p, "p")
     m = p * _PSI_PLUS_PROJECTOR
     m[3, 3] += 1.0 - p
-    return make_density(m, 2, 2)
+    return DensityMatrix(m, 2, 2)
 
 
 def werner(p: float) -> DensityMatrix:
     """Two-qubit mixture p |Psi+><Psi+| + (1-p) I/4."""
     p = _check_unit_interval(p, "p")
     m = p * _PSI_PLUS_PROJECTOR + (1.0 - p) / 4.0 * _IDENTITY4
-    return make_density(m, 2, 2)
+    return DensityMatrix(m, 2, 2)
+
+
+def _bell_diagonal_matrix(t1: float, t2: float, t3: float) -> np.ndarray:
+    m = _SIGMA_PAIRS[0]
+    for t, pair in zip((t1, t2, t3), _SIGMA_PAIRS[1:]):
+        m = m + float(t) * pair
+    return 0.25 * m
 
 
 def bell_diagonal(t1: float, t2: float, t3: float) -> DensityMatrix:
@@ -185,10 +211,7 @@ def bell_diagonal(t1: float, t2: float, t3: float) -> DensityMatrix:
     The correlation triple (t1, t2, t3) must keep the matrix positive
     semidefinite; otherwise validation fails.
     """
-    m = _SIGMA_PAIRS[0]
-    for t, pair in zip((t1, t2, t3), _SIGMA_PAIRS[1:]):
-        m = m + float(t) * pair
-    return make_density(0.25 * m, 2, 2)
+    return make_density(_bell_diagonal_matrix(t1, t2, t3), 2, 2)
 
 
 def bell_diagonal_family(p: float) -> DensityMatrix:
@@ -198,7 +221,7 @@ def bell_diagonal_family(p: float) -> DensityMatrix:
     with eigenvalues (p, (1-p)/2, (1-p)/2, 0).
     """
     p = _check_unit_interval(p, "p")
-    return bell_diagonal(1.0 - 2.0 * p, -p, -p)
+    return DensityMatrix(_bell_diagonal_matrix(1.0 - 2.0 * p, -p, -p), 2, 2)
 
 
 def random_density(dim_a: int, dim_b: int, seed: int) -> DensityMatrix:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coherence_bounds import bounds, cli
+from coherence_bounds import bounds, cli, states
 from coherence_bounds.bounds import BoundReport
 from coherence_bounds.correlations import _HolevoObjective
 from coherence_bounds.cli import (
@@ -29,7 +29,8 @@ from coherence_bounds.errors import (
     UnsupportedDimension,
     ValidationError,
 )
-from coherence_bounds.states import save_state_file, werner
+from coherence_bounds.linalg import hermitize
+from coherence_bounds.states import DensityMatrix, random_unitary, save_state_file, werner
 
 FIG1_HEADER = "p,lb_berta_coh,lb_pati_coh,lb_adabi_coh"
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -160,6 +161,29 @@ class TestFigure:
         assert widths == [3] * cli.FIGURES[which].steps
 
     @pytest.mark.parametrize("which", [1, 2, 3, 4])
+    def test_a_sweep_validates_no_row_and_solves_one_4x4_per_row(self, which, monkeypatch):
+        # the families build on the trusted path; rho_AB is the only eigensolve
+        validations, solves = [], []
+        make_density = states.make_density
+
+        def counted(*args):
+            validations.append(1)
+            return make_density(*args)
+
+        monkeypatch.setattr(states, "make_density", counted)
+        for name in ("eigvalsh", "eigh"):
+            original = getattr(np.linalg, name)
+
+            def recorded(a, *args, _name=name, _original=original, **kwargs):
+                solves.append((_name, np.shape(a)))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recorded)
+        cli.render_figure_csv(cli.FIGURES[which])
+        assert validations == []
+        assert solves == [("eigvalsh", (4, 4))] * cli.FIGURES[which].steps
+
+    @pytest.mark.parametrize("which", [1, 2, 3, 4])
     def test_a_sweep_computes_q_mu_once(self, which, monkeypatch):
         calls = []
         q_mu = bounds.incompatibility
@@ -230,6 +254,17 @@ class TestEval:
         rc = run(["eval", "--state", str(path), "--x", "sigma1", "--z", "sigma3"])
         assert rc == EXIT_VALIDATION
         assert "trace" in capsys.readouterr().err
+
+    def test_spectrum_the_entropies_reject_is_a_validation_error(self, tmp_path, capsys):
+        # eigenvalues (-8e-10, -8e-10, 0.3, 0.7 + 1.6e-9): each clears the
+        # eigenvalue floor, but the entropy pass would reject the spectrum
+        u = random_unitary(4, 1)
+        m = (u * np.array([-8e-10, -8e-10, 0.3, 0.7 + 1.6e-9])) @ u.conj().T
+        path = tmp_path / "edge.txt"
+        save_state_file(DensityMatrix(hermitize(m), 2, 2), path)
+        rc = run(["eval", "--state", str(path), "--x", "sigma1", "--z", "sigma3"])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: support: the eigenvalues of at least 1e-12")
 
     def test_bad_selector(self, bell_file):
         rc = run(["eval", "--state", bell_file, "--x", "sigma9", "--z", "sigma3"])

@@ -6,7 +6,10 @@ from numpy.testing import assert_allclose
 from coherence_bounds.entropy import _spectrum_entropy, von_neumann_entropy
 from coherence_bounds.errors import DomainError, ParseError, ValidationError
 from coherence_bounds import states
+from coherence_bounds.bounds import FAMILIES, evaluate_all
+from coherence_bounds.cli import FIGURES
 from coherence_bounds.linalg import hermitize, partial_trace, tensor_product
+from coherence_bounds.measurement import pauli_basis
 from coherence_bounds.states import (
     PSI_MINUS,
     PSI_PLUS,
@@ -29,6 +32,12 @@ from coherence_bounds.states import (
 )
 
 unit = st.floats(0.0, 1.0)
+
+
+def _in_random_eigenbasis(eigenvalues, seed):
+    """U diag(eigenvalues) U^dag for the unitary random_unitary(len(eigenvalues), seed)."""
+    u = random_unitary(len(eigenvalues), seed)
+    return (u * np.asarray(eigenvalues)) @ u.conj().T
 
 
 class TestMakeDensity:
@@ -55,6 +64,35 @@ class TestMakeDensity:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValidationError, match="positivity"):
             make_density(np.diag([1.5, -0.5]), 2, 1)
+
+    def test_rejects_a_spectrum_the_entropy_pass_rejects(self):
+        # each eigenvalue clears EIGENVALUE_FLOOR, but with the two negative
+        # ones cut to zero the others sum to 1 + 1.6e-9
+        m = _in_random_eigenbasis([-8e-10, -8e-10, 0.3, 0.7 + 1.6e-9], 1)
+        with pytest.raises(ValidationError, match="support") as excinfo:
+            make_density(m, 2, 2)
+        assert excinfo.type is ValidationError
+
+    @pytest.mark.parametrize("dim_b", [2, 3, 8])
+    def test_every_state_accepted_near_the_eigenvalue_floor_evaluates(self, dim_b):
+        rng = np.random.default_rng((7, dim_b))
+        outcomes = []
+        for _ in range(30):
+            d = 2 * dim_b
+            negative = rng.uniform(-9e-10, 0.0, int(rng.integers(1, d)))
+            positive = rng.random(d - negative.size)
+            positive *= (1.0 - negative.sum()) / positive.sum()
+            m = _in_random_eigenbasis(np.concatenate([negative, positive]), int(rng.integers(2**31)))
+            try:
+                rho = make_density(m, 2, dim_b)
+            except ValidationError:
+                outcomes.append("rejected")
+                continue
+            report = evaluate_all(rho, pauli_basis(1), pauli_basis(3))
+            assert np.isfinite(list(report.as_dict().values())).all()
+            outcomes.append("evaluated")
+        # the corpus reaches both sides of the boundary
+        assert set(outcomes) == {"rejected", "evaluated"}
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValidationError, match="dimension"):
@@ -181,21 +219,16 @@ class TestBellDiagonal:
 
 
 class TestFamilyConstructors:
-    """The families build from read-only module constants and still validate once."""
+    """The families build from read-only module constants and wrap their matrices unvalidated."""
 
     @pytest.mark.parametrize("family", [x_state, werner, bell_diagonal_family])
-    def test_each_state_is_validated_once(self, family, monkeypatch):
-        calls = []
-
-        def counted(*args):
-            calls.append(1)
-            return make_density(*args)
-
-        monkeypatch.setattr(states, "make_density", counted)
-        for p in np.linspace(0.0, 1.0, 11):
-            calls.clear()
-            family(float(p))
-            assert len(calls) == 1
+    def test_make_density_accepts_each_state_unchanged(self, family):
+        sweeps = [c.grid() for c in FIGURES.values() if FAMILIES[c.family] is family]
+        for p in np.concatenate([np.linspace(0.0, 1.0, 1001), [0.0, 1.0], *sweeps]):
+            trusted = family(float(p))
+            checked = make_density(trusted.matrix.copy(), 2, 2)
+            assert np.array_equal(checked.matrix, trusted.matrix)
+            assert np.array_equal(checked._spectrum, trusted._spectrum)
 
     def test_matrices_match_a_build_from_scratch(self):
         # the constants change no bit: the same operations in the same order
@@ -203,15 +236,19 @@ class TestFamilyConstructors:
         pairs = [tensor_product(s, s) for s in (SIGMA0, SIGMA1, SIGMA2, SIGMA3)]
         for p in np.linspace(0.0, 1.0, 101):
             p = float(p)
-            m = p * projector
-            m[3, 3] += 1.0 - p
-            assert np.array_equal(x_state(p).matrix, make_density(m, 2, 2).matrix)
-            m = p * projector + (1.0 - p) / 4.0 * np.eye(4)
-            assert np.array_equal(werner(p).matrix, make_density(m, 2, 2).matrix)
-            m = pairs[0]
+            x = p * projector
+            x[3, 3] += 1.0 - p
+            bell = pairs[0]
             for t, pair in zip((1.0 - 2.0 * p, -p, -p), pairs[1:]):
-                m = m + t * pair
-            assert np.array_equal(bell_diagonal_family(p).matrix, make_density(0.25 * m, 2, 2).matrix)
+                bell = bell + t * pair
+            for state, m in (
+                (x_state(p), x),
+                (werner(p), p * projector + (1.0 - p) / 4.0 * np.eye(4)),
+                (bell_diagonal_family(p), 0.25 * bell),
+            ):
+                built = make_density(m, 2, 2)
+                assert np.array_equal(state.matrix, built.matrix)
+                assert np.array_equal(state._spectrum, built._spectrum)
 
     def test_constants_are_read_only(self):
         for constant in (states._PSI_PLUS_PROJECTOR, states._IDENTITY4, *states._SIGMA_PAIRS):
