@@ -34,11 +34,11 @@ diagonal with blocks M_+-(n): p_Y is their traces and the spectrum of
 rho_YB is the union of their spectra. rho_B is 2 M_+(0), and the traces'
 affine dependence on n carries the Bloch vector of rho_A. So no marginal is
 traced out; when the report searches for J_A, the same batched call covers
-the grid the search starts from. S(AB) reads the spectrum make_density
-computed for its positivity check, so a 2x2 report on a validated state
-makes no eigensolve; a family state, built unvalidated, makes one 4x4
-eigvalsh for it. All seven distributions are zero-padded rows of one
-table that takes a single checked entropy pass.
+the grid the search starts from. S(AB) reads the spectrum the state keeps,
+which make_density's positivity check built, so a 2x2 report on a
+validated state makes no eigensolve; a family state, built unvalidated,
+makes one 4x4 eigvalsh for it. All seven distributions are zero-padded
+rows of one table that takes a single checked entropy pass.
 
 J_A, and with it the non-convex search, enters exactly three fields:
 discord_gap, lb_theorem3 and eur_pati. Every other field is an expression
@@ -153,7 +153,8 @@ def _report(
     holevo_z = max(0.0, s_b + h_z - s_zb)
     delta = info - holevo_x - holevo_z
     gap = (info - j_a) - j_a  # D_A - J_A
-    ub_purity = 2.0 * max(0.0, float(np.log2(rho.dim_a)) - cond)
+    # log2 dim_a is 1: _HolevoObjective raised for any dim_a other than 2.
+    ub_purity = 2.0 * max(0.0, 1.0 - cond)
     return BoundReport(
         lhs_coherence=lhs_coherence,
         lhs_eur=lhs_eur,
@@ -167,7 +168,7 @@ def _report(
         eur_berta=q_mu + cond,
         eur_pati=q_mu + cond + _positive_part(gap),
         eur_adabi=q_mu + cond + _positive_part(delta),
-        certainty_ub=2.0 * float(np.log2(rho.dim_a)) - holevo_x - holevo_z,
+        certainty_ub=2.0 - holevo_x - holevo_z,
         delta=delta,
         discord_gap=gap,
         mutual_info=info,

@@ -118,8 +118,12 @@ class RunResult:
 
 def generate_cases(seed: int, count: int) -> list[CheckCase]:
     """Deterministic fuzz corpus: random full-rank two-qubit states and basis pairs."""
+    return list(_draw_cases(seed, count))
+
+
+def _draw_cases(seed: int, count: int):
+    """generate_cases one case at a time, so a caller holds only the case it checks."""
     rng = np.random.default_rng(seed)
-    cases = []
     for _ in range(count):
         state_seed = int(rng.integers(0, 2**31 - 1))
         angles = [
@@ -128,19 +132,16 @@ def generate_cases(seed: int, count: int) -> list[CheckCase]:
             float(np.arccos(rng.uniform(-1.0, 1.0))),
             float(rng.uniform(0.0, 2.0 * np.pi)),
         ]
-        cases.append(
-            CheckCase(
-                state_seed=state_seed,
-                rho=random_density(2, 2, state_seed),
-                theta_x=angles[0],
-                phi_x=angles[1],
-                theta_z=angles[2],
-                phi_z=angles[3],
-                x=bloch_basis(angles[0], angles[1]),
-                z=bloch_basis(angles[2], angles[3]),
-            )
+        yield CheckCase(
+            state_seed=state_seed,
+            rho=random_density(2, 2, state_seed),
+            theta_x=angles[0],
+            phi_x=angles[1],
+            theta_z=angles[2],
+            phi_z=angles[3],
+            x=bloch_basis(angles[0], angles[1]),
+            z=bloch_basis(angles[2], angles[3]),
         )
-    return cases
 
 
 def _suite_linalg(case: CheckCase, report: BoundReport) -> list[tuple[str, float, float]]:
@@ -368,6 +369,8 @@ def run_checks(seed: int, cases: int) -> RunResult:
     """Run every suite over `cases` seeded random states.
 
     Records each case's verdict per suite and each named check's worst margin.
+    The cases are generate_cases(seed, cases), drawn one at a time: a run
+    holds only the case it checks.
     Each suite is looked up in _SUITE_FNS per case, so replacing an entry
     (a suite with shifted margins, say) exercises the failure path.
     A count below 1 raises ValidationError: it would check nothing and pass.
@@ -378,7 +381,7 @@ def run_checks(seed: int, cases: int) -> RunResult:
     if seed < 0:
         raise ValidationError(f"seed: need a non-negative integer, got {seed}")
     results = {name: SuiteResult(name=name) for name in SUITE_NAMES}
-    for case in generate_cases(seed, cases):
+    for case in _draw_cases(seed, cases):
         report = evaluate_all(case.rho, case.x, case.z)
         for name in SUITE_NAMES:
             suite = results[name]

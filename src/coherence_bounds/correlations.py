@@ -143,11 +143,11 @@ class _HolevoObjective:
             # b_aa' is the B block of rho at A entry (a, a').
             (b00, b01), (b10, b11) = rho.matrix.reshape(2, db, 2, db).transpose(0, 2, 1, 3)
             # Row b * db + b' holds entry (b, b') of M_+ against the coefficients (1, n_1, n_2, n_3).
-            self.k = 0.5 * np.array([b00 + b11, b10 + b01, 1j * (b01 - b10), b00 - b11]).reshape(4, db * db).T
-            self._trace = tuple(self.k[:: db + 1].sum(axis=0).real.tolist())
+            k = 0.5 * np.array([b00 + b11, b10 + b01, 1j * (b01 - b10), b00 - b11]).reshape(4, db * db).T
+            self._trace = tuple(k[:: db + 1].sum(axis=0).real.tolist())
             # Row j is column j of k with real and imaginary parts interleaved, so
             # (1, n) @ _planes, viewed as complex, is M_+ at n.
-            self._planes = np.ascontiguousarray(self.k.T).view(np.float64)
+            self._planes = np.ascontiguousarray(k.T).view(np.float64)
         self.db = db
 
     def __call__(self, n: np.ndarray) -> np.ndarray:
@@ -181,7 +181,7 @@ class _HolevoObjective:
             np.subtract(p, gap, out=u1)
             rows[1:3] *= 0.5
             return rows[:3]
-        m = (coeffs.T @ self.k.T).reshape(-1, self.db, self.db)
+        m = (coeffs.T @ self._planes).view(np.complex128).reshape(-1, self.db, self.db)
         rows = np.empty((1 + self.db, m.shape[0]))
         rows[0] = np.einsum("naa->n", m).real
         rows[1:] = np.linalg.eigvalsh(m).T
@@ -600,7 +600,7 @@ def classical_correlation(rho: DensityMatrix) -> DiscordResult:
     s_b = von_neumann_entropy(marginal_b(rho))
     objective = _HolevoObjective(rho)
     j_a, n, evals = _maximize_holevo(objective, objective(_geodesic_grid()[0]), s_b)
-    info = von_neumann_entropy(marginal_a(rho)) + s_b - von_neumann_entropy(rho)
+    info = mutual_information(rho)
     return DiscordResult(
         discord=info - j_a,
         classical_correlation=j_a,

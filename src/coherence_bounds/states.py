@@ -12,11 +12,12 @@ Conventions used everywhere in this package:
   matrix from read-only constants and wrap it with the DensityMatrix
   constructor, unvalidated.
 * A DensityMatrix's matrix is read-only, so the values a state keeps cannot go
-  stale: its spectrum and its von Neumann entropy (make_density keeps the
-  ones its positivity and support checks computed), its two marginals and,
-  per measurement basis, the entropy of the state dephased in that basis,
-  keyed by the basis object. Each is computed once, on first use where
-  make_density has not, and kept on that object only.
+  stale: its spectrum, its von Neumann entropy, its two marginals and, per
+  measurement basis, the entropy of the state dephased in that basis, keyed
+  by the basis object. Each is computed once, on first use, by the one
+  cached property that builds it, and kept on that object only. For a state
+  from make_density that first use is validation: its checks read the
+  state's spectrum, its entropy and its A marginal's spectrum.
 
 State file format (one state per file)::
 
@@ -43,6 +44,11 @@ from .linalg import _trace_out, as_square_matrix, hermiticity_defect, hermitize,
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-9
 EIGENVALUE_FLOOR = -1e-9
+# An outcome probability <y|rho_A|y> of measuring A can go as low as rho_A's
+# smallest eigenvalue, and measuring A rejects one below -SUPPORT_CUT. The
+# probability is summed at unit trace, so it can land a few ulps of 1
+# (2.2e-16 each) below the eigenvalue; this floor leaves 1e-14 for that.
+MARGINAL_FLOOR = -0.99 * SUPPORT_CUT
 
 SIGMA0 = np.eye(2, dtype=np.complex128)
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -90,12 +96,12 @@ class DensityMatrix:
 
     @cached_property
     def _spectrum(self) -> np.ndarray:
-        """np.linalg.eigvalsh(matrix), computed once; make_density stores the one it checked."""
+        """np.linalg.eigvalsh(matrix), computed once; the only place a state's spectrum is built."""
         return np.linalg.eigvalsh(self.matrix)
 
     @cached_property
     def _entropy(self) -> float:
-        """The von Neumann entropy of _spectrum, computed once; make_density stores the one it checked."""
+        """The von Neumann entropy of _spectrum, computed once; the only place a state's entropy is built."""
         return _spectrum_entropy(self._spectrum)
 
     @cached_property
@@ -125,13 +131,15 @@ def make_density(matrix, dim_a: int, dim_b: int) -> DensityMatrix:
 
     Checks, in order: dimensions factor as dim_a * dim_b, Hermiticity within
     HERMITICITY_TOL (the stored matrix is the symmetrized (M + M^dag)/2),
-    unit trace within 1e-9, smallest eigenvalue >= -1e-9, and support: the
+    unit trace within 1e-9, smallest eigenvalue >= -1e-9, support: the
     eigenvalues of at least entropy.SUPPORT_CUT sum to 1 within 1e-9, the
-    check every entropy of the state makes. The last one rejects a state
-    whose negative eigenvalues each clear the floor but together exceed
-    about 1e-9. Each failure raises ValidationError naming the violated
-    invariant. The state keeps the spectrum and the entropy these checks
-    computed.
+    check every entropy of the state makes, and the A marginal: rho_A's
+    smallest eigenvalue >= MARGINAL_FLOOR, so that measuring A gives no
+    probability below -SUPPORT_CUT. The support check rejects a state whose
+    negative eigenvalues each clear the floor but together exceed about
+    1e-9. Each failure raises ValidationError naming the violated invariant.
+    The checks read the state's own cached spectrum, entropy and A marginal,
+    so the state keeps what they computed.
     """
     arr = as_square_matrix(matrix)
     if dim_a < 1 or dim_b < 1 or arr.shape[0] != dim_a * dim_b:
@@ -147,22 +155,23 @@ def make_density(matrix, dim_a: int, dim_b: int) -> DensityMatrix:
     tr = float(np.trace(arr).real)
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValidationError(f"trace: Tr = {tr!r} is not 1 within {TRACE_TOL}")
-    spectrum = np.linalg.eigvalsh(arr)
-    if spectrum[0] < EIGENVALUE_FLOOR:
+    rho = DensityMatrix(matrix=arr, dim_a=int(dim_a), dim_b=int(dim_b))
+    if rho._spectrum[0] < EIGENVALUE_FLOOR:
         raise ValidationError(
-            f"positivity: smallest eigenvalue {spectrum[0]:.3e} is below {EIGENVALUE_FLOOR}"
+            f"positivity: smallest eigenvalue {rho._spectrum[0]:.3e} is below {EIGENVALUE_FLOOR}"
         )
     # The entropy pass's own check, so that every state accepted here evaluates.
     try:
-        entropy = _spectrum_entropy(spectrum)
+        rho._entropy
     except ProbabilityError as exc:
         raise ValidationError(
             f"support: the eigenvalues of at least {SUPPORT_CUT} are not a distribution ({exc})"
         ) from None
-    rho = DensityMatrix(matrix=arr, dim_a=int(dim_a), dim_b=int(dim_b))
-    # Where the cached properties would store them: the same values of the same array.
-    vars(rho)["_spectrum"] = spectrum
-    vars(rho)["_entropy"] = entropy
+    lowest = rho._marginal_a._spectrum[0]
+    if lowest < MARGINAL_FLOOR:
+        raise ValidationError(
+            f"marginal: smallest eigenvalue of rho_A {lowest:.3e} is below {MARGINAL_FLOOR}"
+        )
     return rho
 
 

@@ -188,10 +188,10 @@ class TestEvaluateAll:
 
     def test_reference_path_reuses_the_kept_marginals(self, monkeypatch):
         # the public functions read the marginals and entropies the state
-        # keeps: one eigensolve for rho_B, one for rho_A and one per dephased
-        # state, rho_XB and rho_ZB shared by holevo and unilateral_coherence,
-        # rho_A dephased in X and Z shared by coherence_rel and
-        # coherence_bound_t1; rho_AB's spectrum is the one make_density computed
+        # keeps: one eigensolve for rho_B and one per dephased state, rho_XB
+        # and rho_ZB shared by holevo and unilateral_coherence, rho_A dephased
+        # in X and Z shared by coherence_rel and coherence_bound_t1; the
+        # spectra of rho_AB and rho_A are the ones make_density validated
         rho = random_density(2, 2, 7)
 
         def reference_values(state):
@@ -211,7 +211,7 @@ class TestEvaluateAll:
 
         calls = _count_eigensolves(monkeypatch)
         values = reference_values(rho)
-        assert len(calls) == 6
+        assert len(calls) == 5
         calls.clear()
         assert reference_values(rho) == values
         assert len(calls) == 0

@@ -1,9 +1,11 @@
 import numpy as np
 
+from coherence_bounds import checks
 from coherence_bounds.bounds import evaluate_all
 from coherence_bounds.checks import (
     _SUITE_FNS,
     SUITE_NAMES,
+    CheckCase,
     generate_cases,
     run_checks,
 )
@@ -72,3 +74,25 @@ def test_corruption_hook_breaks_exactly_one_suite(monkeypatch, break_suite):
     for suite in clean.values():
         for label, record in suite.worst.items():
             assert _margins(suite.name, cases[record.state_seed])[label] == record.margin
+
+
+def test_run_checks_draws_each_case_just_before_checking_it(monkeypatch):
+    # the corpus is never held whole: case k is checked after k draws
+    drawn, seen = [], []
+
+    def counting_case(**fields):
+        drawn.append(CheckCase(**fields))
+        return drawn[-1]
+
+    def recording_evaluate_all(rho, x, z):
+        seen.append(len(drawn))
+        return evaluate_all(rho, x, z)
+
+    monkeypatch.setattr(checks, "CheckCase", counting_case)
+    monkeypatch.setattr(checks, "evaluate_all", recording_evaluate_all)
+    result = run_checks(7, 5)
+    monkeypatch.undo()
+    assert result.ok
+    assert seen == [1, 2, 3, 4, 5]
+    # the same rng sequence as generate_cases
+    assert [c.state_seed for c in drawn] == [c.state_seed for c in generate_cases(7, 5)]

@@ -34,6 +34,7 @@ from coherence_bounds.states import DensityMatrix, random_unitary, save_state_fi
 
 FIG1_HEADER = "p,lb_berta_coh,lb_pati_coh,lb_adabi_coh"
 DATA = Path(__file__).resolve().parent.parent / "data"
+TEST_DATA = Path(__file__).resolve().parent / "data"
 
 
 def run(argv):
@@ -265,6 +266,21 @@ class TestEval:
         rc = run(["eval", "--state", str(path), "--x", "sigma1", "--z", "sigma3"])
         assert rc == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("error: support: the eigenvalues of at least 1e-12")
+
+    def test_marginal_that_measuring_a_rejects_is_a_validation_error(self, tmp_path, capsys):
+        # diag(-9e-10, 0, 0, 1) clears the eigenvalue floor and the support
+        # check; measuring A in sigma3 would give the probability -9e-10
+        path = tmp_path / "marginal.txt"
+        path.write_text("dims: 2 2\n0 0 -9e-10 0\n3 3 1 0\n")
+        rc = run(["eval", "--state", str(path), "--x", "sigma1", "--z", "sigma3"])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: marginal: smallest eigenvalue of rho_A")
+
+    def test_report_with_a_larger_memory_matches_its_committed_bytes(self, capsys):
+        # the one committed report of a state whose memory is larger than a qubit
+        state = TEST_DATA / "multimodal_2x3.txt"
+        assert run(["eval", "--state", str(state), "--x", "sigma1", "--z", "sigma3"]) == EXIT_OK
+        assert capsys.readouterr().out == (TEST_DATA / "eval_multimodal_2x3.json").read_text()
 
     def test_bad_selector(self, bell_file):
         rc = run(["eval", "--state", bell_file, "--x", "sigma9", "--z", "sigma3"])

@@ -9,7 +9,7 @@ from coherence_bounds import states
 from coherence_bounds.bounds import FAMILIES, evaluate_all
 from coherence_bounds.cli import FIGURES
 from coherence_bounds.linalg import hermitize, partial_trace, tensor_product
-from coherence_bounds.measurement import pauli_basis
+from coherence_bounds.measurement import measure, pauli_basis
 from coherence_bounds.states import (
     PSI_MINUS,
     PSI_PLUS,
@@ -72,6 +72,49 @@ class TestMakeDensity:
         with pytest.raises(ValidationError, match="support") as excinfo:
             make_density(m, 2, 2)
         assert excinfo.type is ValidationError
+
+    def test_rejects_a_marginal_that_measuring_a_rejects(self):
+        # every eigenvalue clears the floor and the support check, but
+        # measuring A in sigma3 would give the probability -9e-10
+        with pytest.raises(ValidationError, match="^marginal: smallest eigenvalue of rho_A -9.000e-10"):
+            make_density(np.diag([-9e-10, 0.0, 0.0, 1.0]), 2, 2)
+
+    @pytest.mark.parametrize("dim_b", [2, 3, 8])
+    def test_every_state_accepted_near_the_marginal_floor_measures(self, dim_b):
+        # every negative eigenvector is |a> (x) |b> with |a> a sigma3 ket, so
+        # the sigma3 outcome a has the probability rho_A's smallest eigenvalue,
+        # the negative mass; that lies on the floor, one ulp either side of it,
+        # on -SUPPORT_CUT or anywhere in (-3e-12, 0)
+        floor = states.MARGINAL_FLOOR
+        masses = [floor, np.nextafter(floor, 0.0), np.nextafter(floor, -1.0), -1e-12]
+        rng = np.random.default_rng((8, dim_b))
+        outcomes = []
+        for i in range(40):
+            negative = rng.uniform(0.0, 1.0, int(rng.integers(1, dim_b + 1)))
+            mass = masses[i] if i < len(masses) else -rng.uniform(0.0, 3e-12)
+            negative *= mass / negative.sum()
+            positive = rng.random(dim_b)
+            positive *= (1.0 - negative.sum()) / positive.sum()
+            m = np.zeros((2 * dim_b, 2 * dim_b), dtype=complex)
+            u = random_unitary(dim_b, int(rng.integers(2**31)))[:, : negative.size]
+            m[:dim_b, :dim_b] = (u * negative) @ u.conj().T
+            m[dim_b:, dim_b:] = _in_random_eigenbasis(positive, int(rng.integers(2**31)))
+            if rng.random() < 0.5:  # the negative mass on |1> instead
+                m = np.roll(m, (dim_b, dim_b), axis=(0, 1))
+            try:
+                rho = make_density(m, 2, dim_b)
+            except ValidationError as exc:
+                assert str(exc).startswith("marginal:")
+                outcomes.append("rejected")
+                continue
+            report = evaluate_all(rho, pauli_basis(1), pauli_basis(3))
+            assert np.isfinite(list(report.as_dict().values())).all()
+            for which in (1, 3):
+                measure(rho, pauli_basis(which))
+            outcomes.append("evaluated")
+        # -SUPPORT_CUT lies 1e-14 below the floor
+        assert outcomes[3] == "rejected"
+        assert set(outcomes[4:]) == {"rejected", "evaluated"}
 
     @pytest.mark.parametrize("dim_b", [2, 3, 8])
     def test_every_state_accepted_near_the_eigenvalue_floor_evaluates(self, dim_b):
