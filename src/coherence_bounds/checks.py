@@ -2,7 +2,8 @@
 
 Each suite covers one module's invariants. A check is a (name, margin, tol)
 triple that passes when margin >= -tol. An identity check is an _Identity
-triple with margin = -|error|; every other check is an inequality. Case
+triple built by _Identity.of from its error, with margin = -max|error|;
+every other check is an inequality. Case
 generation is fully determined by the run seed, so identical seeds give
 identical verdicts.
 
@@ -62,11 +63,16 @@ class CheckCase:
 
 
 class _Identity(NamedTuple):
-    """An identity check, margin = -|error|, as opposed to an inequality's plain triple."""
+    """An identity check, margin = -max|error|, as opposed to an inequality's plain triple."""
 
     name: str
     margin: float
     tol: float
+
+    @classmethod
+    def of(cls, name: str, error, tol: float) -> _Identity:
+        """The check that `error`, a scalar or an array, vanishes: margin = -max|error|."""
+        return cls(name, -float(np.max(np.abs(error))), tol)
 
 
 @dataclass(frozen=True)
@@ -150,26 +156,17 @@ def _suite_linalg(case: CheckCase, report: BoundReport) -> list[tuple[str, float
     b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     prod = marginal_a(case.rho).matrix
     return [
-        _Identity(
-            "tensor_trace_multiplicative",
-            -abs(np.trace(tensor_product(a, b)) - np.trace(a) * np.trace(b)),
-            1e-9,
+        _Identity.of(
+            "tensor_trace_multiplicative", np.trace(tensor_product(a, b)) - np.trace(a) * np.trace(b), 1e-9
         ),
-        _Identity(
+        _Identity.of(
             "ptrace_trace_preserved",
-            -abs(float(np.trace(partial_trace(case.rho.matrix, 2, 2, "A")).real) - 1.0),
+            float(np.trace(partial_trace(case.rho.matrix, 2, 2, "A")).real) - 1.0,
             1e-10,
         ),
-        _Identity(
+        _Identity.of(
             "ptrace_of_product",
-            -float(
-                np.max(
-                    np.abs(
-                        partial_trace(tensor_product(prod, marginal_b(case.rho).matrix), 2, 2, "B")
-                        - prod
-                    )
-                )
-            ),
+            partial_trace(tensor_product(prod, marginal_b(case.rho).matrix), 2, 2, "B") - prod,
             1e-10,
         ),
     ]
@@ -185,12 +182,8 @@ def _suite_entropy(case: CheckCase, report: BoundReport) -> list[tuple[str, floa
     contract = float("inf") if np.isinf(rel) else rel - deph_rel
     return [
         ("klein_nonnegativity", rel, 1e-9),
-        _Identity("self_relative_entropy", -abs(relative_entropy(case.rho, case.rho)), 1e-9),
-        _Identity(
-            "unitary_invariance",
-            -abs(von_neumann_entropy(rotated) - von_neumann_entropy(case.rho)),
-            1e-9,
-        ),
+        _Identity.of("self_relative_entropy", relative_entropy(case.rho, case.rho), 1e-9),
+        _Identity.of("unitary_invariance", von_neumann_entropy(rotated) - von_neumann_entropy(case.rho), 1e-9),
         ("dephasing_contractivity", contract, 1e-9),
     ]
 
@@ -200,23 +193,17 @@ def _suite_states(case: CheckCase, report: BoundReport) -> list[tuple[str, float
     p = float(rng.uniform())
     built = {"xstate": x_state(p), "bell_diagonal": bell_diagonal_family(p), "werner": werner(p)}
     checks = [
-        _Identity(f"{name}_unit_trace", -abs(float(np.trace(st.matrix).real) - 1.0), 1e-12)
+        _Identity.of(f"{name}_unit_trace", float(np.trace(st.matrix).real) - 1.0, 1e-12)
         for name, st in built.items()
     ]
     checks.append(
-        _Identity(
-            "werner_marginal_maximally_mixed",
-            -float(np.max(np.abs(marginal_a(built["werner"]).matrix - np.eye(2) / 2.0))),
-            1e-10,
+        _Identity.of(
+            "werner_marginal_maximally_mixed", marginal_a(built["werner"]).matrix - np.eye(2) / 2.0, 1e-10
         )
     )
     expected = np.diag([p / 2.0, 1.0 - p / 2.0])
     checks.append(
-        _Identity(
-            "xstate_marginal_closed_form",
-            -float(np.max(np.abs(marginal_a(built["xstate"]).matrix - expected))),
-            1e-10,
-        )
+        _Identity.of("xstate_marginal_closed_form", marginal_a(built["xstate"]).matrix - expected, 1e-10)
     )
     return checks
 
@@ -233,18 +220,18 @@ def _suite_measurement(case: CheckCase, report: BoundReport) -> list[tuple[str, 
         )
     q = incompatibility(case.x, case.z)
     return [
-        _Identity("dephase_idempotent", -float(np.max(np.abs(twice.matrix - deph.matrix))), 1e-10),
+        _Identity.of("dephase_idempotent", twice.matrix - deph.matrix, 1e-10),
         (
             "dephase_entropy_nondecreasing",
             von_neumann_entropy(deph) - von_neumann_entropy(case.rho),
             1e-9,
         ),
-        _Identity("outcome_probs_sum_to_one", -abs(float(out.probs.sum()) - 1.0), 1e-9),
-        _Identity("joint_equals_dephased", -float(np.max(np.abs(out.joint_state.matrix - deph.matrix))), 1e-10),
-        _Identity("joint_block_decomposition", -float(np.max(np.abs(out.joint_state.matrix - rebuilt))), 1e-10),
-        _Identity(
+        _Identity.of("outcome_probs_sum_to_one", float(out.probs.sum()) - 1.0, 1e-9),
+        _Identity.of("joint_equals_dephased", out.joint_state.matrix - deph.matrix, 1e-10),
+        _Identity.of("joint_block_decomposition", out.joint_state.matrix - rebuilt, 1e-10),
+        _Identity.of(
             "dephase_commutes_with_marginal",
-            -float(np.max(np.abs(marginal_a(deph).matrix - dephase(marginal_a(case.rho), case.x).matrix))),
+            marginal_a(deph).matrix - dephase(marginal_a(case.rho), case.x).matrix,
             1e-10,
         ),
         ("incompatibility_in_range", min(q, 1.0 - q), 1e-9),
@@ -256,7 +243,7 @@ def _suite_coherence(case: CheckCase, report: BoundReport) -> list[tuple[str, fl
     info = mutual_information(case.rho)
     p_uni = unilateral_purity(case.rho)
     p_loc = purity_rel(rho_a)
-    checks = [_Identity("purity_decomposition", -abs(p_uni - (p_loc + info)), 1e-9)]
+    checks = [_Identity.of("purity_decomposition", p_uni - (p_loc + info), 1e-9)]
     c_uni, h_cond = {}, {}
     for tag, basis in (("x", case.x), ("z", case.z)):
         c_uni[tag] = unilateral_coherence(case.rho, basis)
@@ -264,9 +251,9 @@ def _suite_coherence(case: CheckCase, report: BoundReport) -> list[tuple[str, fl
         c_loc = coherence_rel(rho_a, basis)
         checks.extend(
             [
-                _Identity(
+                _Identity.of(
                     f"coherence_decomposition_{tag}",
-                    -abs(c_uni[tag] - (c_loc + info - holevo(case.rho, basis))),
+                    c_uni[tag] - (c_loc + info - holevo(case.rho, basis)),
                     1e-9,
                 ),
                 (f"purity_dominates_coherence_{tag}", p_loc - c_loc, 1e-9),
@@ -274,20 +261,17 @@ def _suite_coherence(case: CheckCase, report: BoundReport) -> list[tuple[str, fl
             ]
         )
     checks.append(
-        _Identity(
+        _Identity.of(
             "coherence_vs_relative_entropy",
-            -abs(c_uni["x"] - relative_entropy(case.rho, dephase(case.rho, case.x))),
+            c_uni["x"] - relative_entropy(case.rho, dephase(case.rho, case.x)),
             1e-8,
         )
     )
     # H(X|B) + H(Z|B) = C_B|A(X) + C_B|A(Z) + 2 S(A|B), H(Y|B) from the dephased joint state
     checks.append(
-        _Identity(
+        _Identity.of(
             "conversion_identity_measured",
-            -abs(
-                h_cond["x"] + h_cond["z"]
-                - (c_uni["x"] + c_uni["z"] + 2 * report.cond_entropy)
-            ),
+            h_cond["x"] + h_cond["z"] - (c_uni["x"] + c_uni["z"] + 2 * report.cond_entropy),
             1e-9,
         )
     )
@@ -319,8 +303,8 @@ def _suite_correlations(case: CheckCase, report: BoundReport) -> list[tuple[str,
         ("holevo_below_mutual_info_x", info - report.holevo_x, 1e-9),
         ("holevo_below_mutual_info_z", info - report.holevo_z, 1e-9),
         ("optimizer_dominates_probes", j_a - probe_best, 1e-9),
-        _Identity("classical_correlation_b_unitary_invariant", -abs(j_a - j_conj), 1e-6),
-        _Identity("classical_correlation_a_unitary_invariant", -abs(j_a - j_conj_a), 1e-9),
+        _Identity.of("classical_correlation_b_unitary_invariant", j_a - j_conj, 1e-6),
+        _Identity.of("classical_correlation_a_unitary_invariant", j_a - j_conj_a, 1e-9),
     ]
 
 
@@ -337,10 +321,8 @@ def _suite_bounds(case: CheckCase, report: BoundReport) -> list[tuple[str, float
         ("lhs_eur>=eur_pati", report.lhs_eur - report.eur_pati, 1e-6),
         ("lhs_eur>=eur_adabi", report.lhs_eur - report.eur_adabi, 1e-9),
         ("certainty_ub>=lhs_eur", report.certainty_ub - report.lhs_eur, 1e-9),
-        _Identity(
-            "conversion_identity",
-            -abs(report.lhs_eur - report.lhs_coherence - 2.0 * report.cond_entropy),
-            1e-9,
+        _Identity.of(
+            "conversion_identity", report.lhs_eur - report.lhs_coherence - 2.0 * report.cond_entropy, 1e-9
         ),
         ("monopartite_coherence_bound", lhs_t1 - lb_t1, 1e-9),
     ]

@@ -55,9 +55,11 @@ class DiscordResult:
 
     optimizer_evals counts objective evaluations: the 46 points of the
     geodesic grid, then per point an ascent tries one for the closed-form
-    model or nine for the 9-point stencil. That is about 51 for a 2x2 state
-    and for a full-rank state with a larger memory, and at most about 130
-    for a flat objective.
+    model or nine for the 9-point stencil. Measured: 50 to 52 for a
+    full-rank state, for every dim_b; at most 61 for a product state, 81 for
+    the points of the one-parameter families and 109 for a pure state.
+    A state of rank below dim_b > 2 takes the stencil at every point, 82 to
+    136 (a rank-2 2x8 state), and classical-quantum states take up to 154.
     """
 
     discord: float
@@ -88,7 +90,7 @@ def holevo(rho: DensityMatrix, basis: ObservableBasis) -> float:
     holds because the dephased joint state rho_YB is block diagonal in Y, so
     S(rho_YB) = H(p_Y) + sum_y p_y S(rho_B|y). It reads p_y = Tr M_y from the
     unnormalised blocks M_y that measure uses, and so builds no conditional
-    state; shannon_entropy rejects p_y < -1e-12 as measure does. S(rho_YB) is
+    state; shannon_entropy rejects p_y < -SUPPORT_CUT as measure does. S(rho_YB) is
     the dephased entropy rho keeps for the basis object, the one
     unilateral_coherence reads.
     """
@@ -105,49 +107,38 @@ class _HolevoObjective:
     Measuring A along +-n leaves the unnormalised B blocks
     M_+- = (rho_B +- sum_i n_i K_i) / 2 with K_i = Tr_A[(sigma_i (x) I) rho],
     so a whole batch reduces to one matrix product plus batched small
-    eigenproblems, closed-form when dim_b == 2. This class is the one place
-    that splits the state into B blocks. A report scans it once (_scan): one
-    batched call gives every spectrum of the report except rho_AB's and, if
-    the report searches, the values on the search's grid. The optimiser
-    reads each trial's value from a value pass (_value_pass) and the Newton
-    steps' local model from a derivative pass over its terms
-    (_derivative_pass): with dim_b == 2 in closed form on Python floats,
-    otherwise from one eigh of both blocks. The constant S(B) is left to the
-    caller.
+    eigenproblems. This class is the one place that splits the state into B
+    blocks. A report scans it once (_scan): one batched call gives every
+    spectrum of the report except rho_AB's and, if the report searches, the
+    values on the search's grid. The optimiser reads each trial's value from
+    a value pass (_value_pass) and the Newton steps' local model from a
+    derivative pass over its terms (_derivative_pass). The constant S(B) is
+    left to the caller.
+
+    The class holds the model for any dim_b: M_+ as a real affine map of
+    (1, n) (_planes), the blocks' spectra from eigvalsh, and both passes
+    from one eigh of the two blocks. Building it for a qubit memory gives
+    _QubitMemoryObjective, the same objective in closed form on Python
+    floats, which overrides only the set-up, _block_spectra and the two
+    passes. The model is chosen once, in __new__.
     """
 
-    def __init__(self, rho: DensityMatrix):
+    def __new__(cls, rho: DensityMatrix):
         if rho.dim_a != 2:
-            raise UnsupportedDimension(
-                f"measurement optimization needs dim_a == 2, got {rho.dim_a}"
-            )
+            raise UnsupportedDimension(f"measurement optimization needs dim_a == 2, got {rho.dim_a}")
+        return super().__new__(_QubitMemoryObjective if cls is _HolevoObjective and rho.dim_b == 2 else cls)
+
+    def __init__(self, rho: DensityMatrix):
         db = rho.dim_b
+        # b_aa' is the B block of rho at A entry (a, a').
+        (b00, b01), (b10, b11) = rho.matrix.reshape(2, db, 2, db).transpose(0, 2, 1, 3)
+        # Row b * db + b' holds entry (b, b') of M_+ against the coefficients (1, n_1, n_2, n_3).
+        k = 0.5 * np.array([b00 + b11, b10 + b01, 1j * (b01 - b10), b00 - b11]).reshape(4, db * db).T
         # _trace: Tr M_+ = P0 + P.n, with 2 P0 = Tr rho and 2 P the Bloch vector of rho_A.
-        if db == 2:
-            # The numpy build below on Python floats, the same operations in the same
-            # order, for entries (0, 0), (1, 1) and (0, 1) of M_+; b_aa'[b, b'] = m[2a + b][2a' + b'].
-            m = rho.matrix.tolist()
-            k00, k11, k01 = (
-                (0.5 * (m[b][c] + m[b + 2][c + 2]), 0.5 * (m[b + 2][c] + m[b][c + 2]),
-                 0.5 * (1j * (m[b][c + 2] - m[b + 2][c])), 0.5 * (m[b][c] - m[b + 2][c + 2]))
-                for b, c in ((0, 0), (1, 1), (0, 1))
-            )
-            self._trace = tuple((x + y).real for x, y in zip(k00, k11))
-            # One real affine map to the trace p and the gap vector
-            # u = (M_00 - M_11, 2 Re M_01, 2 Im M_01), whose norm g sets the
-            # eigenvalues (p +- g) / 2.
-            self._rows = (self._trace, [(x - y).real for x, y in zip(k00, k11)],
-                          [2.0 * x.real for x in k01], [2.0 * x.imag for x in k01])
-            self.k = np.array(self._rows)
-        else:
-            # b_aa' is the B block of rho at A entry (a, a').
-            (b00, b01), (b10, b11) = rho.matrix.reshape(2, db, 2, db).transpose(0, 2, 1, 3)
-            # Row b * db + b' holds entry (b, b') of M_+ against the coefficients (1, n_1, n_2, n_3).
-            k = 0.5 * np.array([b00 + b11, b10 + b01, 1j * (b01 - b10), b00 - b11]).reshape(4, db * db).T
-            self._trace = tuple(k[:: db + 1].sum(axis=0).real.tolist())
-            # Row j is column j of k with real and imaginary parts interleaved, so
-            # (1, n) @ _planes, viewed as complex, is M_+ at n.
-            self._planes = np.ascontiguousarray(k.T).view(np.float64)
+        self._trace = tuple(k[:: db + 1].sum(axis=0).real.tolist())
+        # Row j is column j of k with real and imaginary parts interleaved, so
+        # (1, n) @ _planes, viewed as complex, is M_+ at n.
+        self._planes = np.ascontiguousarray(k.T).view(np.float64)
         self.db = db
 
     def __call__(self, n: np.ndarray) -> np.ndarray:
@@ -172,15 +163,10 @@ class _HolevoObjective:
         coeffs[0] = 1.0
         coeffs[1:, :size] = n
         coeffs[1:, size:] = -n
-        if self.db == 2:
-            rows = self.k @ coeffs
-            p, u0, u1, u2 = rows
-            # Rows 1 and 2 are overwritten with (p + gap) / 2 and (p - gap) / 2.
-            gap = np.sqrt(u0 * u0 + (u1 * u1 + u2 * u2))
-            np.add(p, gap, out=u0)
-            np.subtract(p, gap, out=u1)
-            rows[1:3] *= 0.5
-            return rows[:3]
+        return self._block_spectra(coeffs)
+
+    def _block_spectra(self, coeffs: np.ndarray) -> np.ndarray:
+        """_spectra's rows for the blocks M = (1, n) @ _planes at the columns (1, n) of coeffs."""
         m = (coeffs.T @ self._planes).view(np.complex128).reshape(-1, self.db, self.db)
         rows = np.empty((1 + self.db, m.shape[0]))
         rows[0] = np.einsum("naa->n", m).real
@@ -222,16 +208,112 @@ class _HolevoObjective:
     def _value_pass(self, n) -> tuple[float, tuple] | None:
         """(-S(B|Y_n), the blocks' terms) at the unit vector n; None next to a rank-deficient block.
 
-        For dim_b == 2 a block's trace p and gap vector u are affine in n, and
-        its eigenvalues are hi, lo = (p +- g) / 2 with g = |u|. The terms,
-        which _derivative_pass reads, are the derivatives of p and of u along
-        n for M_+ (M_- negates them), then per block M_+ and M_- the tuple
-        (p, u, g, hi, lo, log2 p, log2 hi, log2 lo). Any other dim_b takes
-        _eigh_value_pass. None when a block's smallest eigenvalue is below
+        One eigh of the stacked blocks M_+ and M_-. The terms, which
+        _derivative_pass reads, are the eigenvalues w (ascending, one row per
+        block), the eigenvectors v, log2 w, the traces p_+ and p_-, and
+        log2 p_+ - log2 p_-. None when a block's smallest eigenvalue is below
         _SMOOTH_FLOOR; the caller then differences.
         """
-        if self.db != 2:
-            return self._eigh_value_pass(n)
+        x, y, z = n
+        db = self.db
+        blocks = (np.array([(1.0, x, y, z), (1.0, -x, -y, -z)]) @ self._planes).view(np.complex128)
+        w, v = np.linalg.eigh(blocks.reshape(2, db, db))
+        if w[0, 0] < _SMOOTH_FLOOR or w[1, 0] < _SMOOTH_FLOOR:
+            return None
+        p0, px, py, pz = self._trace
+        dp0 = px * x + py * y + pz * z
+        p_plus, p_minus = p0 + dp0, p0 - dp0
+        log_plus, log_minus = math.log2(p_plus), math.log2(p_minus)
+        logs = np.log2(w)
+        value = float((w * logs).sum()) - (p_plus * log_plus + p_minus * log_minus)
+        return value, (w, v, logs, p_plus, p_minus, log_plus - log_minus)
+
+    def _derivative_pass(self, frame, local: tuple[float, tuple]) -> tuple[float, ...]:
+        """(-S(B|Y_n), g1, g2, h11, h22, h12) at n = frame[0] in the coordinates of _chart(frame, .).
+
+        `local` is _value_pass(frame[0]), whose value, eigenvalues and
+        eigenvectors are read, not recomputed. Along a direction d, M_+ moves
+        by D = sum_i d_i K_i / 2 and M_- by -D; A = V^H D V in a block's
+        eigenbasis, and its trace dp moves p. f = S(B|Y_n) sums
+        p log2 p - tr M log2 M over the blocks. A block's slope is
+        dp log2 p - sum_i log2 w_i A_ii (the 1 / ln 2 terms cancel), and its
+        second derivative along d1, d2 is
+        dp1 dp2 / (p ln 2) - sum_ij G_ij Re(A1_ij conj(A2_ij)), where
+        G_ij = (log2 w_i - log2 w_j) / (w_i - w_j) is the Daleckii-Krein
+        divided difference, 2 / ((w_i + w_j) ln 2) on ties. It is evaluated as
+        2 atanh(t) / (t (w_i + w_j) ln 2) with t = |w_i - w_j| / (w_i + w_j),
+        which loses no digits to near ties. Along the sphere the second
+        derivatives gain -(grad chi . n) on the diagonal.
+        """
+        value, (w, v, logs, p_plus, p_minus, log_ratio) = local
+        db = self.db
+        # a[k, s] = V_s^H D V_s for D along frame row k (n, e1, e2) and block s (M_+, M_-).
+        d = (np.array(frame) @ self._planes[1:]).view(np.complex128).reshape(3, 1, db, db)
+        a = v.conj().transpose(0, 2, 1) @ d @ v
+        slopes = (np.diagonal(a, 0, 2, 3).real * logs).sum(axis=2).tolist()
+        _, px, py, pz = self._trace
+        dp = [px * x + py * y + pz * z for x, y, z in frame]
+        # M_- moves by -D, so its slope enters with the opposite sign.
+        fn, f1, f2 = (dp_k * log_ratio - (plus - minus) for dp_k, (plus, minus) in zip(dp, slopes))
+        wi, wj = w[:, :, None], w[:, None, :]
+        total = wi + wj
+        t = np.maximum(np.abs(wi - wj) / total, 1e-300)
+        gamma = np.arctanh(t) / (t * total)
+        # Re(A1_ij conj(A2_ij)) summed over i, j and the blocks is a dot product of real views.
+        e = a[1:].view(np.float64).reshape(2, 2, db, db, 2)
+        weighted = (e * gamma[:, :, :, None]).reshape(2, -1)
+        (q11, q12), (_, q22) = (weighted @ e.reshape(2, -1).T * (2.0 / _LN2)).tolist()
+        c = (1.0 / p_plus + 1.0 / p_minus) / _LN2
+        _, dp1, dp2 = dp
+        f11 = dp1 * dp1 * c - q11
+        f22 = dp2 * dp2 * c - q22
+        f12 = dp1 * dp2 * c - q12
+        return value, -f1, -f2, fn - f11, fn - f22, -f12
+
+
+class _QubitMemoryObjective(_HolevoObjective):
+    """_HolevoObjective for dim_b == 2, in closed form on Python floats.
+
+    A block's eigenvalues are (p +- g) / 2 for its trace p and the norm g of
+    its gap vector u = (M_00 - M_11, 2 Re M_01, 2 Im M_01), both affine in n.
+    """
+
+    def __init__(self, rho: DensityMatrix):
+        # _HolevoObjective's numpy build on Python floats, the same operations in the same
+        # order, for entries (0, 0), (1, 1) and (0, 1) of M_+; b_aa'[b, b'] = m[2a + b][2a' + b'].
+        m = rho.matrix.tolist()
+        k00, k11, k01 = (
+            (0.5 * (m[b][c] + m[b + 2][c + 2]), 0.5 * (m[b + 2][c] + m[b][c + 2]),
+             0.5 * (1j * (m[b][c + 2] - m[b + 2][c])), 0.5 * (m[b][c] - m[b + 2][c + 2]))
+            for b, c in ((0, 0), (1, 1), (0, 1))
+        )
+        self._trace = tuple((x + y).real for x, y in zip(k00, k11))
+        # One real affine map to the trace p and the gap vector u, whose norm
+        # g sets the eigenvalues (p +- g) / 2.
+        self._rows = (self._trace, [(x - y).real for x, y in zip(k00, k11)],
+                      [2.0 * x.real for x in k01], [2.0 * x.imag for x in k01])
+        self.k = np.array(self._rows)
+        self.db = 2
+
+    def _block_spectra(self, coeffs: np.ndarray) -> np.ndarray:
+        rows = self.k @ coeffs
+        p, u0, u1, u2 = rows
+        # Rows 1 and 2 are overwritten with (p + gap) / 2 and (p - gap) / 2.
+        gap = np.sqrt(u0 * u0 + (u1 * u1 + u2 * u2))
+        np.add(p, gap, out=u0)
+        np.subtract(p, gap, out=u1)
+        rows[1:3] *= 0.5
+        return rows[:3]
+
+    def _value_pass(self, n) -> tuple[float, tuple] | None:
+        """_HolevoObjective._value_pass in closed form.
+
+        A block's trace p and gap vector u are affine in n, and its
+        eigenvalues are hi, lo = (p +- g) / 2 with g = |u|. The terms, which
+        _derivative_pass reads, are the derivatives of p and of u along n for
+        M_+ (M_- negates them), then per block M_+ and M_- the tuple
+        (p, u, g, hi, lo, log2 p, log2 hi, log2 lo).
+        """
         (p0, px, py, pz), (w0, wx, wy, wz), (v0, vx, vy, vz), (t0, tx, ty, tz) = self._rows
         x, y, z = n
         dp0 = px * x + py * y + pz * z
@@ -253,15 +335,13 @@ class _HolevoObjective:
         return -f, (dp0, n0, n1, n2, blocks)
 
     def _derivative_pass(self, frame, local: tuple[float, tuple]) -> tuple[float, ...]:
-        """(-S(B|Y_n), g1, g2, h11, h22, h12) at n = frame[0] in the coordinates of _chart(frame, .).
+        """_HolevoObjective._derivative_pass in closed form.
 
         `local` is _value_pass(frame[0]), whose value and block terms are read,
         not recomputed. chi's Euclidean gradient and Hessian are closed-form;
         along the sphere the second derivatives gain -(grad chi . n) on the
         diagonal.
         """
-        if self.db != 2:
-            return self._eigh_derivative_pass(frame, local)
         value, (dp0, n0, n1, n2, blocks) = local
         (_, px, py, pz), (_, wx, wy, wz), (_, vx, vy, vz), (_, tx, ty, tz) = self._rows
         _, (x1, y1, z1), (x2, y2, z2) = frame
@@ -294,67 +374,6 @@ class _HolevoObjective:
             f11 += dp1 * dp1 * c_p - hi1 * hi1 * c_hi - lo1 * lo1 * c_lo - kappa * (uu11 - dg1 * dg1)
             f22 += dp2 * dp2 * c_p - hi2 * hi2 * c_hi - lo2 * lo2 * c_lo - kappa * (uu22 - dg2 * dg2)
             f12 += dp1 * dp2 * c_p - hi1 * hi2 * c_hi - lo1 * lo2 * c_lo - kappa * (uu12 - dg1 * dg2)
-        return value, -f1, -f2, fn - f11, fn - f22, -f12
-
-    def _eigh_value_pass(self, n) -> tuple[float, tuple] | None:
-        """_value_pass for dim_b != 2: one eigh of the stacked blocks M_+ and M_-.
-
-        The terms, which _eigh_derivative_pass reads, are the eigenvalues w
-        (ascending, one row per block), the eigenvectors v, log2 w, the traces
-        p_+ and p_-, and log2 p_+ - log2 p_-.
-        """
-        x, y, z = n
-        db = self.db
-        blocks = (np.array([(1.0, x, y, z), (1.0, -x, -y, -z)]) @ self._planes).view(np.complex128)
-        w, v = np.linalg.eigh(blocks.reshape(2, db, db))
-        if w[0, 0] < _SMOOTH_FLOOR or w[1, 0] < _SMOOTH_FLOOR:
-            return None
-        p0, px, py, pz = self._trace
-        dp0 = px * x + py * y + pz * z
-        p_plus, p_minus = p0 + dp0, p0 - dp0
-        log_plus, log_minus = math.log2(p_plus), math.log2(p_minus)
-        logs = np.log2(w)
-        value = float((w * logs).sum()) - (p_plus * log_plus + p_minus * log_minus)
-        return value, (w, v, logs, p_plus, p_minus, log_plus - log_minus)
-
-    def _eigh_derivative_pass(self, frame, local: tuple[float, tuple]) -> tuple[float, ...]:
-        """_derivative_pass for dim_b != 2, from the eigenvectors of the value pass.
-
-        Along a direction d, M_+ moves by D = sum_i d_i K_i / 2 and M_- by -D;
-        A = V^H D V in a block's eigenbasis, and its trace dp moves p.
-        f = S(B|Y_n) sums p log2 p - tr M log2 M over the blocks. A block's
-        slope is dp log2 p - sum_i log2 w_i A_ii (the 1 / ln 2 terms cancel),
-        and its second derivative along d1, d2 is
-        dp1 dp2 / (p ln 2) - sum_ij G_ij Re(A1_ij conj(A2_ij)), where
-        G_ij = (log2 w_i - log2 w_j) / (w_i - w_j) is the Daleckii-Krein
-        divided difference, 2 / ((w_i + w_j) ln 2) on ties. It is evaluated as
-        2 atanh(t) / (t (w_i + w_j) ln 2) with t = |w_i - w_j| / (w_i + w_j),
-        which loses no digits to near ties. Along the sphere the second
-        derivatives gain -(grad chi . n) on the diagonal, as for dim_b == 2.
-        """
-        value, (w, v, logs, p_plus, p_minus, log_ratio) = local
-        db = self.db
-        # a[k, s] = V_s^H D V_s for D along frame row k (n, e1, e2) and block s (M_+, M_-).
-        d = (np.array(frame) @ self._planes[1:]).view(np.complex128).reshape(3, 1, db, db)
-        a = v.conj().transpose(0, 2, 1) @ d @ v
-        slopes = (np.diagonal(a, 0, 2, 3).real * logs).sum(axis=2).tolist()
-        _, px, py, pz = self._trace
-        dp = [px * x + py * y + pz * z for x, y, z in frame]
-        # M_- moves by -D, so its slope enters with the opposite sign.
-        fn, f1, f2 = (dp_k * log_ratio - (plus - minus) for dp_k, (plus, minus) in zip(dp, slopes))
-        wi, wj = w[:, :, None], w[:, None, :]
-        total = wi + wj
-        t = np.maximum(np.abs(wi - wj) / total, 1e-300)
-        gamma = np.arctanh(t) / (t * total)
-        # Re(A1_ij conj(A2_ij)) summed over i, j and the blocks is a dot product of real views.
-        e = a[1:].view(np.float64).reshape(2, 2, db, db, 2)
-        weighted = (e * gamma[:, :, :, None]).reshape(2, -1)
-        (q11, q12), (_, q22) = (weighted @ e.reshape(2, -1).T * (2.0 / _LN2)).tolist()
-        c = (1.0 / p_plus + 1.0 / p_minus) / _LN2
-        _, dp1, dp2 = dp
-        f11 = dp1 * dp1 * c - q11
-        f22 = dp2 * dp2 * c - q22
-        f12 = dp1 * dp2 * c - q12
         return value, -f1, -f2, fn - f11, fn - f22, -f12
 
 

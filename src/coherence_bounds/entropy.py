@@ -13,7 +13,8 @@ from .errors import DimensionError, DomainError, ProbabilityError
 if TYPE_CHECKING:  # states imports this module for the entropy a state keeps
     from .states import DensityMatrix
 
-# Eigenvalues and probabilities at or below this are treated as exact zeros.
+# Eigenvalues and probabilities at or below this are treated as exact zeros,
+# and a probability below -SUPPORT_CUT is rejected as negative.
 SUPPORT_CUT = 1e-12
 # Support mass of rho allowed outside the support of sigma before S(rho||sigma) = +inf.
 KERNEL_TOL = 1e-10
@@ -29,7 +30,7 @@ def xlog2x(w: np.ndarray) -> np.ndarray:
 def shannon_entropy(probs) -> float:
     """H(p) = -sum_i p_i log2 p_i for a probability vector.
 
-    Entries in [-1e-12, 0) are clamped to 0; anything more negative, a
+    Entries in [-SUPPORT_CUT, 0) are clamped to 0; anything more negative, a
     total further than 1e-9 from 1, or a NaN entry raises ProbabilityError.
     """
     p = np.asarray(probs, dtype=np.float64)
@@ -62,8 +63,8 @@ def _entropies(table: np.ndarray) -> list[float]:
         # through. It makes the total NaN, and the message then gives the
         # total, because what min() returns for such a row depends on where
         # the NaN sits.
-        if not (lowest >= -1e-12 and abs(total - 1.0) <= 1e-9):
-            if lowest < -1e-12 and total == total:
+        if not (lowest >= -SUPPORT_CUT and abs(total - 1.0) <= 1e-9):
+            if lowest < -SUPPORT_CUT and total == total:
                 raise ProbabilityError(f"negative probability {lowest!r}")
             raise ProbabilityError(f"probabilities sum to {total!r}, not 1 within 1e-9")
     return [-reduce(add, row) for row in terms.tolist()]

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import von_neumann_entropy
+from .entropy import SUPPORT_CUT, von_neumann_entropy
 from .errors import DimensionError, DomainError, ProbabilityError, ValidationError
 from .linalg import hermitize
 from .states import DensityMatrix
@@ -119,7 +119,7 @@ def measure(rho: DensityMatrix, basis: ObservableBasis) -> MeasurementOutcome:
     """Measure subsystem A in `basis` and collect the full outcome statistics."""
     cond = _conditional_blocks(rho, basis)
     probs = np.einsum("yaa->y", cond).real.copy()
-    if np.any(probs < -1e-12):
+    if np.any(probs < -SUPPORT_CUT):
         raise ProbabilityError(f"negative outcome probability {float(probs.min())!r}")
     probs[probs < 0.0] = 0.0
     states = []

@@ -138,8 +138,9 @@ def make_density(matrix, dim_a: int, dim_b: int) -> DensityMatrix:
     probability below -SUPPORT_CUT. The support check rejects a state whose
     negative eigenvalues each clear the floor but together exceed about
     1e-9. Each failure raises ValidationError naming the violated invariant.
-    The checks read the state's own cached spectrum, entropy and A marginal,
-    so the state keeps what they computed.
+    The checks read the state's own cached spectrum, entropy and A marginal
+    (a monopartite state is its own, so its spectrum is computed once), so
+    the state keeps what they computed.
     """
     arr = as_square_matrix(matrix)
     if dim_a < 1 or dim_b < 1 or arr.shape[0] != dim_a * dim_b:
@@ -167,7 +168,8 @@ def make_density(matrix, dim_a: int, dim_b: int) -> DensityMatrix:
         raise ValidationError(
             f"support: the eigenvalues of at least {SUPPORT_CUT} are not a distribution ({exc})"
         ) from None
-    lowest = rho._marginal_a._spectrum[0]
+    # A monopartite state is its own A marginal.
+    lowest = (rho if rho.dim_b == 1 else rho._marginal_a)._spectrum[0]
     if lowest < MARGINAL_FLOOR:
         raise ValidationError(
             f"marginal: smallest eigenvalue of rho_A {lowest:.3e} is below {MARGINAL_FLOOR}"

@@ -6,6 +6,7 @@ from coherence_bounds.checks import (
     _SUITE_FNS,
     SUITE_NAMES,
     CheckCase,
+    _Identity,
     generate_cases,
     run_checks,
 )
@@ -48,6 +49,29 @@ def test_all_suites_pass_on_small_corpus():
         for label, record in suite.worst.items():
             assert (record.suite, record.inequality) == (suite.name, label)
             assert record.margin >= -record.tol
+
+
+def test_every_identity_margin_is_minus_an_error(monkeypatch):
+    # _Identity.of sets margin = -max|error|, so no identity check can pass
+    # with a margin above zero, whatever its error
+    identities = []
+
+    def recording(suite):
+        def checked(case, report):
+            found = suite(case, report)
+            identities.extend(check for check in found if isinstance(check, _Identity))
+            return found
+
+        return checked
+
+    for name, suite in list(_SUITE_FNS.items()):
+        monkeypatch.setitem(_SUITE_FNS, name, recording(suite))
+    result = run_checks(7, 12)
+    assert result.ok
+    flagged = {label for s in result.suites for label, record in s.worst.items() if record.identity}
+    assert {check.name for check in identities} == flagged
+    assert len(identities) == 12 * len(flagged)
+    assert all(check.margin <= 0.0 for check in identities)
 
 
 def test_corruption_hook_breaks_exactly_one_suite(monkeypatch, break_suite):

@@ -276,11 +276,14 @@ class TestEval:
         assert rc == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("error: marginal: smallest eigenvalue of rho_A")
 
-    def test_report_with_a_larger_memory_matches_its_committed_bytes(self, capsys):
-        # the one committed report of a state whose memory is larger than a qubit
-        state = TEST_DATA / "multimodal_2x3.txt"
+    # the committed reports of states whose memory is larger than a qubit: a
+    # full-rank one, whose ascent takes the closed-form model, and a rank-2
+    # one, whose every ascent point falls back to the 9-point stencil
+    @pytest.mark.parametrize("name", ["multimodal_2x3", "rank2_2x4"])
+    def test_report_with_a_larger_memory_matches_its_committed_bytes(self, capsys, name):
+        state = TEST_DATA / f"{name}.txt"
         assert run(["eval", "--state", str(state), "--x", "sigma1", "--z", "sigma3"]) == EXIT_OK
-        assert capsys.readouterr().out == (TEST_DATA / "eval_multimodal_2x3.json").read_text()
+        assert capsys.readouterr().out == (TEST_DATA / f"eval_{name}.json").read_text()
 
     def test_bad_selector(self, bell_file):
         rc = run(["eval", "--state", bell_file, "--x", "sigma9", "--z", "sigma3"])

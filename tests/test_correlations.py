@@ -14,6 +14,7 @@ from coherence_bounds.correlations import (
     _chart,
     _geodesic_grid,
     _HolevoObjective,
+    _QubitMemoryObjective,
     _STENCIL,
     _maximize_holevo,
     _refine,
@@ -52,6 +53,13 @@ def product_state(seed: int):
     a = random_density(2, 1, seed)
     b = random_density(2, 1, seed + 1)
     return make_density(tensor_product(a.matrix, b.matrix), 2, 2)
+
+
+def _general_model(rho):
+    """The eigh model of the objective, which _HolevoObjective builds only for dim_b != 2."""
+    objective = object.__new__(_HolevoObjective)
+    objective.__init__(rho)
+    return objective
 
 
 def _search(rho, s_b):
@@ -152,18 +160,46 @@ class TestFastObjective:
             _HolevoObjective(random_density(3, 2, 0))
 
     def test_qubit_memory_set_up_matches_the_numpy_build(self):
-        # the dim_b == 2 set-up runs on Python floats; the numpy build that
-        # larger memories use gives it the same bits
+        # the dim_b == 2 set-up runs on Python floats; the numpy build of the
+        # general model gives it the same bits
         states = [case.rho for case in generate_cases(42, 100)]
         states += [x_state(0.0), x_state(1.0), werner(0.5), bell_diagonal(0.0, 0.0, 0.6), product_state(21)]
         for rho in states:
-            objective = _HolevoObjective(rho)
-            (b00, b01), (b10, b11) = rho.matrix.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
-            k = 0.5 * np.array([b00 + b11, b10 + b01, 1j * (b01 - b10), b00 - b11]).reshape(4, 4).T
-            trace = k[::3].sum(axis=0).real
-            expected = np.array([trace, (k[0] - k[3]).real, 2.0 * k[1].real, 2.0 * k[1].imag])
+            objective, general = _HolevoObjective(rho), _general_model(rho)
+            assert type(objective) is _QubitMemoryObjective
+            # columns of _planes: Re and Im of M_+ entries (0, 0), (0, 1), (1, 0), (1, 1)
+            planes = general._planes
+            trace = planes[:, 0] + planes[:, 6]
+            expected = np.array([trace, planes[:, 0] - planes[:, 6], 2.0 * planes[:, 2], 2.0 * planes[:, 3]])
             assert objective.k.tobytes() == expected.tobytes()
             assert np.array(objective._trace).tobytes() == trace.tobytes()
+            assert objective._trace == general._trace
+
+    def test_qubit_memory_closed_form_matches_the_general_model(self):
+        # both models of a 2x2 objective: the closed form that every 2x2 state
+        # takes, and the eigh model that every larger memory takes
+        states = [case.rho for case in generate_cases(42, 200)]
+        states += [FAMILIES[f](float(p)) for f in sorted(FAMILIES) for p in np.linspace(0.0, 1.0, 101)]
+        grid = _geodesic_grid()[0]
+        probes = np.hstack([grid, _bloch(np.array([0.4, 1.3, 2.9]), np.array([0.2, 3.5, 5.9]))])
+        for rho in states:
+            closed, general = _HolevoObjective(rho), _general_model(rho)
+            # the closed form lists a block's eigenvalues from the largest down
+            spectra = closed._spectra(grid)[[0, 2, 1]]
+            assert np.max(np.abs(spectra - general._spectra(grid))) <= 1e-13
+            assert np.max(np.abs(closed(grid) - general(grid))) <= 1e-13
+            for n in probes.T.tolist():
+                local, reference = closed._value_pass(n), general._value_pass(n)
+                assert (local is None) == (reference is None)
+                if local is None:
+                    continue
+                assert abs(local[0] - reference[0]) <= 1e-13
+                frame = _tangent_frame(*n)
+                model = np.array(closed._derivative_pass(frame, local))
+                expected = np.array(general._derivative_pass(frame, reference))
+                # a block eigenvalue near 1e-6 costs the closed form's (p - g) / 2 digits
+                scale = max(1.0, float(np.max(np.abs(expected))))
+                assert np.max(np.abs(model - expected)) <= 1e-10 * scale
 
     @pytest.mark.parametrize("dim_b", [1, 2, 3, 4, 8])
     def test_report_rows_hold_the_marginal_spectra(self, dim_b):
@@ -365,7 +401,8 @@ class TestLocalModel:
         states.append(load_state_file(Path(__file__).parent / "data" / "multimodal_2x3.txt"))
         s_b = [von_neumann_entropy(marginal_b(rho)) for rho in states]
         closed = [_search(rho, s)[0] for rho, s in zip(states, s_b)]
-        monkeypatch.setattr(_HolevoObjective, "_value_pass", lambda self, n: None)
+        for model in (_HolevoObjective, _QubitMemoryObjective):
+            monkeypatch.setattr(model, "_value_pass", lambda self, n: None)
         stencil = [_search(rho, s)[0] for rho, s in zip(states, s_b)]
         assert np.max(np.abs(np.array(closed) - np.array(stencil))) <= 1e-12
 
@@ -373,13 +410,14 @@ class TestLocalModel:
     def test_rank_deficient_blocks_take_the_stencil(self, monkeypatch, rho, expected):
         # a pure state leaves rank-1 blocks for every measurement: every point
         # tried falls back to the 9-point stencil, and J_A still reaches its closed form
-        value_pass, returned = _HolevoObjective._value_pass, []
+        model = type(_HolevoObjective(rho))
+        value_pass, returned = model._value_pass, []
 
         def recorded(self, n):
             returned.append(value_pass(self, n))
             return returned[-1]
 
-        monkeypatch.setattr(_HolevoObjective, "_value_pass", recorded)
+        monkeypatch.setattr(model, "_value_pass", recorded)
         j_a, _, evals = _search(rho, von_neumann_entropy(marginal_b(rho)))
         assert returned and all(r is None for r in returned)
         assert evals == _geodesic_grid()[0].shape[1] + _STENCIL.shape[1] * len(returned)
@@ -435,7 +473,7 @@ class TestValueFirstAscent:
         # one Newton step, and every other trial costs a value pass (8.7 per row)
         passes, derived, stepped = [], [], []
         value_pass, derivative_pass, newton_step = (
-            _HolevoObjective._value_pass, _HolevoObjective._derivative_pass, correlations._newton_step
+            _QubitMemoryObjective._value_pass, _QubitMemoryObjective._derivative_pass, correlations._newton_step
         )
 
         def count_value(self, n):
@@ -450,8 +488,8 @@ class TestValueFirstAscent:
             stepped.append(model)
             return newton_step(model)
 
-        monkeypatch.setattr(_HolevoObjective, "_value_pass", count_value)
-        monkeypatch.setattr(_HolevoObjective, "_derivative_pass", count_derivative)
+        monkeypatch.setattr(_QubitMemoryObjective, "_value_pass", count_value)
+        monkeypatch.setattr(_QubitMemoryObjective, "_derivative_pass", count_derivative)
         monkeypatch.setattr(correlations, "_newton_step", count_step)
         rows = cli.FIGURES[1].steps
         cli.render_figure_csv(cli.FIGURES[1])

@@ -79,6 +79,20 @@ class TestMakeDensity:
         with pytest.raises(ValidationError, match="^marginal: smallest eigenvalue of rho_A -9.000e-10"):
             make_density(np.diag([-9e-10, 0.0, 0.0, 1.0]), 2, 2)
 
+    def test_monopartite_marginal_check_reads_the_state_spectrum(self, monkeypatch):
+        # with dim_b == 1 rho_A is the state itself: one eigensolve validates it
+        matrix, eigvalsh, calls = random_density(2, 1, 5).matrix, np.linalg.eigvalsh, []
+
+        def counted(matrix):
+            calls.append(matrix)
+            return eigvalsh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        make_density(matrix, 2, 1)
+        assert len(calls) == 1
+        with pytest.raises(ValidationError, match="^marginal: smallest eigenvalue of rho_A -5.000e-12"):
+            make_density(np.diag([-5e-12, 1.0 + 5e-12]), 2, 1)
+
     @pytest.mark.parametrize("dim_b", [2, 3, 8])
     def test_every_state_accepted_near_the_marginal_floor_measures(self, dim_b):
         # every negative eigenvector is |a> (x) |b> with |a> a sigma3 ket, so
