@@ -8,9 +8,9 @@ All four quantities are entropy differences:
     P_B|A(rho_AB)   = log2 dim_a - S(A|B)                   bipartite
 
 Raw differences can undershoot zero by floating-point dust, so reported
-values are clamped at zero. S(dephase_Y(rho)) is the one the state keeps for
-the basis object Y, which holevo reads too, so each dephased state is
-diagonalised once.
+values are clamped at zero. dephase_Y(rho) is the state rho keeps for the
+basis object Y, which holevo, conditional_entropy and relative_entropy read
+too, so each dephased state is built and diagonalised once.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import numpy as np
 from .correlations import conditional_entropy
 from .entropy import von_neumann_entropy
 from .errors import DimensionError
-from .measurement import ObservableBasis, _dephased_entropy
+from .measurement import ObservableBasis, dephase
 from .states import DensityMatrix
 
 
@@ -34,7 +34,7 @@ def _require_bipartite(rho: DensityMatrix, what: str) -> None:
 
 
 def _coherence(rho: DensityMatrix, basis: ObservableBasis) -> float:
-    return max(0.0, _dephased_entropy(rho, basis) - von_neumann_entropy(rho))
+    return max(0.0, von_neumann_entropy(dephase(rho, basis)) - von_neumann_entropy(rho))
 
 
 def coherence_rel(rho: DensityMatrix, basis: ObservableBasis) -> float:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .entropy import shannon_entropy, von_neumann_entropy, xlog2x
 from .errors import DimensionError, UnsupportedDimension
-from .measurement import ObservableBasis, _conditional_blocks, _dephased_entropy
+from .measurement import ObservableBasis, _conditional_blocks, dephase
 from .states import DensityMatrix, marginal_a, marginal_b
 
 ANGLE_RESOLUTION = 1e-6
@@ -90,15 +90,13 @@ def holevo(rho: DensityMatrix, basis: ObservableBasis) -> float:
     holds because the dephased joint state rho_YB is block diagonal in Y, so
     S(rho_YB) = H(p_Y) + sum_y p_y S(rho_B|y). It reads p_y = Tr M_y from the
     unnormalised blocks M_y that measure uses, and so builds no conditional
-    state; shannon_entropy rejects p_y < -SUPPORT_CUT as measure does. S(rho_YB) is
-    the dephased entropy rho keeps for the basis object, the one
-    unilateral_coherence reads.
+    state; shannon_entropy rejects p_y < -SUPPORT_CUT as measure does. rho_YB is
+    the dephased state rho keeps for the basis object, whose entropy
+    unilateral_coherence reads too.
     """
     probs = np.einsum("yaa->y", _conditional_blocks(rho, basis)).real
-    return max(
-        0.0,
-        von_neumann_entropy(marginal_b(rho)) + shannon_entropy(probs) - _dephased_entropy(rho, basis),
-    )
+    s_yb = von_neumann_entropy(dephase(rho, basis))
+    return max(0.0, von_neumann_entropy(marginal_b(rho)) + shannon_entropy(probs) - s_yb)
 
 
 class _HolevoObjective:

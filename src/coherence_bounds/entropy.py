@@ -97,8 +97,8 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """
     if rho.dim != sigma.dim:
         raise DimensionError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    wr, vr = np.linalg.eigh(rho.matrix)
-    ws, vs = np.linalg.eigh(sigma.matrix)
+    wr, vr = rho._eigh
+    ws, vs = sigma._eigh
     overlap = np.abs(vr.conj().T @ vs) ** 2  # overlap[i, j] = |<r_i|s_j>|^2
     on_r = wr > SUPPORT_CUT
     on_s = ws > SUPPORT_CUT

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import SUPPORT_CUT, von_neumann_entropy
+from .entropy import SUPPORT_CUT
 from .errors import DimensionError, DomainError, ProbabilityError, ValidationError
 from .linalg import hermitize
 from .states import DensityMatrix
@@ -26,7 +26,8 @@ class ObservableBasis:
 
     vectors is a read-only copy of the array passed in, so a basis cannot
     change after its check. Bases compare and hash by identity: a state keeps
-    its dephased entropy per basis object, never per content.
+    its dephased state per basis object, never per content, and only while
+    the basis object lives.
     """
 
     dim: int
@@ -102,17 +103,14 @@ def dephase(rho: DensityMatrix, basis: ObservableBasis) -> DensityMatrix:
     """Kill coherences of A in the given basis: sum_y (P_y (x) I) rho (P_y (x) I).
 
     For a monopartite state (dim_b == 1) this is plain diagonal truncation
-    in the basis.
+    in the basis. rho keeps the dephased state per live basis object, so
+    repeated calls return the same state, built once.
     """
-    return _assemble_joint(_conditional_blocks(rho, basis), basis, rho)
-
-
-def _dephased_entropy(rho: DensityMatrix, basis: ObservableBasis) -> float:
-    """S(dephase(rho, basis)), kept by rho per basis object and computed once."""
-    kept = rho._dephased_entropies
-    if basis not in kept:
-        kept[basis] = von_neumann_entropy(dephase(rho, basis))
-    return kept[basis]
+    kept = rho._dephased
+    state = kept.get(basis)
+    if state is None:
+        state = kept[basis] = _assemble_joint(_conditional_blocks(rho, basis), basis, rho)
+    return state
 
 
 def measure(rho: DensityMatrix, basis: ObservableBasis) -> MeasurementOutcome:

@@ -12,12 +12,12 @@ Conventions used everywhere in this package:
   matrix from read-only constants and wrap it with the DensityMatrix
   constructor, unvalidated.
 * A DensityMatrix's matrix is read-only, so the values a state keeps cannot go
-  stale: its spectrum, its von Neumann entropy, its two marginals and, per
-  measurement basis, the entropy of the state dephased in that basis, keyed
-  by the basis object. Each is computed once, on first use, by the one
-  cached property that builds it, and kept on that object only. For a state
-  from make_density that first use is validation: its checks read the
-  state's spectrum, its entropy and its A marginal's spectrum.
+  stale: its spectrum, its eigensystem, its von Neumann entropy, its two
+  marginals and, per live measurement basis object, the state dephased in
+  that basis. Each is computed once, on first use, by the one function that
+  builds it, and kept on that object only. For a state from make_density
+  that first use is validation: its checks read the state's spectrum, its
+  entropy and its A marginal's spectrum.
 
 State file format (one state per file)::
 
@@ -31,6 +31,7 @@ Blank lines and lines starting with '#' are ignored.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -81,10 +82,12 @@ class DensityMatrix:
     one-parameter families, and marginals, dephased and conditional states of
     a valid DensityMatrix) are built directly. matrix
     is made read-only, so what the state keeps from it cannot go stale: the
-    spectrum, the entropy and the two marginals, each a cached_property
-    computed on first use, and the dephased entropy per basis object. They
-    belong to this object, never to its content: a state rebuilt from a copy
-    of the matrix computes its own.
+    spectrum (eigvalsh), the eigensystem (eigh, which relative_entropy reads),
+    the entropy and the two marginals, each a cached_property computed on
+    first use, and the dephased state per live basis object, which
+    measurement.dephase builds. They belong to this object, never to its
+    content: a state rebuilt from a copy of the matrix, a copy.deepcopy or a
+    pickle round trip computes its own.
     """
 
     matrix: np.ndarray
@@ -113,9 +116,27 @@ class DensityMatrix:
         return DensityMatrix(hermitize(_trace_out(self.matrix, self.dim_a, self.dim_b, "A")), self.dim_b, 1)
 
     @cached_property
-    def _dephased_entropies(self) -> dict:
-        """S(dephase(self, basis)) per ObservableBasis object, filled by measurement._dephased_entropy."""
-        return {}
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """np.linalg.eigh(matrix), read-only and computed once; the only place a state's eigensystem is built."""
+        w, v = np.linalg.eigh(self.matrix)
+        w.flags.writeable = False
+        v.flags.writeable = False
+        return w, v
+
+    @cached_property
+    def _dephased(self) -> weakref.WeakKeyDictionary:
+        """dephase(self, basis) per live ObservableBasis object, filled by measurement.dephase.
+
+        The keys are weak, so a basis that nothing else holds drops out along
+        with its dephased state.
+        """
+        return weakref.WeakKeyDictionary()
+
+    def __reduce__(self):
+        # Copies and pickles are rebuilt from the matrix alone: what a state
+        # keeps belongs to that object (and a WeakKeyDictionary cannot be
+        # pickled), so the copy computes its own.
+        return (DensityMatrix, (self.matrix, self.dim_a, self.dim_b))
 
     @property
     def dim(self) -> int:

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 
 from coherence_bounds import checks
@@ -120,3 +122,20 @@ def test_run_checks_draws_each_case_just_before_checking_it(monkeypatch):
     assert seen == [1, 2, 3, 4, 5]
     # the same rng sequence as generate_cases
     assert [c.state_seed for c in drawn] == [c.state_seed for c in generate_cases(7, 5)]
+
+
+def test_a_check_case_makes_18_eigvalsh_and_4_eigh(monkeypatch):
+    # dephase keeps its state per basis object and relative_entropy reads the
+    # kept eigh, so the suites share each dephased state and its eigensystem;
+    # this pins the totals only (a full-rank case.rho still meets both solvers)
+    calls = Counter()
+    for name in ("eigvalsh", "eigh"):
+        original = getattr(np.linalg, name)
+
+        def counted(a, *args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    assert run_checks(42, 2).ok
+    assert calls == {"eigvalsh": 2 * 18, "eigh": 2 * 4}

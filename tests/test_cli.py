@@ -320,6 +320,13 @@ class TestCheck:
             assert f"{name}" in out
         assert out.count("passed") >= 7
 
+    @pytest.mark.parametrize("cases", [100, 1000])
+    def test_seed42_output_matches_its_committed_bytes(self, cases, reference_run, capsys, monkeypatch):
+        if cases == 1000:  # the session's shared run_checks(42, 1000)
+            monkeypatch.setattr(cli, "run_checks", lambda *args: reference_run)
+        assert run(["check", "--seed", "42", "--cases", str(cases)]) == EXIT_OK
+        assert capsys.readouterr().out == (TEST_DATA / f"check_seed42_{cases}.txt").read_text()
+
     def test_single_case(self, capsys):
         assert run(["check", "--seed", "9", "--cases", "1"]) == EXIT_OK
         assert "1/1" in capsys.readouterr().out

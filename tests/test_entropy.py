@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from coherence_bounds.checks import generate_cases
 from coherence_bounds.entropy import (
+    KERNEL_TOL,
     SUPPORT_CUT,
     _entropies,
     _spectrum_entropy,
@@ -14,7 +16,7 @@ from coherence_bounds.entropy import (
     xlog2x,
 )
 from coherence_bounds.errors import DimensionError, DomainError, ProbabilityError
-from coherence_bounds.measurement import computational_basis, dephase
+from coherence_bounds.measurement import bloch_basis, computational_basis, dephase
 from coherence_bounds.states import make_density, random_density, random_unitary, werner
 
 # mpmath, 50 digits: H2(1/4)
@@ -213,6 +215,47 @@ def test_relative_entropy_disjoint_supports_is_infinite():
     zero = make_density(np.diag([1.0, 0.0]), dim_a=2, dim_b=1)
     one = make_density(np.diag([0.0, 1.0]), dim_a=2, dim_b=1)
     assert relative_entropy(zero, one) == np.inf
+
+
+def _relative_entropy_direct(rho, sigma):
+    """S(rho || sigma) from a fresh eigh of each matrix, always restricted to the supports with np.ix_."""
+    wr, vr = np.linalg.eigh(rho.matrix)
+    ws, vs = np.linalg.eigh(sigma.matrix)
+    overlap = np.abs(vr.conj().T @ vs) ** 2
+    on_r = wr > SUPPORT_CUT
+    on_s = ws > SUPPORT_CUT
+    if not np.all(on_s):
+        kernel_mass = overlap[np.ix_(on_r, ~on_s)].sum(axis=1)
+        if kernel_mass.size and float(kernel_mass.max()) > KERNEL_TOL:
+            return float("inf")
+    lam = wr[on_r]
+    mu = ws[on_s]
+    cross = float((overlap[np.ix_(on_r, on_s)] * lam[:, None] * np.log2(mu)[None, :]).sum())
+    return float(xlog2x(lam).sum() - cross)
+
+
+def _pure_2x2(seed):
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    return make_density(np.outer(v, v.conj()) / np.vdot(v, v).real, 2, 2)
+
+
+def test_relative_entropy_reads_the_kept_eigensystems_bit_for_bit():
+    # reading each state's kept eigh, and skipping the support restriction
+    # when both are full rank, gives the bits of a direct evaluation
+    pairs = []
+    for case in generate_cases(42, 100):
+        sigma = random_density(2, 2, case.state_seed + 1)
+        deph = dephase(case.rho, case.x)
+        pairs += [(case.rho, sigma), (case.rho, case.rho), (case.rho, deph), (deph, dephase(sigma, case.x))]
+    for seed in range(20):
+        pure, mixed = _pure_2x2(seed), random_density(2, 2, seed)
+        pinched = dephase(pure, bloch_basis(0.3 * seed, 0.1))
+        pairs += [(pure, mixed), (mixed, pure), (pure, pure), (pure, pinched), (pinched, pure)]
+    values = [relative_entropy(rho, sigma) for rho, sigma in pairs]
+    assert [v.hex() for v in values] == [_relative_entropy_direct(rho, sigma).hex() for rho, sigma in pairs]
+    # both the finite and the disjoint-support (inf) paths were compared
+    assert np.isinf(values).any() and np.isfinite(values).any()
 
 
 def test_relative_entropy_dimension_mismatch():

@@ -1,8 +1,13 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from coherence_bounds.coherence import unilateral_coherence
+from coherence_bounds.correlations import holevo
 from coherence_bounds.entropy import von_neumann_entropy
 from coherence_bounds.errors import DimensionError, DomainError, ProbabilityError, ValidationError
 from coherence_bounds.linalg import tensor_product
@@ -95,7 +100,7 @@ def test_observable_basis_keeps_a_read_only_copy():
 
 
 def test_observable_bases_compare_by_identity():
-    # a state keeps its dephased entropies per basis object
+    # a state keeps its dephased states per basis object
     a, b = pauli_basis(1), pauli_basis(1)
     assert a == a and a != b
     assert len({a, b, a}) == 2 and hash(a) != hash(b)
@@ -105,6 +110,44 @@ def test_dephase_removes_off_diagonals_in_computational_basis():
     rho = make_density(np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex), 2, 1)
     out = dephase(rho, computational_basis(2))
     assert_allclose(out.matrix, np.eye(2) / 2, atol=1e-15)
+
+
+@pytest.mark.parametrize("dim_b", [1, 2, 3, 8])
+def test_dephase_keeps_one_read_only_state_per_basis_object(dim_b):
+    rho = random_density(2, dim_b, 60 + dim_b)
+    basis = bloch_basis(1.1, 0.4)
+    kept = dephase(rho, basis)
+    assert dephase(rho, basis) is kept
+    with pytest.raises(ValueError):
+        kept.matrix[0, 0] = 0.5
+    # the same bytes as a build on another state object with rho's content
+    fresh = dephase(make_density(rho.matrix.copy(), 2, dim_b), basis)
+    assert fresh is not kept and fresh.matrix.tobytes() == kept.matrix.tobytes()
+    # kept per basis object, never per content
+    twin = bloch_basis(1.1, 0.4)
+    assert dephase(rho, twin) is not kept and dephase(rho, twin).matrix.tobytes() == kept.matrix.tobytes()
+
+
+def test_a_state_holds_no_basis_that_nothing_else_holds():
+    # the kept dephased states are weakly keyed by their basis objects
+    rho = random_density(2, 8, 3)
+    unilateral_coherence(rho, pauli_basis(1))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(2000):
+            basis = bloch_basis(0.001 * k, 0.002 * k)
+            unilateral_coherence(rho, basis)
+            holevo(rho, basis)
+        del basis
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # a map that held its bases would hold about 0.4 KB per basis, 0.8 MB here
+    assert held < 50_000
+    assert len(rho._dephased) == 0
 
 
 class TestDephaseProperties:
@@ -154,6 +197,15 @@ class TestMeasure:
         )
         assert_allclose(out.joint_state.matrix, blocks, atol=1e-12)
         assert_allclose(out.joint_state.matrix, dephase(rho, basis).matrix, atol=1e-12)
+
+    def test_joint_state_is_its_own_build(self):
+        # so that the joint_equals_dephased check compares two builds
+        rho = random_density(2, 2, 6)
+        basis = bloch_basis(0.7, 2.5)
+        kept = dephase(rho, basis)
+        joint = measure(rho, basis).joint_state
+        assert joint is not kept and joint is not measure(rho, basis).joint_state
+        assert joint.matrix.tobytes() == kept.matrix.tobytes()
 
     def test_degenerate_outcome_flagged(self):
         # x_state(0) = |11><11| never triggers the +1 outcome of sigma3

@@ -1,15 +1,18 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from coherence_bounds.entropy import _spectrum_entropy, von_neumann_entropy
+from coherence_bounds.entropy import _spectrum_entropy, relative_entropy, von_neumann_entropy
 from coherence_bounds.errors import DomainError, ParseError, ValidationError
 from coherence_bounds import states
 from coherence_bounds.bounds import FAMILIES, evaluate_all
 from coherence_bounds.cli import FIGURES
 from coherence_bounds.linalg import hermitize, partial_trace, tensor_product
-from coherence_bounds.measurement import measure, pauli_basis
+from coherence_bounds.measurement import dephase, measure, pauli_basis
 from coherence_bounds.states import (
     PSI_MINUS,
     PSI_PLUS,
@@ -182,6 +185,34 @@ class TestMakeDensity:
         # kept per object, not per content: the rebuilt state computed its own
         assert marginal_a(rebuilt) is not marginal_a(rho)
         assert marginal_b(rebuilt) is not marginal_b(rho)
+
+    @pytest.mark.parametrize("dim_b", [1, 2, 3, 8])
+    def test_keeps_a_read_only_eigensystem(self, dim_b):
+        rho = random_density(2, dim_b, 50 + dim_b)
+        w, v = rho._eigh
+        assert rho._eigh is rho._eigh
+        for kept in (w, v):
+            with pytest.raises(ValueError):
+                kept[0] = 0.5
+        expected = np.linalg.eigh(rho.matrix)
+        assert w.tobytes() == expected[0].tobytes() and v.tobytes() == expected[1].tobytes()
+
+    @pytest.mark.parametrize(
+        "clone", [lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy], ids=["pickle", "deepcopy"]
+    )
+    def test_a_copy_is_rebuilt_from_the_matrix_and_computes_its_own_values(self, clone):
+        # copied once it keeps a dephased state (in a WeakKeyDictionary, which
+        # cannot be pickled) and its eigensystem
+        rho = random_density(2, 3, 7)
+        basis = pauli_basis(1)
+        kept = dephase(rho, basis)
+        assert relative_entropy(rho, kept) >= 0.0
+        twin = clone(rho)
+        assert (twin.dim_a, twin.dim_b) == (2, 3)
+        assert twin.matrix.tobytes() == rho.matrix.tobytes() and not twin.matrix.flags.writeable
+        assert sorted(vars(twin)) == ["dim_a", "dim_b", "matrix"]
+        assert dephase(twin, basis) is not kept
+        assert dephase(twin, basis).matrix.tobytes() == kept.matrix.tobytes()
 
 
 class TestXState:
