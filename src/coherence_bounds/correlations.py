@@ -31,7 +31,7 @@ import numpy as np
 
 from .entropy import shannon_entropy, von_neumann_entropy, xlog2x
 from .errors import DimensionError, UnsupportedDimension
-from .measurement import ObservableBasis, _conditional_blocks, dephase
+from .measurement import ObservableBasis, _dephasing
 from .states import DensityMatrix, marginal_a, marginal_b
 
 ANGLE_RESOLUTION = 1e-6
@@ -88,15 +88,17 @@ def holevo(rho: DensityMatrix, basis: ObservableBasis) -> float:
 
     Evaluated through the identity I(Y:B) = S(rho_B) + H(p_Y) - S(rho_YB), which
     holds because the dephased joint state rho_YB is block diagonal in Y, so
-    S(rho_YB) = H(p_Y) + sum_y p_y S(rho_B|y). It reads p_y = Tr M_y from the
-    unnormalised blocks M_y that measure uses, and so builds no conditional
-    state; shannon_entropy rejects p_y < -SUPPORT_CUT as measure does. rho_YB is
-    the dephased state rho keeps for the basis object, whose entropy
-    unilateral_coherence reads too.
+    S(rho_YB) = H(p_Y) + sum_y p_y S(rho_B|y). rho_YB and p_y = Tr M_y, from the
+    unnormalised blocks M_y that measure uses too, are what rho keeps for the
+    basis object, along with H(p_Y), so a repeat call builds nothing and
+    unilateral_coherence reads the same S(rho_YB). No conditional state is
+    built; shannon_entropy rejects p_y < -SUPPORT_CUT as measure does. S(rho_YB)
+    is read before H(p_Y), so a state whose dephased spectrum is not a
+    distribution raises that error first.
     """
-    probs = np.einsum("yaa->y", _conditional_blocks(rho, basis)).real
-    s_yb = von_neumann_entropy(dephase(rho, basis))
-    return max(0.0, von_neumann_entropy(marginal_b(rho)) + shannon_entropy(probs) - s_yb)
+    kept = _dephasing(rho, basis)
+    s_yb = von_neumann_entropy(kept.state)
+    return max(0.0, von_neumann_entropy(marginal_b(rho)) + kept.outcome_entropy - s_yb)
 
 
 class _HolevoObjective:

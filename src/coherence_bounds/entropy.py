@@ -102,11 +102,14 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     overlap = np.abs(vr.conj().T @ vs) ** 2  # overlap[i, j] = |<r_i|s_j>|^2
     on_r = wr > SUPPORT_CUT
     on_s = ws > SUPPORT_CUT
-    if not np.all(on_s):
-        kernel_mass = overlap[np.ix_(on_r, ~on_s)].sum(axis=1)
+    # compress keeps each restriction C-contiguous, as np.ix_ does, so the
+    # sums keep their order; a chained boolean index is Fortran-ordered.
+    rows = overlap.compress(on_r, axis=0)
+    if not on_s.all():
+        kernel_mass = rows.compress(~on_s, axis=1).sum(axis=1)
         if kernel_mass.size and float(kernel_mass.max()) > KERNEL_TOL:
             return float("inf")
     lam = wr[on_r]
     mu = ws[on_s]
-    cross = float((overlap[np.ix_(on_r, on_s)] * lam[:, None] * np.log2(mu)[None, :]).sum())
+    cross = float((rows.compress(on_s, axis=1) * lam[:, None] * np.log2(mu)[None, :]).sum())
     return float(xlog2x(lam).sum() - cross)

@@ -7,10 +7,11 @@ with the B side kept as the quantum memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .entropy import SUPPORT_CUT
+from .entropy import SUPPORT_CUT, shannon_entropy
 from .errors import DimensionError, DomainError, ProbabilityError, ValidationError
 from .linalg import hermitize
 from .states import DensityMatrix
@@ -45,9 +46,12 @@ class ObservableBasis:
         object.__setattr__(self, "vectors", v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementOutcome:
-    """Statistics of measuring A: probabilities, conditional B states, dephased joint."""
+    """Statistics of measuring A: probabilities, conditional B states, dephased joint.
+
+    Outcomes compare and hash by identity, as the states they hold do.
+    """
 
     probs: np.ndarray
     conditional_states: tuple[DensityMatrix, ...]
@@ -99,6 +103,35 @@ def _assemble_joint(cond: np.ndarray, basis: ObservableBasis, rho: DensityMatrix
     return DensityMatrix(hermitize(joint.reshape(rho.dim, rho.dim)), rho.dim_a, rho.dim_b)
 
 
+@dataclass(frozen=True, eq=False)
+class _Dephasing:
+    """What a state keeps per live basis object: rho_YB and p_Y, both from one set of blocks.
+
+    state is the dephased joint state and probs the outcome probabilities
+    p_y = Tr M_y, read-only; outcome_entropy is H(p_Y), computed on first use.
+    An entropy that raises is not kept, so a second call raises again.
+    """
+
+    state: DensityMatrix
+    probs: np.ndarray
+
+    @cached_property
+    def outcome_entropy(self) -> float:
+        return shannon_entropy(self.probs)
+
+
+def _dephasing(rho: DensityMatrix, basis: ObservableBasis) -> _Dephasing:
+    """The _Dephasing rho keeps for the basis object, built on first use; the only place one is built."""
+    kept = rho._dephased
+    entry = kept.get(basis)
+    if entry is None:
+        cond = _conditional_blocks(rho, basis)
+        probs = np.einsum("yaa->y", cond).real
+        probs.flags.writeable = False
+        entry = kept[basis] = _Dephasing(_assemble_joint(cond, basis, rho), probs)
+    return entry
+
+
 def dephase(rho: DensityMatrix, basis: ObservableBasis) -> DensityMatrix:
     """Kill coherences of A in the given basis: sum_y (P_y (x) I) rho (P_y (x) I).
 
@@ -106,11 +139,7 @@ def dephase(rho: DensityMatrix, basis: ObservableBasis) -> DensityMatrix:
     in the basis. rho keeps the dephased state per live basis object, so
     repeated calls return the same state, built once.
     """
-    kept = rho._dephased
-    state = kept.get(basis)
-    if state is None:
-        state = kept[basis] = _assemble_joint(_conditional_blocks(rho, basis), basis, rho)
-    return state
+    return _dephasing(rho, basis).state
 
 
 def measure(rho: DensityMatrix, basis: ObservableBasis) -> MeasurementOutcome:

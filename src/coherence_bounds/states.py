@@ -14,10 +14,11 @@ Conventions used everywhere in this package:
 * A DensityMatrix's matrix is read-only, so the values a state keeps cannot go
   stale: its spectrum, its eigensystem, its von Neumann entropy, its two
   marginals and, per live measurement basis object, the state dephased in
-  that basis. Each is computed once, on first use, by the one function that
-  builds it, and kept on that object only. For a state from make_density
-  that first use is validation: its checks read the state's spectrum, its
-  entropy and its A marginal's spectrum.
+  that basis with the outcome probabilities p_Y and their entropy H(p_Y).
+  Each is computed once, on first use, by the one function that builds it,
+  and kept on that object only. For a state from make_density that first
+  use is validation: its checks read the state's spectrum, its entropy and
+  its A marginal's spectrum. States compare and hash by identity.
 
 State file format (one state per file)::
 
@@ -43,7 +44,15 @@ from .linalg import _trace_out, as_square_matrix, hermiticity_defect, hermitize,
 
 # Largest allowed deviation max|M - M^dag| before a matrix is rejected as non-Hermitian.
 HERMITICITY_TOL = 1e-10
+# The entropy pass (the 1e-9 in shannon_entropy) rejects a distribution whose
+# sum is further than this from 1.
 TRACE_TOL = 1e-9
+# The distributions derived from an accepted state (the spectra of its
+# marginals and dephased states, its outcome probabilities) sum up to about
+# 1e-16 further from 1 than its trace does, so make_density accepts
+# |Tr - 1| only up to this: the 1e-11 left inside TRACE_TOL covers that
+# rounding, and a state at the edge of acceptance still evaluates.
+TRACE_BOUNDARY_TOL = 0.99 * TRACE_TOL
 EIGENVALUE_FLOOR = -1e-9
 # An outcome probability <y|rho_A|y> of measuring A can go as low as rho_A's
 # smallest eigenvalue, and measuring A rejects one below -SUPPORT_CUT. The
@@ -73,7 +82,7 @@ _IDENTITY4 = _constant(np.eye(4))
 _SIGMA_PAIRS = tuple(_constant(tensor_product(s, s)) for s in (SIGMA0, SIGMA1, SIGMA2, SIGMA3))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Density matrix together with its A x B factorization.
 
@@ -84,10 +93,12 @@ class DensityMatrix:
     is made read-only, so what the state keeps from it cannot go stale: the
     spectrum (eigvalsh), the eigensystem (eigh, which relative_entropy reads),
     the entropy and the two marginals, each a cached_property computed on
-    first use, and the dephased state per live basis object, which
-    measurement.dephase builds. They belong to this object, never to its
-    content: a state rebuilt from a copy of the matrix, a copy.deepcopy or a
-    pickle round trip computes its own.
+    first use, and per live basis object the dephased state with its outcome
+    probabilities and their entropy, which measurement._dephasing builds from
+    one set of blocks. They belong to this object, never to its content: a
+    state rebuilt from a copy of the matrix, a copy.deepcopy or a pickle
+    round trip computes its own. States compare and hash by identity, as
+    bases do: comparing two matrices would need a tolerance.
     """
 
     matrix: np.ndarray
@@ -125,7 +136,7 @@ class DensityMatrix:
 
     @cached_property
     def _dephased(self) -> weakref.WeakKeyDictionary:
-        """dephase(self, basis) per live ObservableBasis object, filled by measurement.dephase.
+        """measurement._dephasing(self, basis) per live ObservableBasis object, filled by that function.
 
         The keys are weak, so a basis that nothing else holds drops out along
         with its dephased state.
@@ -152,11 +163,12 @@ def make_density(matrix, dim_a: int, dim_b: int) -> DensityMatrix:
 
     Checks, in order: dimensions factor as dim_a * dim_b, Hermiticity within
     HERMITICITY_TOL (the stored matrix is the symmetrized (M + M^dag)/2),
-    unit trace within 1e-9, smallest eigenvalue >= -1e-9, support: the
-    eigenvalues of at least entropy.SUPPORT_CUT sum to 1 within 1e-9, the
-    check every entropy of the state makes, and the A marginal: rho_A's
-    smallest eigenvalue >= MARGINAL_FLOOR, so that measuring A gives no
-    probability below -SUPPORT_CUT. The support check rejects a state whose
+    unit trace within TRACE_BOUNDARY_TOL (0.99 TRACE_TOL), smallest
+    eigenvalue >= -1e-9, support: the eigenvalues of at least
+    entropy.SUPPORT_CUT sum to 1 within 1e-9, the check every entropy of
+    the state makes, and the A marginal: rho_A's smallest eigenvalue >=
+    MARGINAL_FLOOR, so that measuring A gives no probability below
+    -SUPPORT_CUT. The support check rejects a state whose
     negative eigenvalues each clear the floor but together exceed about
     1e-9. Each failure raises ValidationError naming the violated invariant.
     The checks read the state's own cached spectrum, entropy and A marginal
@@ -175,8 +187,8 @@ def make_density(matrix, dim_a: int, dim_b: int) -> DensityMatrix:
         )
     arr = hermitize(arr)
     tr = float(np.trace(arr).real)
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValidationError(f"trace: Tr = {tr!r} is not 1 within {TRACE_TOL}")
+    if abs(tr - 1.0) > TRACE_BOUNDARY_TOL:
+        raise ValidationError(f"trace: Tr = {tr!r} is not 1 within {TRACE_BOUNDARY_TOL}")
     rho = DensityMatrix(matrix=arr, dim_a=int(dim_a), dim_b=int(dim_b))
     if rho._spectrum[0] < EIGENVALUE_FLOOR:
         raise ValidationError(

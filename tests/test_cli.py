@@ -256,6 +256,15 @@ class TestEval:
         assert rc == EXIT_VALIDATION
         assert "trace" in capsys.readouterr().err
 
+    def test_state_on_the_entropy_pass_trace_tolerance_is_a_validation_error(self, tmp_path, capsys):
+        # Tr = 1 - 1e-9 lies outside TRACE_BOUNDARY_TOL, so the state file is
+        # rejected on its trace instead of failing in the report's entropy pass
+        path = tmp_path / "edge.txt"
+        save_state_file(DensityMatrix(states.random_density(2, 3, 0).matrix * (1.0 - 1e-9), 2, 3), path)
+        rc = run(["eval", "--state", str(path), "--x", "sigma1", "--z", "sigma3"])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: trace: Tr = 0.99999999")
+
     def test_spectrum_the_entropies_reject_is_a_validation_error(self, tmp_path, capsys):
         # eigenvalues (-8e-10, -8e-10, 0.3, 0.7 + 1.6e-9): each clears the
         # eigenvalue floor, but the entropy pass would reject the spectrum

@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coherence_bounds import cli, correlations
+from coherence_bounds import cli, correlations, measurement
 from coherence_bounds.bounds import FAMILIES
 from coherence_bounds.correlations import (
     _bloch,
@@ -25,11 +26,21 @@ from coherence_bounds.correlations import (
     mutual_information,
 )
 from coherence_bounds.checks import generate_cases
-from coherence_bounds.entropy import binary_entropy, von_neumann_entropy
-from coherence_bounds.errors import UnsupportedDimension
+from coherence_bounds.entropy import binary_entropy, shannon_entropy, von_neumann_entropy
+from coherence_bounds.errors import DimensionError, ProbabilityError, UnsupportedDimension
 from coherence_bounds.linalg import tensor_product
-from coherence_bounds.measurement import bloch_basis, measure, pauli_basis
+from coherence_bounds.measurement import (
+    _assemble_joint,
+    _conditional_blocks,
+    _dephasing,
+    bloch_basis,
+    computational_basis,
+    dephase,
+    measure,
+    pauli_basis,
+)
 from coherence_bounds.states import (
+    DensityMatrix,
     bell_diagonal,
     bell_diagonal_family,
     load_state_file,
@@ -130,6 +141,59 @@ class TestHolevo:
         rho = random_density(2, 2, seed)
         j = holevo(rho, bloch_basis(*ang))
         assert 0.0 <= j <= mutual_information(rho) + 1e-9
+
+    def test_reads_the_kept_dephasing_bit_for_bit(self):
+        # a fresh call and a repeat call both give the bits of an evaluation
+        # from fresh blocks on a fresh state object, which keeps nothing
+        def fresh(rho, basis):
+            rho = DensityMatrix(rho.matrix, rho.dim_a, rho.dim_b)
+            cond = _conditional_blocks(rho, basis)
+            s_yb = von_neumann_entropy(_assemble_joint(cond, basis, rho))
+            h_y = shannon_entropy(np.einsum("yaa->y", cond).real)
+            return max(0.0, von_neumann_entropy(marginal_b(rho)) + h_y - s_yb)
+
+        pairs = [(c.rho, b) for c in generate_cases(42, 100) for b in (c.x, c.z)]
+        for dim_b in (3, 8):
+            for seed in range(20):
+                rho = random_density(2, dim_b, 500 + seed)
+                pairs += [(rho, bloch_basis(0.3 * seed, 0.7 * seed)), (rho, pauli_basis(3))]
+        for family in (x_state, werner, bell_diagonal_family):
+            for p in (0.0, 0.5, 1.0):
+                pairs += [(family(p), pauli_basis(which)) for which in (1, 2, 3)]
+        expected = [fresh(rho, basis).hex() for rho, basis in pairs]
+        for _ in range(2):
+            assert [holevo(rho, basis).hex() for rho, basis in pairs] == expected
+
+    def test_builds_the_blocks_once_per_state_and_basis(self, monkeypatch):
+        calls = []
+
+        def counted(rho, basis):
+            calls.append(basis)
+            return _conditional_blocks(rho, basis)
+
+        monkeypatch.setattr(measurement, "_conditional_blocks", counted)
+        rho, basis = random_density(2, 3, 17), bloch_basis(0.8, 1.9)
+        first = holevo(rho, basis)
+        dephase(rho, basis)
+        assert holevo(rho, basis) == first
+        assert calls == [basis]
+
+    def test_kept_probabilities_are_read_only(self):
+        kept = _dephasing(random_density(2, 2, 3), pauli_basis(1))
+        with pytest.raises(ValueError):
+            kept.probs[0] = 0.5
+
+    def test_errors_are_those_of_a_fresh_evaluation(self):
+        # trusted, so never validated: S(rho_YB) fails first, on the sum of
+        # its cut spectrum, before H(p_Y) could fail on the negative -0.5
+        rho = DensityMatrix(np.diag([-0.5, 0.0, 1.5, 0.0]).astype(complex), 2, 2)
+        basis = pauli_basis(3)
+        for _ in range(2):  # a failed entropy is not kept
+            with pytest.raises(ProbabilityError, match=re.escape("probabilities sum to 1.5, not 1 within 1e-9")):
+                holevo(rho, basis)
+        assert dephase(rho, basis).matrix.tobytes() == rho.matrix.tobytes()
+        with pytest.raises(DimensionError):
+            holevo(rho, computational_basis(3))
 
 
 class TestFastObjective:

@@ -10,6 +10,7 @@ from coherence_bounds.entropy import _spectrum_entropy, relative_entropy, von_ne
 from coherence_bounds.errors import DomainError, ParseError, ValidationError
 from coherence_bounds import states
 from coherence_bounds.bounds import FAMILIES, evaluate_all
+from coherence_bounds.checks import generate_cases
 from coherence_bounds.cli import FIGURES
 from coherence_bounds.linalg import hermitize, partial_trace, tensor_product
 from coherence_bounds.measurement import dephase, measure, pauli_basis
@@ -153,6 +154,58 @@ class TestMakeDensity:
             outcomes.append("evaluated")
         # the corpus reaches both sides of the boundary
         assert set(outcomes) == {"rejected", "evaluated"}
+
+    @pytest.mark.parametrize("dim_b", [2, 3, 8])
+    def test_every_state_accepted_near_the_trace_and_hermiticity_thresholds_evaluates(self, dim_b):
+        # |Tr - 1| and max|M - M^dag| each placed inside a threshold, on it or
+        # outside it (1e-4 of the threshold away, far above the rounding of
+        # either), and the trace also on TRACE_TOL, singly and combined
+        t, h = states.TRACE_BOUNDARY_TOL, states.HERMITICITY_TOL
+        near = {"inside": 1.0 - 1e-4, "on": 1.0, "outside": 1.0 + 1e-4}
+        traces = [("inside", 0.0), ("outside", states.TRACE_TOL), ("outside", -states.TRACE_TOL)]
+        traces += [(side, sign * f * t) for side, f in near.items() for sign in (1.0, -1.0)]
+        defects = [("inside", 0.0)] + [(side, f * h) for side, f in near.items()]
+        rng = np.random.default_rng((9, dim_b))
+        outcomes = []
+        for seed in range(8):
+            rho = random_density(2, dim_b, 900 + seed).matrix
+            i, j = rng.choice(2 * dim_b, 2, replace=False)
+            skew = np.zeros((2 * dim_b, 2 * dim_b))
+            skew[i, j], skew[j, i] = 0.5, -0.5  # max|S - S^dag| = 1, trace 0
+            for t_side, dt in traces:
+                for h_side, dh in defects:
+                    # the hermiticity check comes first
+                    if h_side == "outside":
+                        allowed = ("hermiticity:",)
+                    else:
+                        allowed = tuple(
+                            f"{name}:" for name, side in (("hermiticity", h_side), ("trace", t_side)) if side != "inside"
+                        )
+                    try:
+                        state = make_density(rho * (1.0 + dt) + dh * skew, 2, dim_b)
+                    except ValidationError as exc:
+                        assert type(exc) is ValidationError
+                        assert allowed and str(exc).startswith(allowed), exc
+                        outcomes.append("rejected")
+                        continue
+                    assert "outside" not in (t_side, h_side)
+                    report = evaluate_all(state, pauli_basis(1), pauli_basis(3))
+                    assert np.isfinite(list(report.as_dict().values())).all()
+                    for which in (1, 3):
+                        measure(state, pauli_basis(which))
+                    outcomes.append("evaluated")
+        assert set(outcomes) == {"rejected", "evaluated"}
+
+    def test_states_compare_and_hash_by_identity(self):
+        a, b = werner(0.3), werner(0.3)
+        assert a == a and a != b
+        assert {a: 1, b: 2}[a] == 1 and len({a, b, a}) == 2
+        out = measure(a, pauli_basis(1))
+        assert out == out and out != measure(a, pauli_basis(1))
+        assert {out: 1}[out] == 1
+        # a check case compares its fields, the state among them by identity
+        case = generate_cases(42, 1)[0]
+        assert case == case and {case: 1}[case] == 1
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValidationError, match="dimension"):
