@@ -38,7 +38,10 @@ the grid the search starts from. S(AB) reads the spectrum the state keeps,
 which make_density's positivity check built, so a 2x2 report on a
 validated state makes no eigensolve; a family state, built unvalidated,
 makes one 4x4 eigvalsh for it. All seven distributions are zero-padded
-rows of one table that takes a single checked entropy pass.
+rows of one table. correlations._report_scalars is the one place that owns
+that table: it fills it, cuts spectrum entries below SUPPORT_CUT to exact
+zeros, takes the single checked entropy pass and runs the search. This
+module holds q_mu and the field formulas alone.
 
 J_A, and with it the non-convex search, enters exactly three fields:
 discord_gap, lb_theorem3 and eur_pati. Every other field is an expression
@@ -51,14 +54,11 @@ since every row shares X and Z.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from .coherence import coherence_rel
-from .correlations import _HolevoObjective, _maximize_holevo
-from .entropy import SUPPORT_CUT, _entropies, von_neumann_entropy
+from .correlations import _report_scalars
+from .entropy import von_neumann_entropy
 from .errors import DomainError
 from .measurement import ObservableBasis, incompatibility
 from .states import DensityMatrix, bell_diagonal_family, werner, x_state
@@ -118,11 +118,11 @@ def evaluate_all(rho: DensityMatrix, x: ObservableBasis, z: ObservableBasis) -> 
 
     The nine scalars of the module docstring are computed once and every
     field is an expression over them, so exact identities between report
-    fields survive floating point unchanged. The seven distributions behind
-    the entropies go into one zero-padded table that takes one checked pass.
-    rho_AB's row is the spectrum the state keeps; one scan of the discord
-    objective gives every other row and the grid values the search for J_A
-    starts from. A state with dim_a != 2 raises UnsupportedDimension.
+    fields survive floating point unchanged. correlations._report_scalars
+    gives all but q_mu: it fills the table of seven distributions, from the
+    spectrum the state keeps and one batched call of the discord objective,
+    clamps it, takes its one checked entropy pass and runs the search for
+    J_A. A state with dim_a != 2 raises UnsupportedDimension.
     """
     return _report(rho, x, z, incompatibility(x, z), discord=True)
 
@@ -132,19 +132,11 @@ def _report(
 ) -> BoundReport:
     """evaluate_all's report, given q_mu = incompatibility(x, z).
 
-    Without `discord` the scan covers n = 0, n_X and n_Z only, the search
-    is skipped and J_A is NaN.
+    Every field is a formula over q_mu and the eight scalars of
+    _report_scalars. Without `discord` the batched call covers n = 0, n_X
+    and n_Z only, the search is skipped and J_A is NaN.
     """
-    objective = _HolevoObjective(rho)
-    # Rows: the spectra of AB, A, B, XB and ZB, then p_X and p_Z.
-    table = np.empty((7, 2 * rho.dim_b))
-    table[0] = rho._spectrum
-    table[1:], values = objective._scan(x, z, grid=discord)
-    spectra = table[:5]
-    spectra[spectra < SUPPORT_CUT] = 0.0
-    s_ab, s_a, s_b, s_xb, s_zb, h_x, h_z = _entropies(table)
-    j_a = _maximize_holevo(objective, values, s_b)[0] if discord else math.nan
-
+    s_ab, s_a, s_b, s_xb, s_zb, h_x, h_z, j_a = _report_scalars(rho, x, z, discord)
     cond = s_ab - s_b
     info = s_a + s_b - s_ab
     lhs_coherence = max(0.0, s_xb - s_ab) + max(0.0, s_zb - s_ab)
@@ -153,7 +145,7 @@ def _report(
     holevo_z = max(0.0, s_b + h_z - s_zb)
     delta = info - holevo_x - holevo_z
     gap = (info - j_a) - j_a  # D_A - J_A
-    # log2 dim_a is 1: _HolevoObjective raised for any dim_a other than 2.
+    # log2 dim_a is 1: _report_scalars raised for any dim_a other than 2.
     ub_purity = 2.0 * max(0.0, 1.0 - cond)
     return BoundReport(
         lhs_coherence=lhs_coherence,

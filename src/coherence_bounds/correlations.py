@@ -18,7 +18,8 @@ no S(B); J_A adds it back. The optimum is reported as the angles
 of bloch_basis(theta, phi); for a qubit that covers every rank-1 projective
 measurement. The objective's blocks also give evaluate_all the spectra of
 rho_A, rho_B and the two dephased states, in the same batched call as the
-grid's values.
+grid's values: _report_scalars turns them into the entropies and J_A that
+every report field is a formula over.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .entropy import shannon_entropy, von_neumann_entropy, xlog2x
+from .entropy import SUPPORT_CUT, _entropies, von_neumann_entropy, xlog2x
 from .errors import DimensionError, UnsupportedDimension
 from .measurement import ObservableBasis, _dephasing
 from .states import DensityMatrix, marginal_a, marginal_b
@@ -55,11 +56,13 @@ class DiscordResult:
 
     optimizer_evals counts objective evaluations: the 46 points of the
     geodesic grid, then per point an ascent tries one for the closed-form
-    model or nine for the 9-point stencil. Measured: 50 to 52 for a
-    full-rank state, for every dim_b; at most 61 for a product state, 81 for
-    the points of the one-parameter families and 109 for a pure state.
-    A state of rank below dim_b > 2 takes the stencil at every point, 82 to
-    136 (a rank-2 2x8 state), and classical-quantum states take up to 154.
+    model or nine for the 9-point stencil. Measured by
+    scripts/count_evaluations.py: 49 to 75 for a full-rank state (50 to 63
+    on 100 random states per dim_b in 2, 3, 4, 8, up to 75 on the 1000
+    states of check --seed 42); 48 to 63 for a product state, 48 to 81 for
+    the points of the one-parameter families and 64 to 145 for a pure
+    state. A state of rank below dim_b > 2 takes the stencil at every
+    point, 82 to 172, and classical-quantum states take 50 to 172.
     """
 
     discord: float
@@ -108,12 +111,12 @@ class _HolevoObjective:
     M_+- = (rho_B +- sum_i n_i K_i) / 2 with K_i = Tr_A[(sigma_i (x) I) rho],
     so a whole batch reduces to one matrix product plus batched small
     eigenproblems. This class is the one place that splits the state into B
-    blocks. A report scans it once (_scan): one batched call gives every
-    spectrum of the report except rho_AB's and, if the report searches, the
-    values on the search's grid. The optimiser reads each trial's value from
-    a value pass (_value_pass) and the Newton steps' local model from a
-    derivative pass over its terms (_derivative_pass). The constant S(B) is
-    left to the caller.
+    blocks. A report reads it through _report_scalars: one batched _spectra
+    call gives every spectrum of the report except rho_AB's and, if the
+    report searches, the values on the search's grid. The optimiser reads
+    each trial's value from a value pass (_value_pass) and the Newton steps'
+    local model from a derivative pass over its terms (_derivative_pass).
+    The constant S(B) is left to the caller.
 
     The class holds the model for any dim_b: M_+ as a real affine map of
     (1, n) (_planes), the blocks' spectra from eigvalsh, and both passes
@@ -172,38 +175,6 @@ class _HolevoObjective:
         rows[0] = np.einsum("naa->n", m).real
         rows[1:] = np.linalg.eigvalsh(m).T
         return rows
-
-    def _scan(
-        self, x: ObservableBasis, z: ObservableBasis, grid: bool = True
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """(report rows, the objective on the geodesic grid or None) from one _spectra call.
-
-        The rows are the spectra of rho_A, rho_B, rho_XB and rho_ZB, then
-        p_X and p_Z, each zero-padded to 2 dim_b. With n the Bloch vector of
-        a basis's outcome-0 ket, the dephased state rho_YB is block diagonal
-        with blocks M_+-(n) and p_Y is their traces; rho_B = 2 M_+(0), and
-        rho_A has the eigenvalues P0 +- |P| of Tr M_+ = P0 + P.n. The call
-        covers n = 0, n_X, n_Z and, with `grid`, then the points of
-        _geodesic_grid(), whose values start the discord search. A report
-        without the search passes grid=False and gets None for the values;
-        its rows have the same bits.
-        """
-        db = self.db
-        points = _geodesic_grid()[0] if grid else np.empty((3, 0))
-        n = np.zeros((3, 3 + points.shape[1]))
-        n[:, 1], n[:, 2] = _outcome0_bloch(x), _outcome0_bloch(z)
-        n[:, 3:] = points
-        spectra = self._spectra(n)
-        # Axes: row of _spectra, block M_+ or M_-, point n = 0, n_X or n_Z.
-        cols = spectra.reshape(1 + db, 2, -1)[:, :, :3]
-        rows = np.zeros((6, 2 * db))
-        p0, px, py, pz = self._trace
-        r = math.sqrt(px * px + py * py + pz * pz)
-        rows[0, :2] = p0 + r, p0 - r
-        rows[1, :db] = 2.0 * cols[1:, 0, 0]
-        rows[2:4] = cols[1:, :, 1:].transpose(2, 0, 1).reshape(2, 2 * db)
-        rows[4:, :2] = cols[0, :, 1:].T
-        return rows, self._values(spectra)[3:] if grid else None
 
     def _value_pass(self, n) -> tuple[float, tuple] | None:
         """(-S(B|Y_n), the blocks' terms) at the unit vector n; None next to a rank-deficient block.
@@ -587,6 +558,48 @@ def _maximize_holevo(
         if value > best:
             best, n = value, point
     return max(0.0, s_b + best), n, evals
+
+
+def _report_scalars(rho: DensityMatrix, x: ObservableBasis, z: ObservableBasis, search: bool) -> list[float]:
+    """[S(AB), S(A), S(B), S(XB), S(ZB), H(p_X), H(p_Z), J_A] for qubit A; J_A is NaN without `search`.
+
+    The one place that holds the report's distributions. With n the Bloch
+    vector of a basis's outcome-0 ket, the dephased state rho_YB is block
+    diagonal with blocks M_+-(n) and p_Y is their traces; rho_B = 2 M_+(0),
+    and rho_A has the eigenvalues P0 +- |P| of Tr M_+ = P0 + P.n. So one
+    _spectra call over n = 0, n_X, n_Z and, with `search`, the points of
+    _geodesic_grid() gives every distribution but rho_AB's, whose spectrum
+    the state keeps. The seven go into one zero-padded table; spectrum
+    entries below SUPPORT_CUT become exact zeros, and one checked _entropies
+    pass gives the seven entropies. Only with `search` are the grid's values
+    formed and the search for J_A run from them. A state with dim_a != 2
+    raises UnsupportedDimension before anything else.
+    """
+    objective = _HolevoObjective(rho)
+    db = objective.db
+    points = _geodesic_grid()[0] if search else np.empty((3, 0))
+    n = np.zeros((3, 3 + points.shape[1]))
+    n[:, 1], n[:, 2] = _outcome0_bloch(x), _outcome0_bloch(z)
+    n[:, 3:] = points
+    spectra = objective._spectra(n)
+    # Axes: row of _spectra, block M_+ or M_-, point n = 0, n_X or n_Z.
+    cols = spectra.reshape(1 + db, 2, -1)[:, :, :3]
+    # Rows: the spectra of AB, A, B, XB and ZB, then p_X and p_Z.
+    table = np.zeros((7, 2 * db))
+    table[0] = rho._spectrum
+    p0, px, py, pz = objective._trace
+    r = math.sqrt(px * px + py * py + pz * pz)
+    table[1, :2] = p0 + r, p0 - r
+    table[2, :db] = 2.0 * cols[1:, 0, 0]
+    table[3:5] = cols[1:, :, 1:].transpose(2, 0, 1).reshape(2, 2 * db)
+    table[5:, :2] = cols[0, :, 1:].T
+    spectrum_rows = table[:5]
+    spectrum_rows[spectrum_rows < SUPPORT_CUT] = 0.0
+    entropies = _entropies(table)
+    # The grid's values are formed only here: an unsearched report reads none.
+    # The search starts from them and adds back S(B), entropies[2].
+    j_a = _maximize_holevo(objective, objective._values(spectra)[3:], entropies[2])[0] if search else math.nan
+    return entropies + [j_a]
 
 
 def classical_correlation(rho: DensityMatrix) -> DiscordResult:

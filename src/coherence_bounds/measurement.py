@@ -126,7 +126,8 @@ def _dephasing(rho: DensityMatrix, basis: ObservableBasis) -> _Dephasing:
     entry = kept.get(basis)
     if entry is None:
         cond = _conditional_blocks(rho, basis)
-        probs = np.einsum("yaa->y", cond).real
+        # A copy, so the kept array does not hold the complex einsum output as its base.
+        probs = np.einsum("yaa->y", cond).real.copy()
         probs.flags.writeable = False
         entry = kept[basis] = _Dephasing(_assemble_joint(cond, basis, rho), probs)
     return entry

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coherence_bounds import bounds
+from coherence_bounds import bounds, correlations
 from coherence_bounds.bounds import (
     BoundReport,
     FAMILIES,
@@ -23,8 +23,15 @@ from coherence_bounds.coherence import (
 )
 from coherence_bounds.correlations import classical_correlation, conditional_entropy, holevo, mutual_information
 from coherence_bounds.entropy import shannon_entropy
-from coherence_bounds.errors import DomainError, UnsupportedDimension
-from coherence_bounds.measurement import ObservableBasis, bloch_basis, incompatibility, measure, pauli_basis
+from coherence_bounds.errors import DimensionError, DomainError, UnsupportedDimension
+from coherence_bounds.measurement import (
+    ObservableBasis,
+    bloch_basis,
+    computational_basis,
+    incompatibility,
+    measure,
+    pauli_basis,
+)
 from coherence_bounds.states import (
     DensityMatrix,
     make_density,
@@ -134,6 +141,11 @@ class TestEvaluateAll:
         with pytest.raises(UnsupportedDimension):
             evaluate_all(random_density(3, 2, 2), X, Z)
 
+    def test_rejects_a_basis_that_does_not_match_qubit_a(self):
+        # incompatibility accepts the pair, the Bloch vector of its outcome-0 ket does not
+        with pytest.raises(DimensionError, match="basis dim 3 does not match dim_a 2"):
+            evaluate_all(random_density(2, 2, 2), computational_basis(3), computational_basis(3))
+
     def test_spectra_are_computed_in_one_pass(self, monkeypatch):
         # no eigensolve at all: the spectrum of rho_AB is the one make_density
         # computed, the marginals' spectra, the dephased states' spectra and
@@ -166,7 +178,7 @@ class TestEvaluateAll:
         assert len(calls) == 1
         # beyond a qubit memory: one batched eigensolve for rho_B, the four
         # dephased blocks and the blocks of the search's grid
-        monkeypatch.setattr(bounds, "_maximize_holevo", lambda objective, values, s_b: (0.0, None, 0))
+        monkeypatch.setattr(correlations, "_maximize_holevo", lambda objective, values, s_b: (0.0, None, 0))
         calls.clear()
         evaluate_all(wide_memory, bloch_basis(1.0, 2.0), bloch_basis(2.5, 0.3))
         assert len(calls) == 1

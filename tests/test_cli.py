@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coherence_bounds import bounds, cli, states
+from coherence_bounds import bounds, cli, correlations, states
 from coherence_bounds.bounds import BoundReport
 from coherence_bounds.correlations import _HolevoObjective
 from coherence_bounds.cli import (
@@ -137,13 +137,13 @@ class TestFigure:
     def test_only_a_figure_printing_a_j_a_field_searches(self, which, searches, monkeypatch):
         # figure 1 prints lb_theorem3; figures 2-4 print entropies alone
         calls = []
-        search = bounds._maximize_holevo
+        search = correlations._maximize_holevo
 
         def counted(*args):
             calls.append(1)
             return search(*args)
 
-        monkeypatch.setattr(bounds, "_maximize_holevo", counted)
+        monkeypatch.setattr(correlations, "_maximize_holevo", counted)
         cli.render_figure_csv(cli.FIGURES[which])
         assert len(calls) == searches
 
@@ -237,6 +237,12 @@ class TestEval:
     def test_bloch_selectors_accepted(self, bell_file):
         rc = run(["eval", "--state", bell_file, "--x", "bloch:1.5707963267948966:0", "--z", "sigma3"])
         assert rc == EXIT_OK
+
+    @pytest.mark.parametrize("selector", ["bloch:nan:0", "bloch:0:inf"])
+    def test_non_finite_bloch_angles_are_a_parse_error(self, bell_file, capsys, selector):
+        rc = run(["eval", "--state", bell_file, "--x", selector, "--z", "sigma3"])
+        assert rc == EXIT_PARSE
+        assert f"bloch angles must be finite, got {selector!r}" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path):
         rc = run(["eval", "--state", str(tmp_path / "gone.txt"), "--x", "sigma1", "--z", "sigma3"])
@@ -362,6 +368,15 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "VIOLATION" in err
         assert "margin" in err
+
+    def test_at_most_ten_violations_are_listed(self, capsys, break_suite):
+        # every one of the 12 cases fails the broken suite; the count names them all
+        break_suite("coherence")
+        rc = run(["check", "--seed", "3", "--cases", "12"])
+        assert rc == EXIT_INVARIANT
+        err = capsys.readouterr().err.splitlines()
+        assert sum(line.startswith("VIOLATION [coherence] ") for line in err) == 10
+        assert len(err) == 11 and err[-1] == "error: 12 case-level violations (seed 3)"
 
     def test_verdicts_deterministic(self, capsys):
         run(["check", "--seed", "11", "--cases", "3"])

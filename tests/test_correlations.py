@@ -19,6 +19,7 @@ from coherence_bounds.correlations import (
     _STENCIL,
     _maximize_holevo,
     _refine,
+    _report_scalars,
     _tangent_frame,
     classical_correlation,
     conditional_entropy,
@@ -183,6 +184,13 @@ class TestHolevo:
         with pytest.raises(ValueError):
             kept.probs[0] = 0.5
 
+    @pytest.mark.parametrize("dim_b", [1, 2, 8])
+    def test_kept_probabilities_own_their_data(self, dim_b):
+        # not a view of the complex trace output the blocks gave
+        probs = _dephasing(random_density(2, dim_b, 3), bloch_basis(0.4, 1.3)).probs
+        assert probs.base is None and probs.flags.owndata
+        assert probs.dtype == np.float64 and not probs.flags.writeable
+
     def test_errors_are_those_of_a_fresh_evaluation(self):
         # trusted, so never validated: S(rho_YB) fails first, on the sum of
         # its cut spectrum, before H(p_Y) could fail on the negative -0.5
@@ -266,24 +274,45 @@ class TestFastObjective:
                 assert np.max(np.abs(model - expected)) <= 1e-10 * scale
 
     @pytest.mark.parametrize("dim_b", [1, 2, 3, 4, 8])
-    def test_report_rows_hold_the_marginal_spectra(self, dim_b):
-        # rho_A from the blocks' traces, rho_B as twice the n = 0 block
+    def test_report_rows_hold_the_marginal_spectra(self, dim_b, monkeypatch):
+        # rho_A from the blocks' traces, rho_B as twice the n = 0 block; rows 1
+        # and 2 of the table that takes the report's entropy pass
+        tables = []
+        entropies = correlations._entropies
+
+        def recorded(table):
+            tables.append(table.copy())
+            return entropies(table)
+
+        monkeypatch.setattr(correlations, "_entropies", recorded)
         states = [random_density(2, dim_b, 80 + k) for k in range(3)]
         if dim_b == 2:
             states += [x_state(0.0), x_state(1.0), product_state(21)]
         for rho in states:
-            rows = _HolevoObjective(rho)._scan(pauli_basis(1), pauli_basis(3))[0]
+            tables.clear()
+            _report_scalars(rho, pauli_basis(1), pauli_basis(3), search=True)
+            (table,) = tables
+            rows = table[1:3]
             assert np.all(rows[0, 2:] == 0.0) and np.all(rows[1, dim_b:] == 0.0)
             for row, marginal in ((rows[0, :2], marginal_a(rho)), (rows[1, :dim_b], marginal_b(rho))):
                 expected = np.linalg.eigvalsh(marginal.matrix)
                 assert np.max(np.abs(np.sort(row) - expected)) <= 1e-15
 
     @pytest.mark.parametrize("dim_b", [1, 2, 3, 8])
-    def test_scan_values_are_the_grid_objective(self, dim_b):
+    def test_scan_values_are_the_grid_objective(self, dim_b, monkeypatch):
         # evaluate_all's search starts from the values of its one spectra scan
+        starts = []
+        search = correlations._maximize_holevo
+
+        def recorded(objective, values, s_b):
+            starts.append((objective, values))
+            return search(objective, values, s_b)
+
+        monkeypatch.setattr(correlations, "_maximize_holevo", recorded)
         for seed in range(90, 93):
-            objective = _HolevoObjective(random_density(2, dim_b, seed))
-            values = objective._scan(bloch_basis(0.3, 1.2), pauli_basis(3))[1]
+            starts.clear()
+            _report_scalars(random_density(2, dim_b, seed), bloch_basis(0.3, 1.2), pauli_basis(3), search=True)
+            ((objective, values),) = starts
             assert values.tobytes() == objective(_geodesic_grid()[0]).tobytes()
 
 

@@ -59,6 +59,8 @@ def test_shannon_entropy_rejects_bad_distributions():
         shannon_entropy(np.array([0.5, 0.4]))
     with pytest.raises(ProbabilityError):
         shannon_entropy(np.array([np.nan, 1.0]))
+    with pytest.raises(ProbabilityError, match=r"expected a 1-d probability vector, got shape \(2, 2\)"):
+        shannon_entropy(np.eye(2) / 2)
 
 
 def test_batched_entropies_match_single_vectors_bitwise():

@@ -56,6 +56,11 @@ def test_computational_basis_is_identity():
     assert basis.dim == 3
 
 
+def test_computational_basis_needs_a_positive_dimension():
+    with pytest.raises(DimensionError, match="basis dimension must be positive, got 0"):
+        computational_basis(0)
+
+
 def test_bloch_basis_poles_and_equator():
     north = bloch_basis(0.0, 0.0)
     assert_allclose(np.abs(north.vectors), np.eye(2), atol=1e-15)

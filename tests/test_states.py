@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -439,6 +440,22 @@ class TestStateFiles:
         path = tmp_path / "bad.txt"
         path.write_text("0 0 1 0\n")
         with pytest.raises(ParseError):
+            load_state_file(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# only a comment\n\n", "empty state file"),
+            ("dims: 2 two\n0 0 1 0\n", "line 1: dims must be integers"),
+            ("dims: 2 0\n0 0 1 0\n", "line 1: dims must be positive"),
+            ("dims: 2 1\n0 0 1\n", "line 2: expected '<row> <col> <re> <im>', got '0 0 1'"),
+        ],
+        ids=["empty", "non-integer-dims", "non-positive-dims", "three-field-entry"],
+    )
+    def test_malformed_file_names_its_fault(self, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=re.escape(message)):
             load_state_file(path)
 
     def test_bad_token(self, tmp_path):
