@@ -1,13 +1,23 @@
 #!/usr/bin/env python3
-"""Write a 2x3 state whose discord objective has two separated local maxima.
+"""Write the rank-3 2x3 test states whose discord objective has separated local maxima.
 
-The corpus is 300 rank-3 states G G^dag / Tr, with G a 6x3 complex Ginibre
-matrix, drawn one after another from numpy.random.default_rng(11). On state
-160 (0-based), a single Newton ascent from the best point of the 113-point
-coarse grid ends on a local maximum 7.45e-3 below the global one. The test
-suite loads the file this script writes to hold the multi-start search to
-the global maximum. G G^dag and the trace are summed in Python floats, so
-the bytes do not depend on the BLAS library. Reruns are byte-identical.
+Each state is one draw G G^dag / Tr of a corpus of rank-3 2x3 states, with
+G a 6x3 complex Ginibre matrix, drawn one after another from
+numpy.random.default_rng(seed). The test suite loads the files to hold the
+discord search to the global maximum of J_A:
+
+- multimodal_2x3.txt, state 160 (0-based) of default_rng(11): a single
+  Newton ascent from the best point of a 16-row hemisphere grid (113 points)
+  ends on a local maximum 7.45e-3 below the global one. classical_correlation
+  reaches the global maximum.
+- search_miss_2x3.txt, state 875 of default_rng((7, 3, 3)): classical_correlation
+  gives J_A = 0.4129481, 2.737e-3 below the 0.4156854 of a single ascent from
+  the best point of a 64-row hemisphere grid (1985 points). Each of the eight
+  rotations (U (x) I) of the state reaches that value, and J_A is invariant
+  under them, so the search misses the global maximum on this state.
+
+G G^dag and the trace are summed in Python floats, so the bytes do not
+depend on the BLAS library. Reruns are byte-identical.
 """
 import argparse
 from pathlib import Path
@@ -16,9 +26,11 @@ import numpy as np
 
 from coherence_bounds.states import make_density, save_state_file
 
-SEED = 11
-INDEX = 160
-NAME = "multimodal_2x3.txt"
+# (file name, corpus seed, 0-based index of the state in the corpus)
+STATES = (
+    ("multimodal_2x3.txt", 11, 160),
+    ("search_miss_2x3.txt", (7, 3, 3), 875),
+)
 
 
 def parse_args():
@@ -27,9 +39,9 @@ def parse_args():
     return parser.parse_args()
 
 
-def corpus_state(index: int):
-    """State `index` of the seeded rank-3 2x3 Ginibre corpus."""
-    rng = np.random.default_rng(SEED)
+def corpus_state(seed, index: int):
+    """State `index` of the rank-3 2x3 Ginibre corpus drawn from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
     for _ in range(index + 1):
         g = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
     rows = g.tolist()
@@ -42,9 +54,10 @@ def main():
     args = parse_args()
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / NAME
-    save_state_file(corpus_state(INDEX), path)
-    print(f"wrote {path} (state {INDEX} of the default_rng({SEED}) corpus)")
+    for name, seed, index in STATES:
+        path = outdir / name
+        save_state_file(corpus_state(seed, index), path)
+        print(f"wrote {path} (state {index} of the default_rng({seed}) corpus)")
 
 
 if __name__ == "__main__":

@@ -11,8 +11,10 @@ Raw differences can undershoot zero by floating-point dust, so reported
 values are clamped at zero. dephase_Y(rho) is the state rho keeps for the
 basis object Y, which holevo, conditional_entropy and relative_entropy read
 too, so each dephased state is built and diagonalised once. It is kept with
-the outcome probabilities p_Y from the same blocks, which holevo reads, so
-C_B|A(Y) and I(Y:B) for one basis object build those blocks once.
+the outcome probabilities p_Y from the same blocks. holevo reads both, and
+measure returns both, so C_B|A(Y), I(Y:B) and the outcome of measure for one
+basis object build those blocks once; measure builds only its conditional
+states apart.
 """
 from __future__ import annotations
 

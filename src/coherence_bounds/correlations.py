@@ -91,13 +91,14 @@ def holevo(rho: DensityMatrix, basis: ObservableBasis) -> float:
 
     Evaluated through the identity I(Y:B) = S(rho_B) + H(p_Y) - S(rho_YB), which
     holds because the dephased joint state rho_YB is block diagonal in Y, so
-    S(rho_YB) = H(p_Y) + sum_y p_y S(rho_B|y). rho_YB and p_y = Tr M_y, from the
-    unnormalised blocks M_y that measure uses too, are what rho keeps for the
-    basis object, along with H(p_Y), so a repeat call builds nothing and
-    unilateral_coherence reads the same S(rho_YB). No conditional state is
-    built; shannon_entropy rejects p_y < -SUPPORT_CUT as measure does. S(rho_YB)
-    is read before H(p_Y), so a state whose dephased spectrum is not a
-    distribution raises that error first.
+    S(rho_YB) = H(p_Y) + sum_y p_y S(rho_B|y). rho_YB and p_y = Tr M_y, from one
+    build of the unnormalised blocks M_y, are what rho keeps for the basis
+    object, along with H(p_Y); dephase and measure return the same rho_YB and
+    p_Y. So a repeat call builds nothing and unilateral_coherence reads the
+    same S(rho_YB). No conditional state is built; shannon_entropy rejects
+    p_y < -SUPPORT_CUT as measure does. S(rho_YB) is read before H(p_Y), so a
+    state whose dephased spectrum is not a distribution raises that error
+    first.
     """
     kept = _dephasing(rho, basis)
     s_yb = von_neumann_entropy(kept.state)
@@ -110,13 +111,15 @@ class _HolevoObjective:
     Measuring A along +-n leaves the unnormalised B blocks
     M_+- = (rho_B +- sum_i n_i K_i) / 2 with K_i = Tr_A[(sigma_i (x) I) rho],
     so a whole batch reduces to one matrix product plus batched small
-    eigenproblems. This class is the one place that splits the state into B
-    blocks. A report reads it through _report_scalars: one batched _spectra
-    call gives every spectrum of the report except rho_AB's and, if the
-    report searches, the values on the search's grid. The optimiser reads
-    each trial's value from a value pass (_value_pass) and the Newton steps'
-    local model from a derivative pass over its terms (_derivative_pass).
-    The constant S(B) is left to the caller.
+    eigenproblems. This class splits the state into B blocks for the report
+    and the search; measurement._conditional_blocks splits it for the
+    reference path (dephase, holevo, measure). A report reads it through
+    _report_scalars: one batched _spectra call gives every spectrum of the
+    report except rho_AB's and, if the report searches, the values on the
+    search's grid. The optimiser reads each trial's value from a value pass
+    (_value_pass) and the Newton steps' local model from a derivative pass
+    over its terms (_derivative_pass). The constant S(B) is left to the
+    caller.
 
     The class holds the model for any dim_b: M_+ as a real affine map of
     (1, n) (_planes), the blocks' spectra from eigvalsh, and both passes

@@ -22,8 +22,8 @@ def hermitize(m: np.ndarray) -> np.ndarray:
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
-    """max|M - M^dag|, zero for exactly Hermitian input."""
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    """max|M - M^dag| of a nonempty square matrix, zero for exactly Hermitian input."""
+    return float(np.max(np.abs(m - m.conj().T)))
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

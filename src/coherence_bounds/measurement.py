@@ -16,10 +16,6 @@ from .errors import DimensionError, DomainError, ProbabilityError, ValidationErr
 from .linalg import hermitize
 from .states import DensityMatrix
 
-# Outcomes with probability at or below this threshold get the maximally
-# mixed conditional state and a degenerate flag instead of a 0/0 division.
-DEGENERATE_PROB = 1e-12
-
 
 @dataclass(frozen=True, eq=False)
 class ObservableBasis:
@@ -50,13 +46,16 @@ class ObservableBasis:
 class MeasurementOutcome:
     """Statistics of measuring A: probabilities, conditional B states, dephased joint.
 
-    Outcomes compare and hash by identity, as the states they hold do.
+    joint_state is the dephased state the measured state keeps for the basis
+    object, the one dephase returns; probs is a writable copy of the p_Y kept
+    with it, clamped at zero. An outcome with p_y <= SUPPORT_CUT has the
+    maximally mixed conditional state. Outcomes compare and hash by identity,
+    as the states they hold do.
     """
 
     probs: np.ndarray
     conditional_states: tuple[DensityMatrix, ...]
     joint_state: DensityMatrix
-    degenerate: tuple[bool, ...]
 
 
 def pauli_basis(which: int) -> ObservableBasis:
@@ -97,18 +96,13 @@ def _conditional_blocks(rho: DensityMatrix, basis: ObservableBasis) -> np.ndarra
     return np.einsum("iy,jy,iajb->yab", v.conj(), v, blocks)
 
 
-def _assemble_joint(cond: np.ndarray, basis: ObservableBasis, rho: DensityMatrix) -> DensityMatrix:
-    v = basis.vectors
-    joint = np.einsum("iy,jy,yab->iajb", v, v.conj(), cond)
-    return DensityMatrix(hermitize(joint.reshape(rho.dim, rho.dim)), rho.dim_a, rho.dim_b)
-
-
 @dataclass(frozen=True, eq=False)
 class _Dephasing:
     """What a state keeps per live basis object: rho_YB and p_Y, both from one set of blocks.
 
-    state is the dephased joint state and probs the outcome probabilities
-    p_y = Tr M_y, read-only; outcome_entropy is H(p_Y), computed on first use.
+    state is the dephased joint state sum_y |y><y| (x) M_y and probs the
+    outcome probabilities p_y = Tr M_y, read-only; outcome_entropy is H(p_Y),
+    computed on first use. dephase, holevo and measure read them.
     An entropy that raises is not kept, so a second call raises again.
     """
 
@@ -126,10 +120,12 @@ def _dephasing(rho: DensityMatrix, basis: ObservableBasis) -> _Dephasing:
     entry = kept.get(basis)
     if entry is None:
         cond = _conditional_blocks(rho, basis)
+        v = basis.vectors
+        joint = np.einsum("iy,jy,yab->iajb", v, v.conj(), cond).reshape(rho.dim, rho.dim)
         # A copy, so the kept array does not hold the complex einsum output as its base.
         probs = np.einsum("yaa->y", cond).real.copy()
         probs.flags.writeable = False
-        entry = kept[basis] = _Dephasing(_assemble_joint(cond, basis, rho), probs)
+        entry = kept[basis] = _Dephasing(DensityMatrix(hermitize(joint), rho.dim_a, rho.dim_b), probs)
     return entry
 
 
@@ -144,27 +140,26 @@ def dephase(rho: DensityMatrix, basis: ObservableBasis) -> DensityMatrix:
 
 
 def measure(rho: DensityMatrix, basis: ObservableBasis) -> MeasurementOutcome:
-    """Measure subsystem A in `basis` and collect the full outcome statistics."""
-    cond = _conditional_blocks(rho, basis)
-    probs = np.einsum("yaa->y", cond).real.copy()
+    """Measure subsystem A in `basis` and collect the full outcome statistics.
+
+    The joint state and p_Y are those rho keeps for the basis object (see
+    dephase); only the conditional states are built here, from their own
+    blocks, and are not kept. A probability below -SUPPORT_CUT raises
+    ProbabilityError, and one in [-SUPPORT_CUT, 0) is clamped to 0.
+    """
+    kept = _dephasing(rho, basis)
+    probs = kept.probs.copy()
     if np.any(probs < -SUPPORT_CUT):
         raise ProbabilityError(f"negative outcome probability {float(probs.min())!r}")
     probs[probs < 0.0] = 0.0
+    cond = _conditional_blocks(rho, basis)
     states = []
-    degenerate = []
     for y, p in enumerate(probs):
-        if p <= DEGENERATE_PROB:
+        if p <= SUPPORT_CUT:
             states.append(DensityMatrix(np.eye(rho.dim_b, dtype=np.complex128) / rho.dim_b, rho.dim_b, 1))
-            degenerate.append(True)
         else:
             states.append(DensityMatrix(hermitize(cond[y] / p), rho.dim_b, 1))
-            degenerate.append(False)
-    return MeasurementOutcome(
-        probs=probs,
-        conditional_states=tuple(states),
-        joint_state=_assemble_joint(cond, basis, rho),
-        degenerate=tuple(degenerate),
-    )
+    return MeasurementOutcome(probs=probs, conditional_states=tuple(states), joint_state=kept.state)
 
 
 def incompatibility(x: ObservableBasis, z: ObservableBasis) -> float:

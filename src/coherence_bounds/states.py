@@ -138,8 +138,9 @@ class DensityMatrix:
     def _dephased(self) -> weakref.WeakKeyDictionary:
         """measurement._dephasing(self, basis) per live ObservableBasis object, filled by that function.
 
-        The keys are weak, so a basis that nothing else holds drops out along
-        with its dephased state.
+        Each entry holds the dephased state and p_Y, which dephase, holevo and
+        measure read. The keys are weak, so a basis that nothing else holds
+        drops out along with its dephased state.
         """
         return weakref.WeakKeyDictionary()
 

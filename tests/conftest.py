@@ -1,6 +1,8 @@
 import pytest
 
-from coherence_bounds.checks import _SUITE_FNS, _Identity, run_checks
+from coherence_bounds.checks import _SUITE_FNS, _Identity, generate_cases, run_checks
+from coherence_bounds.measurement import bloch_basis, pauli_basis
+from coherence_bounds.states import bell_diagonal_family, random_density, werner, x_state
 
 
 @pytest.fixture(scope="session")
@@ -31,3 +33,21 @@ def break_suite(monkeypatch):
         return shift
 
     return apply
+
+
+@pytest.fixture()
+def measured_pairs():
+    """(state, basis) pairs of the reference path, on fresh state objects that keep nothing yet.
+
+    The seed-42 x100 check corpus in X and in Z, 20 states each at 2x3 and
+    2x8, and the three families at p in {0, 0.5, 1} in sigma1, sigma2 and sigma3.
+    """
+    pairs = [(c.rho, b) for c in generate_cases(42, 100) for b in (c.x, c.z)]
+    for dim_b in (3, 8):
+        for seed in range(20):
+            rho = random_density(2, dim_b, 500 + seed)
+            pairs += [(rho, bloch_basis(0.3 * seed, 0.7 * seed)), (rho, pauli_basis(3))]
+    for family in (x_state, werner, bell_diagonal_family):
+        for p in (0.0, 0.5, 1.0):
+            pairs += [(family(p), pauli_basis(which)) for which in (1, 2, 3)]
+    return pairs

@@ -27,11 +27,10 @@ from coherence_bounds.correlations import (
     mutual_information,
 )
 from coherence_bounds.checks import generate_cases
-from coherence_bounds.entropy import binary_entropy, shannon_entropy, von_neumann_entropy
+from coherence_bounds.entropy import SUPPORT_CUT, binary_entropy, shannon_entropy, von_neumann_entropy
 from coherence_bounds.errors import DimensionError, ProbabilityError, UnsupportedDimension
-from coherence_bounds.linalg import tensor_product
+from coherence_bounds.linalg import hermitize, tensor_product
 from coherence_bounds.measurement import (
-    _assemble_joint,
     _conditional_blocks,
     _dephasing,
     bloch_basis,
@@ -126,7 +125,9 @@ class TestHolevo:
         pairs = [(c.rho, b) for c in generate_cases(42, 20) for b in (c.x, c.z)]
         ket0 = np.diag([1.0, 0.0])
         blind = make_density(tensor_product(ket0, random_density(2, 1, 8).matrix), 2, 2)
-        assert measure(blind, pauli_basis(3)).degenerate == (False, True)
+        out = measure(blind, pauli_basis(3))
+        assert out.probs[1] <= SUPPORT_CUT < out.probs[0]
+        assert np.array_equal(out.conditional_states[1].matrix, np.eye(2) / 2)
         pairs.append((blind, pauli_basis(3)))
         psi = np.array([np.cos(0.3), 0.0, 0.0, np.exp(0.7j) * np.sin(0.3)])
         pure = make_density(np.outer(psi, psi.conj()), 2, 2)
@@ -143,27 +144,21 @@ class TestHolevo:
         j = holevo(rho, bloch_basis(*ang))
         assert 0.0 <= j <= mutual_information(rho) + 1e-9
 
-    def test_reads_the_kept_dephasing_bit_for_bit(self):
+    def test_reads_the_kept_dephasing_bit_for_bit(self, measured_pairs):
         # a fresh call and a repeat call both give the bits of an evaluation
         # from fresh blocks on a fresh state object, which keeps nothing
         def fresh(rho, basis):
             rho = DensityMatrix(rho.matrix, rho.dim_a, rho.dim_b)
             cond = _conditional_blocks(rho, basis)
-            s_yb = von_neumann_entropy(_assemble_joint(cond, basis, rho))
+            v = basis.vectors
+            joint = np.einsum("iy,jy,yab->iajb", v, v.conj(), cond).reshape(rho.dim, rho.dim)
+            s_yb = von_neumann_entropy(DensityMatrix(hermitize(joint), rho.dim_a, rho.dim_b))
             h_y = shannon_entropy(np.einsum("yaa->y", cond).real)
             return max(0.0, von_neumann_entropy(marginal_b(rho)) + h_y - s_yb)
 
-        pairs = [(c.rho, b) for c in generate_cases(42, 100) for b in (c.x, c.z)]
-        for dim_b in (3, 8):
-            for seed in range(20):
-                rho = random_density(2, dim_b, 500 + seed)
-                pairs += [(rho, bloch_basis(0.3 * seed, 0.7 * seed)), (rho, pauli_basis(3))]
-        for family in (x_state, werner, bell_diagonal_family):
-            for p in (0.0, 0.5, 1.0):
-                pairs += [(family(p), pauli_basis(which)) for which in (1, 2, 3)]
-        expected = [fresh(rho, basis).hex() for rho, basis in pairs]
+        expected = [fresh(rho, basis).hex() for rho, basis in measured_pairs]
         for _ in range(2):
-            assert [holevo(rho, basis).hex() for rho, basis in pairs] == expected
+            assert [holevo(rho, basis).hex() for rho, basis in measured_pairs] == expected
 
     def test_builds_the_blocks_once_per_state_and_basis(self, monkeypatch):
         calls = []
@@ -802,6 +797,35 @@ class TestCoarseMultiStart:
         # every measurement lies within 13.7 degrees of a grid point, n and -n alike
         nearest = np.abs(_hemisphere_grid(256).T @ _geodesic_grid()[0]).max(axis=1)
         assert np.all(np.arccos(np.minimum(nearest, 1.0)) <= math.radians(13.7))
+
+
+class TestSearchMissState:
+    """Draw 875 of the rank-3 2x3 corpus of scripts/make_multimodal_state.py, on which
+    the search ends 2.74e-3 below the 1985-point single-start search."""
+
+    @pytest.fixture(scope="class")
+    def state(self):
+        """The state and J_A from the 1985-point search (the oracle)."""
+        rho = load_state_file(Path(__file__).parent / "data" / "search_miss_2x3.txt")
+        return rho, _grid_search(_HolevoObjective(rho), 64, von_neumann_entropy(marginal_b(rho)))
+
+    def test_rotations_reach_the_oracle(self, state):
+        # J_A is invariant under a unitary on A, and from each of these
+        # rotations the search reaches the oracle (8.9e-16 seen)
+        rho, oracle = state
+        for k in range(8):
+            u = tensor_product(random_unitary(2, 500 + k), np.eye(3))
+            rotated = make_density(u @ rho.matrix @ u.conj().T, 2, 3)
+            assert classical_correlation(rotated).classical_correlation == pytest.approx(oracle, abs=1e-9), k
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP open item 1: with dim_b > 2 the multi-start search can end on a lower basin; "
+        "here J_A = 0.4129481 against the oracle's 0.4156854",
+    )
+    def test_reaches_the_oracle(self, state):
+        rho, oracle = state
+        assert classical_correlation(rho).classical_correlation == pytest.approx(oracle, abs=1e-9)
 
 
 class TestMultimodalState:
