@@ -54,7 +54,7 @@ since every row shares X and Z.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .coherence import coherence_rel
 from .correlations import _report_scalars
@@ -98,10 +98,6 @@ class BoundReport:
     mutual_info: float
     holevo_x: float
     holevo_z: float
-
-    def as_dict(self) -> dict[str, float]:
-        # Shallow: every field is a float, so the deep copy of asdict buys nothing.
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def coherence_bound_t1(rho: DensityMatrix, x: ObservableBasis, z: ObservableBasis) -> tuple[float, float]:

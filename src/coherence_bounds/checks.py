@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import BoundReport, coherence_bound_t1, evaluate_all
+from .bounds import FAMILIES, BoundReport, coherence_bound_t1, evaluate_all
 from .coherence import coherence_rel, purity_rel, unilateral_coherence, unilateral_purity
 from .correlations import (
     _bloch,
@@ -40,13 +40,10 @@ from .linalg import hermitize, partial_trace, tensor_product
 from .measurement import ObservableBasis, bloch_basis, dephase, incompatibility, measure
 from .states import (
     DensityMatrix,
-    bell_diagonal_family,
     marginal_a,
     marginal_b,
     random_density,
     random_unitary,
-    werner,
-    x_state,
 )
 
 
@@ -77,9 +74,11 @@ class _Identity(NamedTuple):
 
 @dataclass(frozen=True)
 class CheckRecord:
-    """One check's margin on one case: a violation, or the worst margin a check saw."""
+    """One check's margin on one case: a violation, or the worst margin a check saw.
 
-    suite: str
+    The SuiteResult that holds the record names its suite.
+    """
+
     state_seed: int
     theta_x: float
     phi_x: float
@@ -100,15 +99,19 @@ class CheckRecord:
 
 @dataclass
 class SuiteResult:
-    """Per-case verdicts of one suite; `violations` holds each failing case's first
-    failed check, and `worst` maps each check name, in order, to its smallest margin.
+    """Per-case verdicts of one suite over `total` cases; `violations` holds each failing
+    case's first failed check, and `worst` maps each check name, in order, to its
+    smallest margin. Every other case passed.
     """
 
     name: str
-    passed: int = 0
     total: int = 0
     violations: list[CheckRecord] = field(default_factory=list)
     worst: dict[str, CheckRecord] = field(default_factory=dict)
+
+    @property
+    def passed(self) -> int:
+        return self.total - len(self.violations)
 
 
 @dataclass
@@ -191,7 +194,7 @@ def _suite_entropy(case: CheckCase, report: BoundReport) -> list[tuple[str, floa
 def _suite_states(case: CheckCase, report: BoundReport) -> list[tuple[str, float, float]]:
     rng = np.random.default_rng((case.state_seed, 3))
     p = float(rng.uniform())
-    built = {"xstate": x_state(p), "bell_diagonal": bell_diagonal_family(p), "werner": werner(p)}
+    built = {name: family(p) for name, family in FAMILIES.items()}
     checks = [
         _Identity.of(f"{name}_unit_trace", float(np.trace(st.matrix).real) - 1.0, 1e-12)
         for name, st in built.items()
@@ -340,11 +343,9 @@ _SUITE_FNS = {
 SUITE_NAMES = tuple(_SUITE_FNS)
 
 
-def _record(
-    case: CheckCase, suite: str, inequality: str, margin: float, tol: float, identity: bool
-) -> CheckRecord:
+def _record(case: CheckCase, inequality: str, margin: float, tol: float, identity: bool) -> CheckRecord:
     angles = (case.theta_x, case.phi_x, case.theta_z, case.phi_z)
-    return CheckRecord(suite, case.state_seed, *angles, inequality, margin, tol, identity)
+    return CheckRecord(case.state_seed, *angles, inequality, margin, tol, identity)
 
 
 def run_checks(seed: int, cases: int) -> RunResult:
@@ -375,11 +376,9 @@ def run_checks(seed: int, cases: int) -> RunResult:
                 identity = isinstance(check, _Identity)
                 worst = suite.worst.get(label)
                 if worst is None or margin < worst.margin:
-                    suite.worst[label] = _record(case, name, label, margin, tol, identity)
+                    suite.worst[label] = _record(case, label, margin, tol, identity)
                 if bad is None and not margin >= -tol:
-                    bad = _record(case, name, label, margin, tol, identity)
-            if bad is None:
-                suite.passed += 1
-            else:
+                    bad = _record(case, label, margin, tol, identity)
+            if bad is not None:
                 suite.violations.append(bad)
     return RunResult(seed=seed, cases=cases, suites=[results[name] for name in SUITE_NAMES])

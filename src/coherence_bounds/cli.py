@@ -27,7 +27,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -170,7 +170,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     x = parse_basis(args.x)
     z = parse_basis(args.z)
     report = evaluate_all(load_state_file(args.state), x, z)
-    payload = {key: float(format_value(val)) for key, val in report.as_dict().items()}
+    payload = {key: float(format_value(val)) for key, val in asdict(report).items()}
     print(json.dumps(payload, indent=2))
     return EXIT_OK
 

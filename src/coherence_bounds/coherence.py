@@ -28,12 +28,12 @@ from .states import DensityMatrix
 
 
 def _require_monopartite(rho: DensityMatrix, what: str) -> None:
-    if rho.is_bipartite:
+    if rho.dim_b > 1:
         raise DimensionError(f"{what} expects a monopartite state, got dim_b = {rho.dim_b}")
 
 
 def _require_bipartite(rho: DensityMatrix, what: str) -> None:
-    if not rho.is_bipartite:
+    if rho.dim_b == 1:
         raise DimensionError(f"{what} expects a bipartite state, got dim_b = {rho.dim_b}")
 
 

@@ -56,13 +56,9 @@ class DiscordResult:
 
     optimizer_evals counts objective evaluations: the 46 points of the
     geodesic grid, then per point an ascent tries one for the closed-form
-    model or nine for the 9-point stencil. Measured by
-    scripts/count_evaluations.py: 49 to 75 for a full-rank state (50 to 63
-    on 100 random states per dim_b in 2, 3, 4, 8, up to 75 on the 1000
-    states of check --seed 42); 48 to 63 for a product state, 48 to 81 for
-    the points of the one-parameter families and 64 to 145 for a pure
-    state. A state of rank below dim_b > 2 takes the stencil at every
-    point, 82 to 172, and classical-quantum states take 50 to 172.
+    model or nine for the 9-point stencil. README.md's table of objective
+    evaluations gives the counts per class of state, as
+    scripts/count_evaluations.py prints them.
     """
 
     discord: float

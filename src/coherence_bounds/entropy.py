@@ -18,6 +18,9 @@ if TYPE_CHECKING:  # states imports this module for the entropy a state keeps
 SUPPORT_CUT = 1e-12
 # Support mass of rho allowed outside the support of sigma before S(rho||sigma) = +inf.
 KERNEL_TOL = 1e-10
+# A probability vector, spectrum included, whose sum is further than this
+# from 1 is rejected.
+TRACE_TOL = 1e-9
 _TINY = np.finfo(np.float64).tiny
 
 
@@ -31,7 +34,7 @@ def shannon_entropy(probs) -> float:
     """H(p) = -sum_i p_i log2 p_i for a probability vector.
 
     Entries in [-SUPPORT_CUT, 0) are clamped to 0; anything more negative, a
-    total further than 1e-9 from 1, or a NaN entry raises ProbabilityError.
+    total further than TRACE_TOL from 1, or a NaN entry raises ProbabilityError.
     """
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 1:
@@ -63,7 +66,7 @@ def _entropies(table: np.ndarray) -> list[float]:
         # through. It makes the total NaN, and the message then gives the
         # total, because what min() returns for such a row depends on where
         # the NaN sits.
-        if not (lowest >= -SUPPORT_CUT and abs(total - 1.0) <= 1e-9):
+        if not (lowest >= -SUPPORT_CUT and abs(total - 1.0) <= TRACE_TOL):
             if lowest < -SUPPORT_CUT and total == total:
                 raise ProbabilityError(f"negative probability {lowest!r}")
             raise ProbabilityError(f"probabilities sum to {total!r}, not 1 within 1e-9")

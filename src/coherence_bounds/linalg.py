@@ -21,11 +21,6 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """max|M - M^dag| of a nonempty square matrix, zero for exactly Hermitian input."""
-    return float(np.max(np.abs(m - m.conj().T)))
-
-
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two matrices, the left factor on the slow (most significant) index.
 

@@ -6,7 +6,7 @@ with the B side kept as the quantum memory.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -21,25 +21,26 @@ from .states import DensityMatrix
 class ObservableBasis:
     """Orthonormal measurement basis; column y of `vectors` is the outcome-y ket.
 
-    vectors is a read-only copy of the array passed in, so a basis cannot
-    change after its check. Bases compare and hash by identity: a state keeps
-    its dephased state per basis object, never per content, and only while
-    the basis object lives.
+    vectors must be a nonempty square matrix, else DimensionError; dim is
+    its size. vectors is a read-only copy of the array passed in, so a basis
+    cannot change after its check. Bases compare and hash by identity: a
+    state keeps its dephased state per basis object, never per content, and
+    only while the basis object lives.
     """
 
-    dim: int
     vectors: np.ndarray
-    label: str
+    dim: int = field(init=False)
 
     def __post_init__(self) -> None:
         v = np.array(self.vectors, dtype=np.complex128)
-        if v.shape != (self.dim, self.dim):
-            raise DimensionError(f"basis vectors must be {self.dim} x {self.dim}, got {v.shape}")
-        defect = float(np.max(np.abs(v.conj().T @ v - np.eye(self.dim))))
+        if v.ndim != 2 or not 0 < v.shape[0] == v.shape[1]:
+            raise DimensionError(f"basis vectors must be a nonempty square matrix, got shape {v.shape}")
+        defect = float(np.max(np.abs(v.conj().T @ v - np.eye(len(v)))))
         if not defect <= 1e-10:  # NaN entries fail too
             raise ValidationError(f"orthonormality: max|V^dag V - I| = {defect:.3e} exceeds 1e-10")
         v.flags.writeable = False
         object.__setattr__(self, "vectors", v)
+        object.__setattr__(self, "dim", len(v))
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,13 +70,13 @@ def pauli_basis(which: int) -> ObservableBasis:
         v = np.eye(2)
     else:
         raise DomainError(f"pauli index must be 1, 2 or 3, got {which!r}")
-    return ObservableBasis(dim=2, vectors=v, label=f"sigma{which}")
+    return ObservableBasis(v)
 
 
 def computational_basis(dim: int) -> ObservableBasis:
     if dim < 1:
         raise DimensionError(f"basis dimension must be positive, got {dim}")
-    return ObservableBasis(dim=dim, vectors=np.eye(dim), label="computational")
+    return ObservableBasis(np.eye(dim))
 
 
 def bloch_basis(theta: float, phi: float) -> ObservableBasis:
@@ -84,7 +85,7 @@ def bloch_basis(theta: float, phi: float) -> ObservableBasis:
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
     e = np.exp(1j * phi)
     v = np.array([[c, s], [e * s, -e * c]])
-    return ObservableBasis(dim=2, vectors=v, label=f"bloch:{theta:.9g}:{phi:.9g}")
+    return ObservableBasis(v)
 
 
 def _conditional_blocks(rho: DensityMatrix, basis: ObservableBasis) -> np.ndarray:
@@ -167,4 +168,4 @@ def incompatibility(x: ObservableBasis, z: ObservableBasis) -> float:
     if x.dim != z.dim:
         raise DimensionError(f"basis dims differ: {x.dim} vs {z.dim}")
     c = float(np.max(np.abs(x.vectors.conj().T @ z.vectors) ** 2))
-    return max(0.0, -np.log2(min(c, 1.0)))
+    return max(0.0, float(-np.log2(min(c, 1.0))))

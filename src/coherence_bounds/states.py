@@ -11,6 +11,9 @@ Conventions used everywhere in this package:
   through it. x_state, werner and bell_diagonal_family check p, build their
   matrix from read-only constants and wrap it with the DensityMatrix
   constructor, unvalidated.
+* make_density holds the trace to 1 within TRACE_BOUNDARY_TOL, just inside
+  entropy.TRACE_TOL, the one tolerance within which every entropy holds a
+  distribution's sum to 1, so each state it accepts evaluates.
 * A DensityMatrix's matrix is read-only, so the values a state keeps cannot go
   stale: its spectrum, its eigensystem, its von Neumann entropy, its two
   marginals and, per live measurement basis object, the state dephased in
@@ -38,20 +41,19 @@ from functools import cached_property
 
 import numpy as np
 
-from .entropy import SUPPORT_CUT, _spectrum_entropy
+from .entropy import SUPPORT_CUT, TRACE_TOL, _spectrum_entropy
 from .errors import DomainError, ParseError, ProbabilityError, ValidationError
-from .linalg import _trace_out, as_square_matrix, hermiticity_defect, hermitize, tensor_product
+from .linalg import _trace_out, as_square_matrix, hermitize, tensor_product
 
 # Largest allowed deviation max|M - M^dag| before a matrix is rejected as non-Hermitian.
 HERMITICITY_TOL = 1e-10
-# The entropy pass (the 1e-9 in shannon_entropy) rejects a distribution whose
-# sum is further than this from 1.
-TRACE_TOL = 1e-9
-# The distributions derived from an accepted state (the spectra of its
-# marginals and dephased states, its outcome probabilities) sum up to about
-# 1e-16 further from 1 than its trace does, so make_density accepts
-# |Tr - 1| only up to this: the 1e-11 left inside TRACE_TOL covers that
-# rounding, and a state at the edge of acceptance still evaluates.
+# The entropy pass rejects a distribution whose sum is further than
+# entropy.TRACE_TOL from 1. The distributions derived from an accepted state
+# (the spectra of its marginals and dephased states, its outcome
+# probabilities) sum up to about 1e-16 further from 1 than its trace does,
+# so make_density accepts |Tr - 1| only up to this: the 1e-11 left inside
+# TRACE_TOL covers that rounding, and a state at the edge of acceptance
+# still evaluates.
 TRACE_BOUNDARY_TOL = 0.99 * TRACE_TOL
 EIGENVALUE_FLOOR = -1e-9
 # An outcome probability <y|rho_A|y> of measuring A can go as low as rho_A's
@@ -66,7 +68,6 @@ SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 SIGMA3 = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 PSI_PLUS = np.array([0, 1, 1, 0], dtype=np.complex128) / np.sqrt(2)
-PSI_MINUS = np.array([0, 1, -1, 0], dtype=np.complex128) / np.sqrt(2)
 
 
 def _constant(matrix: np.ndarray) -> np.ndarray:
@@ -154,10 +155,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.dim_a * self.dim_b
 
-    @property
-    def is_bipartite(self) -> bool:
-        return self.dim_b > 1
-
 
 def make_density(matrix, dim_a: int, dim_b: int) -> DensityMatrix:
     """Validate and wrap a matrix as a density operator.
@@ -166,12 +163,12 @@ def make_density(matrix, dim_a: int, dim_b: int) -> DensityMatrix:
     HERMITICITY_TOL (the stored matrix is the symmetrized (M + M^dag)/2),
     unit trace within TRACE_BOUNDARY_TOL (0.99 TRACE_TOL), smallest
     eigenvalue >= -1e-9, support: the eigenvalues of at least
-    entropy.SUPPORT_CUT sum to 1 within 1e-9, the check every entropy of
-    the state makes, and the A marginal: rho_A's smallest eigenvalue >=
+    entropy.SUPPORT_CUT sum to 1 within TRACE_TOL, the check every entropy
+    of the state makes, and the A marginal: rho_A's smallest eigenvalue >=
     MARGINAL_FLOOR, so that measuring A gives no probability below
-    -SUPPORT_CUT. The support check rejects a state whose
-    negative eigenvalues each clear the floor but together exceed about
-    1e-9. Each failure raises ValidationError naming the violated invariant.
+    -SUPPORT_CUT. The support check rejects a state whose negative
+    eigenvalues each clear the floor but together exceed about TRACE_TOL.
+    Each failure raises ValidationError naming the violated invariant.
     The checks read the state's own cached spectrum, entropy and A marginal
     (a monopartite state is its own, so its spectrum is computed once), so
     the state keeps what they computed.
@@ -181,7 +178,7 @@ def make_density(matrix, dim_a: int, dim_b: int) -> DensityMatrix:
         raise ValidationError(
             f"dimension: matrix of dim {arr.shape[0]} does not factor as {dim_a} x {dim_b}"
         )
-    defect = hermiticity_defect(arr)
+    defect = float(np.max(np.abs(arr - arr.conj().T)))
     if defect > HERMITICITY_TOL:
         raise ValidationError(
             f"hermiticity: max|M - M^dag| = {defect:.3e} exceeds {HERMITICITY_TOL}"

@@ -228,7 +228,7 @@ class TestEvaluateAll:
         assert reference_values(rho) == values
         assert len(calls) == 0
         # kept per basis object, not per content: an equal basis is diagonalised anew
-        same_x = ObservableBasis(2, X.vectors, X.label)
+        same_x = ObservableBasis(X.vectors)
         assert unilateral_coherence(rho, same_x).hex() == values[5].hex()
         assert len(calls) == 1
         monkeypatch.undo()
@@ -245,16 +245,16 @@ class TestEvaluateAll:
         ]
         for rho, x, z in cases:
             wrapped = DensityMatrix(rho.matrix, rho.dim_a, rho.dim_b)
-            assert evaluate_all(rho, x, z).as_dict() == evaluate_all(wrapped, x, z).as_dict()
+            assert asdict(evaluate_all(rho, x, z)) == asdict(evaluate_all(wrapped, x, z))
 
     def test_fields_match_public_functions(self):
         # evaluate_all builds these fields from its own entropies, not by
         # calling the public functions, so pin them to each other
         x = bloch_basis(0.9, 2.2)
         # outcome kets swapped and rephased: the Bloch vector of outcome 0 flips
-        swapped = ObservableBasis(2, x.vectors[:, ::-1] * np.array([1j, -1.0]), "swapped")
+        swapped = ObservableBasis(x.vectors[:, ::-1] * np.array([1j, -1.0]))
         # orthonormal only to about 1e-11, inside the 1e-10 the basis accepts
-        skewed = ObservableBasis(2, x.vectors @ np.array([[1.0 + 4e-12, 3e-12], [3e-12, 1.0]]), "skewed")
+        skewed = ObservableBasis(x.vectors @ np.array([[1.0 + 4e-12, 3e-12], [3e-12, 1.0]]))
         cases = [
             (random_density(2, 2, 500), bloch_basis(0.4, 1.1), bloch_basis(2.0, 4.0), 1e-12),
             (random_density(2, 3, 501), bloch_basis(1.3, 0.2), bloch_basis(0.7, 5.5), 1e-12),
@@ -277,10 +277,22 @@ class TestEvaluateAll:
 
     def test_report_dict_preserves_field_order(self):
         rep = evaluate_all(werner(0.3), X, Z)
-        d = rep.as_dict()
+        d = asdict(rep)
         assert list(d) == [f.name for f in rep.__dataclass_fields__.values()]
         assert d["q_mu"] == rep.q_mu
-        assert d == asdict(rep)
+
+    def test_every_field_is_a_python_float(self):
+        # np.log2 in incompatibility gives np.float64, which q_mu would carry into seven fields
+        reports = [evaluate_all(case.rho, case.x, case.z) for case in generate_cases(42, 20)]
+        reports.append(evaluate_all(random_density(2, 3, 800), bloch_basis(0.8, 1.9), bloch_basis(2.1, 0.4)))
+        for family in FAMILIES:
+            for p, rep in sweep_family(family, X, Z, np.linspace(0.0, 1.0, 5)):
+                assert type(p) is float
+                reports.append(rep)
+        for rep in reports:
+            assert {name: type(v) for name, v in asdict(rep).items() if type(v) is not float} == {}
+        lhs, bound = coherence_bound_t1(random_density(2, 1, 5), X, bloch_basis(1.0, 0.5))
+        assert type(lhs) is float and type(bound) is float
 
 
 class TestSweeps:
@@ -330,8 +342,8 @@ def test_report_without_search_leaves_exactly_the_j_a_fields_nan():
         for dim_b in (2, 3, 8)
     ]
     for rho, x, z in cases:
-        full = evaluate_all(rho, x, z).as_dict()
-        unsearched = bounds._report(rho, x, z, incompatibility(x, z), discord=False).as_dict()
+        full = asdict(evaluate_all(rho, x, z))
+        unsearched = asdict(bounds._report(rho, x, z, incompatibility(x, z), discord=False))
         nan_fields = {name for name, value in unsearched.items() if math.isnan(value)}
         assert nan_fields == bounds._DISCORD_FIELDS
         for name in full.keys() - nan_fields:

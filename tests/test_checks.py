@@ -1,6 +1,7 @@
 from collections import Counter
 
 import numpy as np
+import pytest
 
 from coherence_bounds import checks
 from coherence_bounds.bounds import evaluate_all
@@ -49,7 +50,7 @@ def test_all_suites_pass_on_small_corpus():
         # every named check keeps its worst margin, in the suite's order
         assert list(suite.worst) == list(_margins(suite.name, first))
         for label, record in suite.worst.items():
-            assert (record.suite, record.inequality) == (suite.name, label)
+            assert record.inequality == label
             assert record.margin >= -record.tol
 
 
@@ -100,6 +101,15 @@ def test_corruption_hook_breaks_exactly_one_suite(monkeypatch, break_suite):
     for suite in clean.values():
         for label, record in suite.worst.items():
             assert _margins(suite.name, cases[record.state_seed])[label] == record.margin
+
+
+@pytest.mark.parametrize("broken", SUITE_NAMES)
+def test_passed_counts_the_cases_without_a_violation(break_suite, broken):
+    break_suite(broken)
+    result = run_checks(7, 6)
+    for suite in result.suites:
+        assert suite.passed == suite.total - len(suite.violations)
+        assert (suite.passed < suite.total) == (suite.name == broken)
 
 
 def test_run_checks_draws_each_case_just_before_checking_it(monkeypatch):

@@ -30,6 +30,7 @@ from coherence_bounds.errors import (
     ValidationError,
 )
 from coherence_bounds.linalg import hermitize
+from coherence_bounds.measurement import pauli_basis
 from coherence_bounds.states import DensityMatrix, random_unitary, save_state_file, werner
 
 FIG1_HEADER = "p,lb_berta_coh,lb_pati_coh,lb_adabi_coh"
@@ -52,8 +53,8 @@ def test_validation_errors_share_one_base(error):
 
 class TestParseBasis:
     def test_pauli_selectors(self):
-        for sel in ("sigma1", "sigma2", "sigma3"):
-            assert parse_basis(sel).label == sel
+        for which in (1, 2, 3):
+            assert np.array_equal(parse_basis(f"sigma{which}").vectors, pauli_basis(which).vectors)
 
     def test_computational_selector(self):
         assert parse_basis("computational").dim == 2

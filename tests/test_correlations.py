@@ -776,6 +776,27 @@ class TestCoarseMultiStart:
             classical_correlation(rho)
             assert len(starts) == 1
 
+    def test_the_evaluation_cap_stops_each_ascent_at_its_first_probe(self, monkeypatch):
+        # at a cap of the grid's 46 points no ascent gets past probing its start
+        states = [random_density(2, dim_b, seed) for dim_b in (2, 3, 8) for seed in range(5)]
+        states.append(load_state_file(Path(__file__).parent / "data" / "rank2_2x4.txt"))
+        uncapped = [classical_correlation(rho).classical_correlation for rho in states]
+        newton_step, stepped = correlations._newton_step, []
+
+        def recorded(model):
+            stepped.append(model)
+            return newton_step(model)
+
+        monkeypatch.setattr(correlations, "_newton_step", recorded)
+        monkeypatch.setattr(correlations, "_MAX_EVALS", 46)
+        for rho, j_uncapped in zip(states, uncapped):
+            res = classical_correlation(rho)
+            assert 47 <= res.optimizer_evals <= 46 + 9 * correlations._MAX_STARTS
+            grid_best = float(np.max(_HolevoObjective(rho)(_geodesic_grid()[0])))
+            s_b = von_neumann_entropy(marginal_b(rho))
+            assert s_b + grid_best - 1e-12 <= res.classical_correlation <= j_uncapped
+        assert stepped == []
+
     def test_grid_is_built_once_and_read_only(self):
         # built on the first call and shared by every later search
         grid, neighbours = _geodesic_grid()

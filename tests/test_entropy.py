@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from numpy.testing import assert_allclose
 
+from coherence_bounds import states
 from coherence_bounds.checks import generate_cases
 from coherence_bounds.entropy import (
     KERNEL_TOL,
     SUPPORT_CUT,
+    TRACE_TOL,
     _entropies,
     _spectrum_entropy,
     binary_entropy,
@@ -61,6 +62,14 @@ def test_shannon_entropy_rejects_bad_distributions():
         shannon_entropy(np.array([np.nan, 1.0]))
     with pytest.raises(ProbabilityError, match=r"expected a 1-d probability vector, got shape \(2, 2\)"):
         shannon_entropy(np.eye(2) / 2)
+
+
+def test_one_sum_tolerance_for_every_distribution():
+    # make_density's trace bound is set inside the tolerance the entropies apply
+    assert states.TRACE_TOL is TRACE_TOL
+    assert shannon_entropy(np.array([0.5, 0.5 + 0.5 * TRACE_TOL])) == pytest.approx(1.0, abs=1e-8)
+    with pytest.raises(ProbabilityError, match="not 1 within 1e-9"):
+        shannon_entropy(np.array([0.5, 0.5 + 2.0 * TRACE_TOL]))
 
 
 def test_batched_entropies_match_single_vectors_bitwise():

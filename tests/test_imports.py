@@ -1,4 +1,4 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package, the scripts and the tests uses each name it imports.
 
 A standard-library stand-in for a linter's unused-import rule (F401): the
 package's __init__.py only re-exports and is skipped, __future__ imports bind
@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "coherence_bounds"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "coherence_bounds"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+MODULES += sorted(ROOT.glob("scripts/*.py")) + sorted(ROOT.glob("tests/*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -46,7 +48,8 @@ def test_the_check_flags_an_unused_name_and_honours_noqa():
 
 
 def test_the_package_has_modules_to_check():
-    assert {path.name for path in MODULES} >= {"bounds.py", "correlations.py", "cli.py"}
+    names = {path.name for path in MODULES}
+    assert names >= {"bounds.py", "correlations.py", "cli.py", "make_figures.py", "test_imports.py"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)

@@ -44,7 +44,6 @@ def test_pauli_basis_columns_are_eigenvectors(which, sigma):
     v_minus = basis.vectors[:, 1]
     assert_allclose(sigma @ v_plus, v_plus, atol=1e-15)
     assert_allclose(sigma @ v_minus, -v_minus, atol=1e-15)
-    assert basis.label == f"sigma{which}"
 
 
 def test_pauli_basis_rejects_unknown_index():
@@ -83,20 +82,32 @@ def test_bloch_basis_always_orthonormal(ang):
 
 def test_observable_basis_rejects_non_orthonormal_columns():
     with pytest.raises(ValidationError, match="orthonormality"):
-        ObservableBasis(2, np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex), "bad")
+        ObservableBasis(np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex))
     # a NaN defect compares false against the threshold, so it must fail explicitly
     with pytest.raises(ValidationError, match="orthonormality"):
         bloch_basis(float("nan"), 0.0)
     with pytest.raises(ValidationError, match="orthonormality"):
-        ObservableBasis(2, np.array([[1.0, np.nan], [0.0, 1.0]], dtype=complex), "bad")
-    with pytest.raises(DimensionError):
-        ObservableBasis(3, np.eye(2, dtype=complex), "bad")
+        ObservableBasis(np.array([[1.0, np.nan], [0.0, 1.0]], dtype=complex))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_observable_basis_reads_its_dimension_from_the_vectors(dim):
+    basis = ObservableBasis(np.eye(dim)[::-1])
+    assert basis.dim == basis.vectors.shape[0] == dim
+
+
+@pytest.mark.parametrize(
+    "vectors", [np.ones(2), np.eye(3, 2, dtype=complex), np.zeros((0, 0))], ids=["1-d", "3x2", "empty"]
+)
+def test_observable_basis_needs_a_nonempty_square_matrix(vectors):
+    with pytest.raises(DimensionError, match="nonempty square matrix"):
+        ObservableBasis(vectors)
 
 
 def test_observable_basis_keeps_a_read_only_copy():
     # editing the caller's array after the orthonormality check leaves the basis as checked
     v = np.eye(2, dtype=complex)
-    basis = ObservableBasis(2, v, "c")
+    basis = ObservableBasis(v)
     assert not basis.vectors.flags.writeable
     v[:] = [[1, 1], [0, 0]]
     assert v.flags.writeable and np.array_equal(v, [[1, 1], [0, 0]])
@@ -111,6 +122,9 @@ def test_observable_bases_compare_by_identity():
     a, b = pauli_basis(1), pauli_basis(1)
     assert a == a and a != b
     assert len({a, b, a}) == 2 and hash(a) != hash(b)
+    # so do two bases built from one array
+    c, d = ObservableBasis(a.vectors), ObservableBasis(a.vectors)
+    assert c != d and len({c, d}) == 2
 
 
 def test_dephase_removes_off_diagonals_in_computational_basis():

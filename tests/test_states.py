@@ -1,6 +1,7 @@
 import copy
 import pickle
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from coherence_bounds.cli import FIGURES
 from coherence_bounds.linalg import hermitize, partial_trace, tensor_product
 from coherence_bounds.measurement import dephase, measure, pauli_basis
 from coherence_bounds.states import (
-    PSI_MINUS,
     PSI_PLUS,
     SIGMA0,
     SIGMA1,
@@ -36,6 +36,7 @@ from coherence_bounds.states import (
     x_state,
 )
 
+PSI_MINUS = np.array([0, 1, -1, 0], dtype=np.complex128) / np.sqrt(2)
 unit = st.floats(0.0, 1.0)
 
 
@@ -127,7 +128,7 @@ class TestMakeDensity:
                 outcomes.append("rejected")
                 continue
             report = evaluate_all(rho, pauli_basis(1), pauli_basis(3))
-            assert np.isfinite(list(report.as_dict().values())).all()
+            assert np.isfinite(list(asdict(report).values())).all()
             for which in (1, 3):
                 measure(rho, pauli_basis(which))
             outcomes.append("evaluated")
@@ -151,7 +152,7 @@ class TestMakeDensity:
                 outcomes.append("rejected")
                 continue
             report = evaluate_all(rho, pauli_basis(1), pauli_basis(3))
-            assert np.isfinite(list(report.as_dict().values())).all()
+            assert np.isfinite(list(asdict(report).values())).all()
             outcomes.append("evaluated")
         # the corpus reaches both sides of the boundary
         assert set(outcomes) == {"rejected", "evaluated"}
@@ -191,7 +192,7 @@ class TestMakeDensity:
                         continue
                     assert "outside" not in (t_side, h_side)
                     report = evaluate_all(state, pauli_basis(1), pauli_basis(3))
-                    assert np.isfinite(list(report.as_dict().values())).all()
+                    assert np.isfinite(list(asdict(report).values())).all()
                     for which in (1, 3):
                         measure(state, pauli_basis(which))
                     outcomes.append("evaluated")
