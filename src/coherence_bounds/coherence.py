@@ -11,10 +11,10 @@ Raw differences can undershoot zero by floating-point dust, so reported
 values are clamped at zero. dephase_Y(rho) is the state rho keeps for the
 basis object Y, which holevo, conditional_entropy and relative_entropy read
 too, so each dephased state is built and diagonalised once. It is kept with
-the outcome probabilities p_Y from the same blocks. holevo reads both, and
-measure returns both, so C_B|A(Y), I(Y:B) and the outcome of measure for one
-basis object build those blocks once; measure builds only its conditional
-states apart.
+the blocks M_y it is built from and the outcome probabilities p_Y, their
+traces. holevo reads p_Y, and measure returns the state and p_Y and builds
+its conditional states from the kept blocks, so C_B|A(Y), I(Y:B) and the
+outcome of measure for one basis object build those blocks once.
 """
 from __future__ import annotations
 

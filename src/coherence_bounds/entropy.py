@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from functools import reduce
 from operator import add
 from typing import TYPE_CHECKING
@@ -69,7 +70,7 @@ def _entropies(table: np.ndarray) -> list[float]:
         if not (lowest >= -SUPPORT_CUT and abs(total - 1.0) <= TRACE_TOL):
             if lowest < -SUPPORT_CUT and total == total:
                 raise ProbabilityError(f"negative probability {lowest!r}")
-            raise ProbabilityError(f"probabilities sum to {total!r}, not 1 within 1e-9")
+            raise ProbabilityError(f"probabilities sum to {total!r}, not 1 within {TRACE_TOL!r}")
     return [-reduce(add, row) for row in terms.tolist()]
 
 
@@ -97,22 +98,21 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     Evaluates sum_ij |<r_i|s_j>|^2 lambda_i (log2 lambda_i - log2 mu_j) over
     the supports. Returns +inf when the support of rho leaks outside the
     support of sigma by more than KERNEL_TOL.
+
+    Each state's kept eigh lists its eigenvalues in ascending order, so a
+    support, the eigenvalues above SUPPORT_CUT, is a trailing slice, and the
+    restricted overlaps are slices too; one path serves every rank.
     """
     if rho.dim != sigma.dim:
         raise DimensionError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     wr, vr = rho._eigh
     ws, vs = sigma._eigh
     overlap = np.abs(vr.conj().T @ vs) ** 2  # overlap[i, j] = |<r_i|s_j>|^2
-    on_r = wr > SUPPORT_CUT
-    on_s = ws > SUPPORT_CUT
-    # compress keeps each restriction C-contiguous, as np.ix_ does, so the
-    # sums keep their order; a chained boolean index is Fortran-ordered.
-    rows = overlap.compress(on_r, axis=0)
-    if not on_s.all():
-        kernel_mass = rows.compress(~on_s, axis=1).sum(axis=1)
-        if kernel_mass.size and float(kernel_mass.max()) > KERNEL_TOL:
-            return float("inf")
-    lam = wr[on_r]
-    mu = ws[on_s]
-    cross = float((rows.compress(on_s, axis=1) * lam[:, None] * np.log2(mu)[None, :]).sum())
+    # The spectra are short: bisect on a list costs a tenth of a np.searchsorted call.
+    r0 = bisect_right(wr.tolist(), SUPPORT_CUT)
+    s0 = bisect_right(ws.tolist(), SUPPORT_CUT)
+    if s0 and float(overlap[r0:, :s0].sum(axis=1).max(initial=0.0)) > KERNEL_TOL:
+        return float("inf")
+    lam = wr[r0:]
+    cross = float((overlap[r0:, s0:] * lam[:, None] * np.log2(ws[s0:])[None, :]).sum())
     return float(xlog2x(lam).sum() - cross)

@@ -99,14 +99,16 @@ def _conditional_blocks(rho: DensityMatrix, basis: ObservableBasis) -> np.ndarra
 
 @dataclass(frozen=True, eq=False)
 class _Dephasing:
-    """What a state keeps per live basis object: rho_YB and p_Y, both from one set of blocks.
+    """What a state keeps per live basis object: the blocks M_y and what is built from them.
 
-    state is the dephased joint state sum_y |y><y| (x) M_y and probs the
-    outcome probabilities p_y = Tr M_y, read-only; outcome_entropy is H(p_Y),
+    blocks are the conditional B blocks M_y, state is the dephased joint
+    state sum_y |y><y| (x) M_y and probs the outcome probabilities
+    p_y = Tr M_y; the arrays are read-only. outcome_entropy is H(p_Y),
     computed on first use. dephase, holevo and measure read them.
     An entropy that raises is not kept, so a second call raises again.
     """
 
+    blocks: np.ndarray
     state: DensityMatrix
     probs: np.ndarray
 
@@ -121,12 +123,14 @@ def _dephasing(rho: DensityMatrix, basis: ObservableBasis) -> _Dephasing:
     entry = kept.get(basis)
     if entry is None:
         cond = _conditional_blocks(rho, basis)
+        cond.flags.writeable = False
         v = basis.vectors
         joint = np.einsum("iy,jy,yab->iajb", v, v.conj(), cond).reshape(rho.dim, rho.dim)
-        # A copy, so the kept array does not hold the complex einsum output as its base.
+        # The block traces are a new complex array, apart from the kept
+        # blocks; the copy keeps p_Y from holding it as its base.
         probs = np.einsum("yaa->y", cond).real.copy()
         probs.flags.writeable = False
-        entry = kept[basis] = _Dephasing(DensityMatrix(hermitize(joint), rho.dim_a, rho.dim_b), probs)
+        entry = kept[basis] = _Dephasing(cond, DensityMatrix(hermitize(joint), rho.dim_a, rho.dim_b), probs)
     return entry
 
 
@@ -144,8 +148,8 @@ def measure(rho: DensityMatrix, basis: ObservableBasis) -> MeasurementOutcome:
     """Measure subsystem A in `basis` and collect the full outcome statistics.
 
     The joint state and p_Y are those rho keeps for the basis object (see
-    dephase); only the conditional states are built here, from their own
-    blocks, and are not kept. A probability below -SUPPORT_CUT raises
+    dephase). The conditional states are built on every call from the kept
+    blocks M_y and are not kept. A probability below -SUPPORT_CUT raises
     ProbabilityError, and one in [-SUPPORT_CUT, 0) is clamped to 0.
     """
     kept = _dephasing(rho, basis)
@@ -153,13 +157,12 @@ def measure(rho: DensityMatrix, basis: ObservableBasis) -> MeasurementOutcome:
     if np.any(probs < -SUPPORT_CUT):
         raise ProbabilityError(f"negative outcome probability {float(probs.min())!r}")
     probs[probs < 0.0] = 0.0
-    cond = _conditional_blocks(rho, basis)
     states = []
     for y, p in enumerate(probs):
         if p <= SUPPORT_CUT:
             states.append(DensityMatrix(np.eye(rho.dim_b, dtype=np.complex128) / rho.dim_b, rho.dim_b, 1))
         else:
-            states.append(DensityMatrix(hermitize(cond[y] / p), rho.dim_b, 1))
+            states.append(DensityMatrix(hermitize(kept.blocks[y] / p), rho.dim_b, 1))
     return MeasurementOutcome(probs=probs, conditional_states=tuple(states), joint_state=kept.state)
 
 

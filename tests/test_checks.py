@@ -3,8 +3,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from coherence_bounds import checks
-from coherence_bounds.bounds import evaluate_all
+from coherence_bounds import checks, measurement
+from coherence_bounds.bounds import coherence_bound_t1, evaluate_all
 from coherence_bounds.checks import (
     _SUITE_FNS,
     SUITE_NAMES,
@@ -13,6 +13,11 @@ from coherence_bounds.checks import (
     generate_cases,
     run_checks,
 )
+from coherence_bounds.coherence import coherence_rel, purity_rel, unilateral_coherence, unilateral_purity
+from coherence_bounds.correlations import conditional_entropy, holevo, mutual_information
+from coherence_bounds.entropy import relative_entropy
+from coherence_bounds.measurement import dephase, measure
+from coherence_bounds.states import marginal_a
 
 
 def _margins(suite, case):
@@ -134,18 +139,52 @@ def test_run_checks_draws_each_case_just_before_checking_it(monkeypatch):
     assert [c.state_seed for c in drawn] == [c.state_seed for c in generate_cases(7, 5)]
 
 
+def _count_layers(monkeypatch):
+    """A Counter of the eigvalsh and eigh calls, and of the block builds M_y, from here on."""
+    calls = Counter()
+    for module, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"), (measurement, "_conditional_blocks")):
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def test_a_check_case_makes_18_eigvalsh_and_4_eigh(monkeypatch):
     # dephase keeps its state per basis object and relative_entropy reads the
     # kept eigh, so the suites share each dephased state and its eigensystem;
-    # this pins the totals only (a full-rank case.rho still meets both solvers)
-    calls = Counter()
-    for name in ("eigvalsh", "eigh"):
-        original = getattr(np.linalg, name)
-
-        def counted(a, *args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
+    # this pins the totals only (a full-rank case.rho still meets both solvers).
+    # measure reads the kept blocks, so a case builds 6 sets of them.
+    calls = _count_layers(monkeypatch)
     assert run_checks(42, 2).ok
-    assert calls == {"eigvalsh": 2 * 18, "eigh": 2 * 4}
+    assert calls == {"eigvalsh": 2 * 18, "eigh": 2 * 4, "_conditional_blocks": 2 * 6}
+
+
+def test_the_primitive_calls_on_a_state_build_each_block_once(monkeypatch):
+    # the suites' public calls on one validated 2x2 state, which keeps only
+    # its spectrum and that of rho_A: measure reads the blocks its dephasing
+    # kept, so rho and rho_A in X and in Z build 4 sets of blocks. The
+    # eigensolves are 5 eigvalsh (rho_YB and the dephased rho_A per basis,
+    # and rho_B) and 2 eigh (rho and rho_YB in X, for relative_entropy).
+    case = generate_cases(42, 1)[0]
+    calls = _count_layers(monkeypatch)
+    rho, x, z = case.rho, case.x, case.z
+    dephased = dephase(rho, x)
+    out = measure(rho, x)
+    rho_a = marginal_a(rho)
+    coherence_bound_t1(rho_a, x, z)
+    for basis in (x, z):
+        holevo(rho, basis)
+        unilateral_coherence(rho, basis)
+        coherence_rel(rho_a, basis)
+    conditional_entropy(rho)
+    mutual_information(rho)
+    unilateral_purity(rho)
+    purity_rel(rho_a)
+    relative_entropy(rho, dephased)
+    measure(rho, x)
+    assert out.joint_state is dephased
+    assert calls == {"_conditional_blocks": 4, "eigvalsh": 5, "eigh": 2}

@@ -27,6 +27,7 @@ from coherence_bounds.correlations import (
     mutual_information,
 )
 from coherence_bounds.checks import generate_cases
+from coherence_bounds.coherence import unilateral_coherence
 from coherence_bounds.entropy import SUPPORT_CUT, binary_entropy, shannon_entropy, von_neumann_entropy
 from coherence_bounds.errors import DimensionError, ProbabilityError, UnsupportedDimension
 from coherence_bounds.linalg import hermitize, tensor_product
@@ -164,20 +165,35 @@ class TestHolevo:
         calls = []
 
         def counted(rho, basis):
-            calls.append(basis)
+            calls.append((rho, basis))
             return _conditional_blocks(rho, basis)
 
         monkeypatch.setattr(measurement, "_conditional_blocks", counted)
-        rho, basis = random_density(2, 3, 17), bloch_basis(0.8, 1.9)
-        first = holevo(rho, basis)
-        dephase(rho, basis)
-        assert holevo(rho, basis) == first
-        assert calls == [basis]
+        for dim_b in (2, 3, 8):
+            calls.clear()
+            rho, basis = random_density(2, dim_b, 17), bloch_basis(0.8, 1.9)
+            first = holevo(rho, basis)
+            dephase(rho, basis)
+            out = measure(rho, basis)
+            coherence = unilateral_coherence(rho, basis)
+            again = measure(rho, basis)
+            assert holevo(rho, basis) == first and unilateral_coherence(rho, basis) == coherence
+            assert calls == [(rho, basis)]
+            # the conditional states are built anew on each call, from the same bits
+            for old, new in zip(out.conditional_states, again.conditional_states):
+                assert new is not old and new.matrix.tobytes() == old.matrix.tobytes()
 
     def test_kept_probabilities_are_read_only(self):
         kept = _dephasing(random_density(2, 2, 3), pauli_basis(1))
         with pytest.raises(ValueError):
             kept.probs[0] = 0.5
+
+    @pytest.mark.parametrize("dim_b", [1, 2, 8])
+    def test_kept_blocks_are_read_only(self, dim_b):
+        kept = _dephasing(random_density(2, dim_b, 3), bloch_basis(0.4, 1.3))
+        assert kept.blocks.shape == (2, dim_b, dim_b) and not kept.blocks.flags.writeable
+        with pytest.raises(ValueError):
+            kept.blocks[0, 0, 0] = 0.5
 
     @pytest.mark.parametrize("dim_b", [1, 2, 8])
     def test_kept_probabilities_own_their_data(self, dim_b):
@@ -192,7 +208,7 @@ class TestHolevo:
         rho = DensityMatrix(np.diag([-0.5, 0.0, 1.5, 0.0]).astype(complex), 2, 2)
         basis = pauli_basis(3)
         for _ in range(2):  # a failed entropy is not kept
-            with pytest.raises(ProbabilityError, match=re.escape("probabilities sum to 1.5, not 1 within 1e-9")):
+            with pytest.raises(ProbabilityError, match=re.escape("probabilities sum to 1.5, not 1 within 1e-09")):
                 holevo(rho, basis)
         assert dephase(rho, basis).matrix.tobytes() == rho.matrix.tobytes()
         with pytest.raises(DimensionError):

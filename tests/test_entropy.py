@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,8 +19,8 @@ from coherence_bounds.entropy import (
     xlog2x,
 )
 from coherence_bounds.errors import DimensionError, DomainError, ProbabilityError
-from coherence_bounds.measurement import bloch_basis, computational_basis, dephase
-from coherence_bounds.states import make_density, random_density, random_unitary, werner
+from coherence_bounds.measurement import bloch_basis, computational_basis, dephase, pauli_basis
+from coherence_bounds.states import load_state_file, make_density, random_density, random_unitary, werner
 
 # mpmath, 50 digits: H2(1/4)
 H_QUARTER = 0.8112781244591328
@@ -68,7 +70,8 @@ def test_one_sum_tolerance_for_every_distribution():
     # make_density's trace bound is set inside the tolerance the entropies apply
     assert states.TRACE_TOL is TRACE_TOL
     assert shannon_entropy(np.array([0.5, 0.5 + 0.5 * TRACE_TOL])) == pytest.approx(1.0, abs=1e-8)
-    with pytest.raises(ProbabilityError, match="not 1 within 1e-9"):
+    # and its message names that tolerance
+    with pytest.raises(ProbabilityError, match=f"not 1 within {TRACE_TOL!r}$"):
         shannon_entropy(np.array([0.5, 0.5 + 2.0 * TRACE_TOL]))
 
 
@@ -105,7 +108,7 @@ def _vectorised_entropies(table):
         row = int(ok.argmin())
         if lowest[row] < -1e-12:
             raise ProbabilityError(f"negative probability {float(lowest[row])!r}")
-        raise ProbabilityError(f"probabilities sum to {float(totals[row])!r}, not 1 within 1e-9")
+        raise ProbabilityError(f"probabilities sum to {float(totals[row])!r}, not 1 within {TRACE_TOL!r}")
     return -np.add.accumulate(xlog2x(p), axis=1)[:, -1]
 
 
@@ -251,9 +254,27 @@ def _pure_2x2(seed):
     return make_density(np.outer(v, v.conj()) / np.vdot(v, v).real, 2, 2)
 
 
+def _leaking_pair(t):
+    """A rank-5 2x3 state sigma and rho = U sigma U^dag for U = exp(i t H), with H a fixed random Hermitian.
+
+    sigma's kernel is one vector, and rho's support leaks into it by a mass
+    of order t^2: about 4.5e-12 at t = 1e-6, below KERNEL_TOL, and 4.5e-10
+    at t = 1e-5, above it.
+    """
+    rng = np.random.default_rng(7)
+    g = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+    m = g @ g.conj().T
+    m /= np.trace(m).real
+    h = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    w, v = np.linalg.eigh(h + h.conj().T)
+    u = (v * np.exp(1j * t * w)) @ v.conj().T
+    return make_density(u @ m @ u.conj().T, 2, 3), make_density(m, 2, 3)
+
+
 def test_relative_entropy_reads_the_kept_eigensystems_bit_for_bit():
-    # reading each state's kept eigh, and skipping the support restriction
-    # when both are full rank, gives the bits of a direct evaluation
+    # reading each state's kept eigh, and restricting it to the supports as
+    # slices of the ascending spectra, gives the bits of a direct evaluation
+    # with np.ix_, at every rank
     pairs = []
     for case in generate_cases(42, 100):
         sigma = random_density(2, 2, case.state_seed + 1)
@@ -263,10 +284,20 @@ def test_relative_entropy_reads_the_kept_eigensystems_bit_for_bit():
         pure, mixed = _pure_2x2(seed), random_density(2, 2, seed)
         pinched = dephase(pure, bloch_basis(0.3 * seed, 0.1))
         pairs += [(pure, mixed), (mixed, pure), (pure, pure), (pure, pinched), (pinched, pure)]
+    for dim_b in (3, 8):
+        for seed in range(10):
+            rho = random_density(2, dim_b, 300 + seed)
+            pairs.append((rho, dephase(rho, bloch_basis(0.5 * seed, 0.2 * seed))))
+    rank2 = load_state_file(Path(__file__).parent / "data" / "rank2_2x4.txt")
+    for basis in (pauli_basis(1), pauli_basis(3), bloch_basis(0.7, 1.2)):
+        pairs += [(rank2, dephase(rank2, basis)), (dephase(rank2, basis), rank2)]
+    pairs += [_leaking_pair(1e-6), _leaking_pair(1e-5)]
     values = [relative_entropy(rho, sigma) for rho, sigma in pairs]
     assert [v.hex() for v in values] == [_relative_entropy_direct(rho, sigma).hex() for rho, sigma in pairs]
-    # both the finite and the disjoint-support (inf) paths were compared
+    # both the finite and the disjoint-support (inf) paths were compared, and
+    # the leaking pair is finite on one side of KERNEL_TOL and inf on the other
     assert np.isinf(values).any() and np.isfinite(values).any()
+    assert np.isfinite(values[-2]) and np.isinf(values[-1])
 
 
 def test_relative_entropy_dimension_mismatch():
