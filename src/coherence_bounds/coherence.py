@@ -18,7 +18,7 @@ outcome of measure for one basis object build those blocks once.
 """
 from __future__ import annotations
 
-import numpy as np
+import math
 
 from .correlations import conditional_entropy
 from .entropy import von_neumann_entropy
@@ -56,10 +56,10 @@ def unilateral_coherence(rho: DensityMatrix, basis: ObservableBasis) -> float:
 def purity_rel(rho: DensityMatrix) -> float:
     """Relative entropy of purity log2 d - S(rho) of a monopartite state."""
     _require_monopartite(rho, "purity_rel")
-    return max(0.0, float(np.log2(rho.dim)) - von_neumann_entropy(rho))
+    return max(0.0, math.log2(rho.dim) - von_neumann_entropy(rho))
 
 
 def unilateral_purity(rho: DensityMatrix) -> float:
     """Purity of A relative to the memory B: log2 dim_a - S(A|B)."""
     _require_bipartite(rho, "unilateral_purity")
-    return max(0.0, float(np.log2(rho.dim_a)) - conditional_entropy(rho))
+    return max(0.0, math.log2(rho.dim_a) - conditional_entropy(rho))

@@ -101,7 +101,9 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
     Each state's kept eigh lists its eigenvalues in ascending order, so a
     support, the eigenvalues above SUPPORT_CUT, is a trailing slice, and the
-    restricted overlaps are slices too; one path serves every rank.
+    restricted overlaps are slices too; one path serves every rank. Every
+    support eigenvalue lies above SUPPORT_CUT, so lambda log2 lambda needs
+    none of xlog2x's clamps, and without them it has the same bits.
     """
     if rho.dim != sigma.dim:
         raise DimensionError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
@@ -115,4 +117,4 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
         return float("inf")
     lam = wr[r0:]
     cross = float((overlap[r0:, s0:] * lam[:, None] * np.log2(ws[s0:])[None, :]).sum())
-    return float(xlog2x(lam).sum() - cross)
+    return float((lam * np.log2(lam)).sum() - cross)

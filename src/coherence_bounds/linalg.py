@@ -17,8 +17,8 @@ def as_square_matrix(m) -> np.ndarray:
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
-    """Return the Hermitian part (M + M^dag) / 2."""
-    return 0.5 * (m + m.conj().T)
+    """Return the Hermitian part (M + M^dag) / 2 of a matrix, or of each matrix in a (..., n, n) stack."""
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -148,27 +148,32 @@ def measure(rho: DensityMatrix, basis: ObservableBasis) -> MeasurementOutcome:
     """Measure subsystem A in `basis` and collect the full outcome statistics.
 
     The joint state and p_Y are those rho keeps for the basis object (see
-    dephase). The conditional states are built on every call from the kept
-    blocks M_y and are not kept. A probability below -SUPPORT_CUT raises
-    ProbabilityError, and one in [-SUPPORT_CUT, 0) is clamped to 0.
+    dephase). A probability below -SUPPORT_CUT raises ProbabilityError, and
+    one in [-SUPPORT_CUT, 0) is clamped to 0. The conditional states come
+    from one divide of the kept blocks M_y by their p_y and one hermitize of
+    the stack, on every call, and are not kept; an outcome with
+    p_y <= SUPPORT_CUT is divided by 1 and then given the maximally mixed
+    state.
     """
     kept = _dephasing(rho, basis)
-    probs = kept.probs.copy()
-    if np.any(probs < -SUPPORT_CUT):
-        raise ProbabilityError(f"negative outcome probability {float(probs.min())!r}")
-    probs[probs < 0.0] = 0.0
-    states = []
+    # p_Y is short: Python floats cost less than a numpy call per check.
+    probs = kept.probs.tolist()
+    if any(p < -SUPPORT_CUT for p in probs):
+        raise ProbabilityError(f"negative outcome probability {float(kept.probs.min())!r}")
+    probs = [0.0 if p < 0.0 else p for p in probs]
+    divisors = np.array([1.0 if p <= SUPPORT_CUT else p for p in probs])
+    stack = hermitize(kept.blocks / divisors[:, None, None])
     for y, p in enumerate(probs):
         if p <= SUPPORT_CUT:
-            states.append(DensityMatrix(np.eye(rho.dim_b, dtype=np.complex128) / rho.dim_b, rho.dim_b, 1))
-        else:
-            states.append(DensityMatrix(hermitize(kept.blocks[y] / p), rho.dim_b, 1))
-    return MeasurementOutcome(probs=probs, conditional_states=tuple(states), joint_state=kept.state)
+            stack[y] = np.eye(rho.dim_b, dtype=np.complex128) / rho.dim_b
+    stack.flags.writeable = False
+    states = tuple(DensityMatrix(m, rho.dim_b, 1) for m in stack)
+    return MeasurementOutcome(probs=np.array(probs), conditional_states=states, joint_state=kept.state)
 
 
 def incompatibility(x: ObservableBasis, z: ObservableBasis) -> float:
     """q_MU = -log2 max_{y,y'} |<x_y|z_y'>|^2, the maximal-overlap incompatibility."""
     if x.dim != z.dim:
         raise DimensionError(f"basis dims differ: {x.dim} vs {z.dim}")
-    c = float(np.max(np.abs(x.vectors.conj().T @ z.vectors) ** 2))
+    c = float((np.abs(x.vectors.conj().T @ z.vectors) ** 2).max())
     return max(0.0, float(-np.log2(min(c, 1.0))))

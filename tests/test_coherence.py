@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,8 +10,8 @@ from coherence_bounds.coherence import (
     unilateral_coherence,
     unilateral_purity,
 )
-from coherence_bounds.correlations import mutual_information
-from coherence_bounds.entropy import xlog2x
+from coherence_bounds.correlations import conditional_entropy, mutual_information
+from coherence_bounds.entropy import von_neumann_entropy, xlog2x
 from coherence_bounds.errors import DimensionError
 from coherence_bounds.states import (
     bell_diagonal_family,
@@ -57,6 +59,17 @@ def test_purity_rel_extremes():
     assert purity_rel(pure) == pytest.approx(np.log2(3), abs=1e-12)
     mixed = make_density(np.eye(3) / 3, 3, 1)
     assert purity_rel(mixed) == 0.0
+
+
+def test_purities_read_math_log2_with_the_bits_of_np_log2(measured_pairs):
+    assert all(math.log2(d) == float(np.log2(d)) for d in range(1, 65))
+    for rho, _ in measured_pairs:
+        if rho.dim_b == 1:
+            expected = max(0.0, float(np.log2(rho.dim)) - von_neumann_entropy(rho))
+            assert purity_rel(rho).hex() == expected.hex()
+        else:
+            expected = max(0.0, float(np.log2(rho.dim_a)) - conditional_entropy(rho))
+            assert unilateral_purity(rho).hex() == expected.hex()
 
 
 def test_unilateral_purity_bell_state():

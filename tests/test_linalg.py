@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from coherence_bounds.errors import DimensionError
-from coherence_bounds.linalg import partial_trace, tensor_product
+from coherence_bounds.linalg import hermitize, partial_trace, tensor_product
 
 
 def random_matrix(seed: int, dim: int) -> np.ndarray:
@@ -31,6 +31,17 @@ def test_tensor_product_equals_kron_bitwise():
         assert tensor_product(a, b).tobytes() == np.kron(a, b).tobytes()
     flip = [[0, 1], [1, 0]]
     assert np.array_equal(tensor_product(np.eye(2), flip), np.kron(np.eye(2), flip))
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_hermitize_of_a_stack_is_hermitize_of_each_matrix_bitwise(n):
+    stack = np.stack([random_matrix(100 * n + k, n) for k in range(4)])
+    out = hermitize(stack)
+    assert out.shape == stack.shape
+    for k, m in enumerate(stack):
+        # a single matrix keeps the bits of (M + M^dag) / 2 with a plain transpose
+        assert hermitize(m).tobytes() == (0.5 * (m + m.conj().T)).tobytes()
+        assert out[k].tobytes() == hermitize(m).tobytes()
 
 
 def test_tensor_product_rejects_non_matrices():
