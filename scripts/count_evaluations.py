@@ -3,33 +3,22 @@
 
 Each row runs classical_correlation on a seeded corpus and gives the
 smallest and largest DiscordResult.optimizer_evals. The Ginibre states are
-G G^dag / Tr with G a complex (2 dim_b) x rank Gaussian matrix. The counts
-are deterministic, so reruns print the same table.
+coherence_bounds._corpora.ginibre draws, G G^dag / Tr with G a complex
+(2 dim_b) x rank Gaussian matrix. The counts are deterministic, so reruns
+print the same table, but they depend on the last bits of numpy's
+`g @ g^dag`: with G G^dag summed in Python floats (_corpora.float_ginibre)
+6 of the 21 rows read other counts.
 
     PYTHONPATH=src python3 scripts/count_evaluations.py
 """
 import numpy as np
 
-from coherence_bounds.bounds import FAMILIES
+from coherence_bounds._corpora import classical_quantum, family_points, ginibre
 from coherence_bounds.checks import generate_cases
 from coherence_bounds.correlations import classical_correlation
-from coherence_bounds.states import make_density, random_density, random_unitary
+from coherence_bounds.states import make_density, random_density
 
 MEMORIES = (2, 3, 4, 8)
-
-
-def ginibre(rng, dim: int, rank: int) -> np.ndarray:
-    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
-    m = g @ g.conj().T
-    return m / np.trace(m).real
-
-
-def classical_quantum(rng, dim_b: int) -> np.ndarray:
-    """w |u_0><u_0| (x) rho_0 + (1 - w) |u_1><u_1| (x) rho_1: random basis u, uniform w, rho_a of random rank."""
-    u = random_unitary(2, int(rng.integers(2**31)))
-    w = rng.uniform()
-    blocks = [ginibre(rng, dim_b, int(rng.integers(1, dim_b + 1))) for _ in range(2)]
-    return sum(p * np.kron(np.outer(u[:, a], u[:, a].conj()), blocks[a]) for a, p in enumerate((w, 1.0 - w)))
 
 
 def corpora():
@@ -42,8 +31,7 @@ def corpora():
         states = [np.kron(ginibre(rng, 2, 2), ginibre(rng, db, db)) for _ in range(100)]
         states += [np.kron(np.eye(2) / 2, ginibre(rng, db, db)) for _ in range(10)]
         yield f"product, 2x{db}", f"100 Ginibre rho_A (x) rho_B, 10 I/2 (x) rho_B; rng ({db}, 2)", _states(states, db)
-    family_points = [f(float(p)) for f in FAMILIES.values() for p in np.linspace(0.0, 1.0, 101)]
-    yield "one-parameter families", "the 3 x 101 points of the figure grid", family_points
+    yield "one-parameter families", "the 3 x 101 points of the figure grid", family_points()
     for db in MEMORIES:
         rng = np.random.default_rng((db, 3))
         states = [ginibre(rng, 2 * db, 1) for _ in range(100)]

@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .entropy import SUPPORT_CUT, _entropies, von_neumann_entropy, xlog2x
+from .entropy import SUPPORT_CUT, _entropies, _spectrum_entropy, von_neumann_entropy, xlog2x
 from .errors import DimensionError, UnsupportedDimension
 from .measurement import ObservableBasis, _dephasing
 from .states import DensityMatrix, marginal_a, marginal_b
@@ -559,6 +559,15 @@ def _maximize_holevo(
     return max(0.0, s_b + best), n, evals
 
 
+def _memory_spectrum(spectra: np.ndarray) -> np.ndarray:
+    """rho_B's eigenvalues from column 0 of a _spectra call whose first point is n = 0: rho_B = 2 M_+(0).
+
+    Both routes to J_A read S(B) from it, so the report and
+    classical_correlation add back the same bits.
+    """
+    return 2.0 * spectra[1:, 0]
+
+
 def _report_scalars(rho: DensityMatrix, x: ObservableBasis, z: ObservableBasis, search: bool) -> list[float]:
     """[S(AB), S(A), S(B), S(XB), S(ZB), H(p_X), H(p_Z), J_A] for qubit A; J_A is NaN without `search`.
 
@@ -589,7 +598,7 @@ def _report_scalars(rho: DensityMatrix, x: ObservableBasis, z: ObservableBasis, 
     p0, px, py, pz = objective._trace
     r = math.sqrt(px * px + py * py + pz * pz)
     table[1, :2] = p0 + r, p0 - r
-    table[2, :db] = 2.0 * cols[1:, 0, 0]
+    table[2, :db] = _memory_spectrum(spectra)
     table[3:5] = cols[1:, :, 1:].transpose(2, 0, 1).reshape(2, 2 * db)
     table[5:, :2] = cols[0, :, 1:].T
     spectrum_rows = table[:5]
@@ -624,13 +633,16 @@ def classical_correlation(rho: DensityMatrix) -> DiscordResult:
     ascent tries takes one 9-point central-difference stencil. A trust radius
     caps the step: it starts at 2 pi / 16 and shrinks to a quarter of any
     step that does not improve the value. An ascent stops after the first
-    step shorter than ANGLE_RESOLUTION. J_A is the best value found, clamped
-    at 0, and the discord is I(A:B) - J_A. Deterministic: no randomness, so
-    repeated calls agree exactly.
+    step shorter than ANGLE_RESOLUTION. J_A is S(B) plus the best value
+    found, clamped at 0, and the discord is I(A:B) - J_A. S(B) and the
+    grid's values come from one batched call over n = 0 and the grid, as in
+    evaluate_all's report, so both give J_A with the same bits.
+    Deterministic: no randomness, so repeated calls agree exactly.
     """
-    s_b = von_neumann_entropy(marginal_b(rho))
     objective = _HolevoObjective(rho)
-    j_a, n, evals = _maximize_holevo(objective, objective(_geodesic_grid()[0]), s_b)
+    spectra = objective._spectra(np.hstack([np.zeros((3, 1)), _geodesic_grid()[0]]))
+    s_b = _spectrum_entropy(_memory_spectrum(spectra))
+    j_a, n, evals = _maximize_holevo(objective, objective._values(spectra)[1:], s_b)
     info = mutual_information(rho)
     return DiscordResult(
         discord=info - j_a,

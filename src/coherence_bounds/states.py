@@ -266,20 +266,27 @@ def bell_diagonal_family(p: float) -> DensityMatrix:
     return DensityMatrix(_bell_diagonal_matrix(1.0 - 2.0 * p, -p, -p), 2, 2)
 
 
+def _gaussian(rng, rows: int, cols: int) -> np.ndarray:
+    """A complex rows x cols matrix whose real and imaginary parts are standard normal draws."""
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+def _ginibre(rng, dim: int, rank: int) -> np.ndarray:
+    """The Ginibre matrix G G^dag / Tr of G = _gaussian(rng, dim, rank), in numpy arithmetic."""
+    g = _gaussian(rng, dim, rank)
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
 def random_density(dim_a: int, dim_b: int, seed: int) -> DensityMatrix:
     """Ginibre-induced random state G G^dag / Tr, deterministic per seed."""
-    rng = np.random.default_rng(seed)
     d = dim_a * dim_b
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    m = g @ g.conj().T
-    return make_density(m / np.trace(m).real, dim_a, dim_b)
+    return make_density(_ginibre(np.random.default_rng(seed), d, d), dim_a, dim_b)
 
 
 def random_unitary(dim: int, seed: int) -> np.ndarray:
     """Haar-ish random unitary via QR of a Ginibre matrix, deterministic per seed."""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
+    q, r = np.linalg.qr(_gaussian(np.random.default_rng(seed), dim, dim))
     diag = np.diagonal(r)
     return q * (diag / np.abs(diag))
 

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coherence_bounds import cli, correlations, measurement
-from coherence_bounds.bounds import FAMILIES
+from coherence_bounds import _corpora, cli, correlations, measurement
 from coherence_bounds.correlations import (
     _bloch,
     _chart,
@@ -18,7 +17,6 @@ from coherence_bounds.correlations import (
     _QubitMemoryObjective,
     _STENCIL,
     _maximize_holevo,
-    _refine,
     _report_scalars,
     _tangent_frame,
     classical_correlation,
@@ -50,6 +48,7 @@ from coherence_bounds.states import (
     marginal_b,
     random_density,
     random_unitary,
+    save_state_file,
     werner,
     x_state,
 )
@@ -74,9 +73,20 @@ def _general_model(rho):
     return objective
 
 
-def _search(rho, s_b):
+DATA = Path(__file__).parent / "data"
+
+
+def _search_states():
+    """The seed-42 x200 check corpus, the family points, 20 states each at 2x3, 2x4 and 2x8, and multimodal_2x3."""
+    states = [c.rho for c in generate_cases(42, 200)] + _corpora.family_points()
+    states += [random_density(2, dim_b, k) for dim_b in (3, 4, 8) for k in range(20)]
+    states.append(load_state_file(DATA / "multimodal_2x3.txt"))
+    return states
+
+
+def _search(rho):
     objective = _HolevoObjective(rho)
-    return _maximize_holevo(objective, objective(_geodesic_grid()[0]), s_b)
+    return _maximize_holevo(objective, objective(_geodesic_grid()[0]), von_neumann_entropy(marginal_b(rho)))
 
 
 def test_conditional_entropy_values():
@@ -262,7 +272,7 @@ class TestFastObjective:
         # both models of a 2x2 objective: the closed form that every 2x2 state
         # takes, and the eigh model that every larger memory takes
         states = [case.rho for case in generate_cases(42, 200)]
-        states += [FAMILIES[f](float(p)) for f in sorted(FAMILIES) for p in np.linspace(0.0, 1.0, 101)]
+        states += _corpora.family_points()
         grid = _geodesic_grid()[0]
         probes = np.hstack([grid, _bloch(np.array([0.4, 1.3, 2.9]), np.array([0.2, 3.5, 5.9]))])
         for rho in states:
@@ -358,6 +368,15 @@ class TestClassicalCorrelation:
         assert res.classical_correlation == pytest.approx(1.0, abs=1e-6)
         assert res.discord == pytest.approx(1.0, abs=1e-6)
 
+    def test_j_a_has_the_report_bits(self):
+        # S(B) is S(2 M_+(0)) on both routes; S(B) from rho_B's own eigvalsh
+        # put the two J_A apart in the last bit on 371 of the seed-42 states
+        cases = [(c.rho, c.x, c.z) for c in generate_cases(42, 1000)]
+        for dim_b in (2, 3, 4, 8):
+            cases += [(rho, pauli_basis(1), pauli_basis(3)) for states in _corpora.strata(dim_b).values() for rho in states]
+        for rho, x, z in cases:
+            assert classical_correlation(rho).classical_correlation == _report_scalars(rho, x, z, True)[-1]
+
     def test_deterministic(self):
         a = classical_correlation(random_density(2, 2, 33))
         b = classical_correlation(random_density(2, 2, 33))
@@ -441,7 +460,7 @@ class TestClassicalCorrelation:
         # short on 22 of these states
         rng = np.random.default_rng(102)
         for _ in range(300):
-            rho = make_density(_classical_quantum(rng, 2, power=3), 2, 2)
+            rho = make_density(_corpora.classical_quantum(rng, 2, power=3), 2, 2)
             j_a = classical_correlation(rho).classical_correlation
             assert j_a == pytest.approx(mutual_information(rho), abs=1e-9)
 
@@ -499,15 +518,11 @@ class TestLocalModel:
             assert np.max(np.abs(np.array(model) - expected)) <= 1e-6 * scale
 
     def test_stencil_only_path_agrees(self, monkeypatch):
-        states = [c.rho for c in generate_cases(42, 200)]
-        states += [FAMILIES[f](float(p)) for f in sorted(FAMILIES) for p in np.linspace(0.0, 1.0, 101)]
-        states += [random_density(2, dim_b, k) for dim_b in (3, 4, 8) for k in range(20)]
-        states.append(load_state_file(Path(__file__).parent / "data" / "multimodal_2x3.txt"))
-        s_b = [von_neumann_entropy(marginal_b(rho)) for rho in states]
-        closed = [_search(rho, s)[0] for rho, s in zip(states, s_b)]
+        states = _search_states()
+        closed = [_search(rho)[0] for rho in states]
         for model in (_HolevoObjective, _QubitMemoryObjective):
             monkeypatch.setattr(model, "_value_pass", lambda self, n: None)
-        stencil = [_search(rho, s)[0] for rho, s in zip(states, s_b)]
+        stencil = [_search(rho)[0] for rho in states]
         assert np.max(np.abs(np.array(closed) - np.array(stencil))) <= 1e-12
 
     @pytest.mark.parametrize("rho, expected", [(x_state(1.0), 1.0), (x_state(0.0), 0.0)])
@@ -522,7 +537,7 @@ class TestLocalModel:
             return returned[-1]
 
         monkeypatch.setattr(model, "_value_pass", recorded)
-        j_a, _, evals = _search(rho, von_neumann_entropy(marginal_b(rho)))
+        j_a, _, evals = _search(rho)
         assert returned and all(r is None for r in returned)
         assert evals == _geodesic_grid()[0].shape[1] + _STENCIL.shape[1] * len(returned)
         assert j_a == pytest.approx(expected, abs=1e-9)
@@ -561,14 +576,10 @@ class TestValueFirstAscent:
     from gets its derivatives; the full-model ascent above is the oracle."""
 
     def test_matches_the_full_model_ascent(self, monkeypatch):
-        states = [c.rho for c in generate_cases(42, 200)]
-        states += [FAMILIES[f](float(p)) for f in sorted(FAMILIES) for p in np.linspace(0.0, 1.0, 101)]
-        states += [random_density(2, dim_b, k) for dim_b in (3, 4, 8) for k in range(20)]
-        states.append(load_state_file(Path(__file__).parent / "data" / "multimodal_2x3.txt"))
-        s_b = [von_neumann_entropy(marginal_b(rho)) for rho in states]
-        value_first = [_hex(_search(rho, s)) for rho, s in zip(states, s_b)]
+        states = _search_states()
+        value_first = [_hex(_search(rho)) for rho in states]
         monkeypatch.setattr(correlations, "_refine", _full_model_refine)
-        full_model = [_hex(_search(rho, s)) for rho, s in zip(states, s_b)]
+        full_model = [_hex(_search(rho)) for rho in states]
         assert value_first == full_model
 
     def test_derivatives_only_where_the_ascent_steps(self, monkeypatch):
@@ -675,69 +686,11 @@ class TestXStateOracle:
         assert np.max(np.abs(got - _x_state_oracle(states))) <= 1e-12
 
 
-def _hemisphere_grid(rows: int) -> np.ndarray:
-    """The upper half of the rows x rows (theta, phi) grid: the pole once, then
-    theta_k = k pi / (rows - 1) for k = 1..rows / 2 - 1 at every phi.
-
-    For even rows the map (k, j) -> (rows - 1 - k, j + rows / 2) sends the full
-    grid onto itself and each point to its antipode, and chi(n) = chi(-n), so
-    this half sees every value. 64 rows give 1985 points.
-    """
-    thetas = np.linspace(0.0, np.pi, rows)[1 : rows // 2]
-    phis = np.linspace(0.0, 2.0 * np.pi, rows, endpoint=False)
-    pole = np.array([[0.0], [0.0], [1.0]])
-    return np.hstack([pole, _bloch(np.repeat(thetas, rows), np.tile(phis, thetas.size))])
-
-
-def _grid_search(objective, rows, s_b):
-    """J_A from one ascent at the first maximum of _hemisphere_grid(rows), with the
-    phi spacing as the initial trust radius; 64 rows make the 1985-point oracle."""
-    grid = _hemisphere_grid(rows)
-    frame = _tangent_frame(*grid[:, int(np.argmax(objective(grid)))].tolist())
-    return max(0.0, s_b + _refine(objective, frame, 2.0 * math.pi / rows, 0)[0])
-
-
-def _ginibre(rng, dim, rank):
-    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
-    m = g @ g.conj().T
-    return m / np.trace(m).real
-
-
-def _strata(dim_b, count=4):
-    """Seeded states with a memory of dim_b, `count` per stratum (one more for product)."""
-    rng = np.random.default_rng(dim_b)
-    d = 2 * dim_b
-    strata = {"pure": [_ginibre(rng, d, 1) for _ in range(count)]}
-    for rank in (2, 3, 4):
-        strata[f"rank{rank}"] = [_ginibre(rng, d, rank) for _ in range(count)]
-    strata["full"] = [_ginibre(rng, d, d) for _ in range(count)]
-    # I/2 (x) rho_B makes every coarse value exactly equal
-    strata["product"] = [np.kron(np.eye(2) / 2, _ginibre(rng, dim_b, dim_b))]
-    strata["product"] += [np.kron(_ginibre(rng, 2, 2), _ginibre(rng, dim_b, dim_b)) for _ in range(count)]
-    strata["classical-quantum"] = [_classical_quantum(rng, dim_b) for _ in range(count)]
-    return {name: [make_density(m, 2, dim_b) for m in states] for name, states in strata.items()}
-
-
-def _classical_quantum(rng, dim_b, power=1):
-    """sum_a w_a |u_a><u_a| (x) rho_a for a random basis u of A and rho_a of random rank.
-
-    The weight w_0 is a uniform draw to the given power."""
-    u = random_unitary(2, int(rng.integers(2**31)))
-    w = rng.uniform() ** power
-    blocks = [_ginibre(rng, dim_b, int(rng.integers(1, dim_b + 1))) for _ in range(2)]
-    return sum(p * np.kron(np.outer(u[:, a], u[:, a].conj()), blocks[a]) for a, p in enumerate((w, 1.0 - w)))
-
-
 @pytest.fixture(scope="module", params=[2, 3, 4, 8])
 def stratified(request):
     """(stratum, state, J_A by the 1985-point search, classical_correlation) per state."""
-    rows = []
-    for name, states in _strata(request.param).items():
-        for rho in states:
-            s_b = von_neumann_entropy(marginal_b(rho))
-            oracle = _grid_search(_HolevoObjective(rho), 64, s_b)
-            rows.append((name, rho, oracle, classical_correlation(rho)))
-    return rows
+    strata = _corpora.strata(request.param).items()
+    return [(name, rho, _corpora.grid_search(rho), classical_correlation(rho)) for name, states in strata for rho in states]
 
 
 class TestCoarseMultiStart:
@@ -754,7 +707,7 @@ class TestCoarseMultiStart:
         # with a rank-deficient rho_a the peak is narrower than the coarse grid
         rng = np.random.default_rng((dim_b, 1))
         for _ in range(40):
-            rho = make_density(_classical_quantum(rng, dim_b), 2, dim_b)
+            rho = make_density(_corpora.classical_quantum(rng, dim_b), 2, dim_b)
             j_a = classical_correlation(rho).classical_correlation
             assert j_a == pytest.approx(mutual_information(rho), abs=1e-9)
 
@@ -764,8 +717,8 @@ class TestCoarseMultiStart:
         # ascent on the stencil's model alone stopped 9.2e-9 short of I(A:B)
         rng = np.random.default_rng(103)
         for _ in range(57):
-            _classical_quantum(rng, 3, power=3)
-        rho = make_density(_classical_quantum(rng, 3, power=3), 2, 3)
+            _corpora.classical_quantum(rng, 3, power=3)
+        rho = make_density(_corpora.classical_quantum(rng, 3, power=3), 2, 3)
         j_a = classical_correlation(rho).classical_correlation
         assert j_a == pytest.approx(mutual_information(rho), abs=1e-12)
 
@@ -787,7 +740,7 @@ class TestCoarseMultiStart:
             return refine(objective, frame, radius, evals)
 
         monkeypatch.setattr(correlations, "_refine", recorded)
-        for rho in (werner(0.5), _strata(3)["product"][0]):
+        for rho in (werner(0.5), _corpora.strata(3)["product"][0]):
             starts.clear()
             classical_correlation(rho)
             assert len(starts) == 1
@@ -795,7 +748,7 @@ class TestCoarseMultiStart:
     def test_the_evaluation_cap_stops_each_ascent_at_its_first_probe(self, monkeypatch):
         # at a cap of the grid's 46 points no ascent gets past probing its start
         states = [random_density(2, dim_b, seed) for dim_b in (2, 3, 8) for seed in range(5)]
-        states.append(load_state_file(Path(__file__).parent / "data" / "rank2_2x4.txt"))
+        states.append(load_state_file(DATA / "rank2_2x4.txt"))
         uncapped = [classical_correlation(rho).classical_correlation for rho in states]
         newton_step, stepped = correlations._newton_step, []
 
@@ -820,31 +773,36 @@ class TestCoarseMultiStart:
         assert grid.shape == (3, 46) and neighbours.shape == (46, 8)
         assert not grid.flags.writeable and not neighbours.flags.writeable
 
-    def test_import_builds_no_grid(self):
-        # a process that never searches never pays for the grid
+    def test_import_builds_no_grid_and_loads_no_corpora(self):
+        # a process that never searches never pays for the grid; the corpora
+        # are for tests and scripts, so the package neither loads them nor
+        # exports a name of them
         code = (
-            "import coherence_bounds\n"
+            "import sys, coherence_bounds\n"
             "from coherence_bounds.correlations import _geodesic_grid\n"
-            "print(_geodesic_grid.cache_info().currsize)\n"
+            "names = list(coherence_bounds.__all__)\n"
+            "print(_geodesic_grid.cache_info().currsize, 'coherence_bounds._corpora' in sys.modules)\n"
+            "import coherence_bounds._corpora\n"
+            "print(coherence_bounds.__all__ == names)\n"
         )
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-        assert out.stdout == "0\n"
+        assert out.stdout == "0 False\nTrue\n"
 
     def test_grid_covers_the_sphere(self):
         # every measurement lies within 13.7 degrees of a grid point, n and -n alike
-        nearest = np.abs(_hemisphere_grid(256).T @ _geodesic_grid()[0]).max(axis=1)
+        nearest = np.abs(_corpora.hemisphere_grid(256).T @ _geodesic_grid()[0]).max(axis=1)
         assert np.all(np.arccos(np.minimum(nearest, 1.0)) <= math.radians(13.7))
 
 
 class TestSearchMissState:
-    """Draw 875 of the rank-3 2x3 corpus of scripts/make_multimodal_state.py, on which
+    """Draw 875 of the rank-3 2x3 corpus of _corpora.COMMITTED, on which
     the search ends 2.74e-3 below the 1985-point single-start search."""
 
     @pytest.fixture(scope="class")
     def state(self):
         """The state and J_A from the 1985-point search (the oracle)."""
-        rho = load_state_file(Path(__file__).parent / "data" / "search_miss_2x3.txt")
-        return rho, _grid_search(_HolevoObjective(rho), 64, von_neumann_entropy(marginal_b(rho)))
+        rho = load_state_file(DATA / "search_miss_2x3.txt")
+        return rho, _corpora.grid_search(rho)
 
     def test_rotations_reach_the_oracle(self, state):
         # J_A is invariant under a unitary on A, and from each of these
@@ -866,25 +824,28 @@ class TestSearchMissState:
 
 
 class TestMultimodalState:
-    """The state of scripts/make_multimodal_state.py: chi has a second local maximum
+    """multimodal_2x3.txt of _corpora.COMMITTED: chi has a second local maximum
     7.45e-3 below the global one, and the best point of the 16-row grid lies next to it."""
 
     @pytest.fixture(scope="class")
     def state(self):
-        """The state, its objective, S(B), and J_A from a 256-row grid and one ascent."""
-        rho = load_state_file(Path(__file__).parent / "data" / "multimodal_2x3.txt")
-        objective = _HolevoObjective(rho)
-        s_b = von_neumann_entropy(marginal_b(rho))
-        reference = _grid_search(objective, 256, s_b)
-        return rho, objective, s_b, reference
+        """The state and J_A from a 256-row grid and one ascent."""
+        rho = load_state_file(DATA / "multimodal_2x3.txt")
+        return rho, _corpora.grid_search(rho, 256)
 
     def test_reaches_the_global_maximum(self, state):
-        rho, _, _, reference = state
+        rho, reference = state
         assert classical_correlation(rho).classical_correlation == pytest.approx(reference, abs=1e-9)
 
     def test_one_coarse_start_misses_it(self, state):
         # on the 113-point 16-row grid the best point lies next to the lower
         # maximum; on the geodesic grid one start already reaches the global one
-        _, objective, s_b, reference = state
-        single = _grid_search(objective, 16, s_b)
+        rho, reference = state
+        single = _corpora.grid_search(rho, 16)
         assert reference - single > 1e-3
+
+
+@pytest.mark.parametrize("name", sorted(_corpora.COMMITTED))
+def test_the_table_regenerates_the_committed_state(name, tmp_path):
+    save_state_file(_corpora.committed_state(name), tmp_path / name)
+    assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes()

@@ -262,10 +262,8 @@ def _leaking_pair(t):
     at t = 1e-5, above it.
     """
     rng = np.random.default_rng(7)
-    g = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
-    m = g @ g.conj().T
-    m /= np.trace(m).real
-    h = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    m = states._ginibre(rng, 6, 5)
+    h = states._gaussian(rng, 6, 6)
     w, v = np.linalg.eigh(h + h.conj().T)
     u = (v * np.exp(1j * t * w)) @ v.conj().T
     return make_density(u @ m @ u.conj().T, 2, 3), make_density(m, 2, 3)
