@@ -2,15 +2,17 @@
 """Print the discord search's objective evaluations per class of state, as README's table.
 
 Each row runs classical_correlation on a seeded corpus and gives the
-smallest and largest DiscordResult.optimizer_evals. The Ginibre states are
+smallest, largest and median DiscordResult.optimizer_evals. The Ginibre states are
 coherence_bounds._corpora.ginibre draws, G G^dag / Tr with G a complex
 (2 dim_b) x rank Gaussian matrix. The counts are deterministic, so reruns
 print the same table, but they depend on the last bits of numpy's
 `g @ g^dag`: with G G^dag summed in Python floats (_corpora.float_ginibre)
-6 of the 21 rows read other counts.
+4 of the 21 rows read other counts.
 
     PYTHONPATH=src python3 scripts/count_evaluations.py
 """
+import statistics
+
 import numpy as np
 
 from coherence_bounds._corpora import classical_quantum, family_points, ginibre
@@ -51,11 +53,11 @@ def _states(matrices, dim_b: int):
 
 
 def main() -> None:
-    print("| States | Corpus | Evaluations |")
-    print("|---|---|---|")
+    print("| States | Corpus | Evaluations | Median |")
+    print("|---|---|---|---|")
     for name, corpus, states in corpora():
         counts = [classical_correlation(rho).optimizer_evals for rho in states]
-        print(f"| {name} | {corpus} | {min(counts)}–{max(counts)} |")
+        print(f"| {name} | {corpus} | {min(counts)}–{max(counts)} | {statistics.median(counts):g} |")
 
 
 if __name__ == "__main__":

@@ -56,7 +56,9 @@ class DiscordResult:
 
     optimizer_evals counts objective evaluations: the 46 points of the
     geodesic grid, then per point an ascent tries one for the closed-form
-    model or nine for the 9-point stencil. README.md's table of objective
+    model or nine for the 9-point stencil. An ascent stops once its local
+    model predicts no gain above the value's rounding, so a flat objective
+    takes 47: the grid and the start. README.md's table of objective
     evaluations gives the counts per class of state, as
     scripts/count_evaluations.py prints them.
     """
@@ -467,27 +469,34 @@ def _probe(objective: _HolevoObjective, frame) -> tuple[float, Callable[[], tupl
     return f0, lambda: model, _STENCIL.shape[1]
 
 
-def _newton_step(model: tuple[float, ...]) -> tuple[float, float, float]:
-    """Ascent step (u, v) in tangent coordinates from the model (value, g1, g2, h11, h22, h12), and its length.
+def _newton_step(model: tuple[float, ...]) -> tuple[float, float, float, float, float]:
+    """(u, v, length, slope, bend) of the ascent step from the model (value, g1, g2, h11, h22, h12).
 
     The Hessian is split into eigen-directions in closed form. Along a
     direction of negative curvature the step is Newton's, which points
     uphill. Along one of positive curvature Newton's step points downhill,
     so the step goes as far uphill instead (the saddle-free Newton step of
     Dauphin et al., NIPS 2014): an ascent that starts on a ridge outside the
-    concave cap of a maximum still climbs. The step is not yet capped:
-    _refine scales it down to each trial's trust radius.
+    concave cap of a maximum still climbs. (u, v) is the step d in tangent
+    coordinates, not yet capped: _refine scales it by s to each trial's
+    trust radius. slope = g . d and bend = d . H d, read off the same
+    eigen-split, give the gain the model predicts for that trial,
+    s slope + s^2 bend / 2; _refine stops before a trial whose gain is no
+    more than rounding. The two directions are written out, not looped
+    over: every report's search takes a few of these steps, and a loop's
+    overhead costs the 2x2 report more than the stop saves.
     """
     _, g1, g2, h11, h22, h12 = model
     mean, half_gap = 0.5 * (h11 + h22), math.hypot(0.5 * (h11 - h22), h12)
     psi = 0.5 * math.atan2(2.0 * h12, h11 - h22)
     c, s = math.cos(psi), math.sin(psi)
-    u = v = 0.0
-    for curvature, qu, qv in ((mean + half_gap, c, s), (mean - half_gap, -s, c)):
-        if curvature != 0.0:
-            coef = (g1 * qu + g2 * qv) / abs(curvature)
-            u, v = u + coef * qu, v + coef * qv
-    return u, v, math.hypot(u, v)
+    # Curvature, slope and step coefficient along the eigen-directions (c, s) and (-s, c).
+    ca, cb = mean + half_gap, mean - half_gap
+    ga, gb = g1 * c + g2 * s, g2 * c - g1 * s
+    a = ga / abs(ca) if ca != 0.0 else 0.0
+    b = gb / abs(cb) if cb != 0.0 else 0.0
+    u, v = a * c - b * s, a * s + b * c
+    return u, v, math.hypot(u, v), ga * a + gb * b, ca * a * a + cb * b * b
 
 
 def _refine(
@@ -501,22 +510,32 @@ def _refine(
     pass. Only a point that steps (the start, and an accepted trial while
     the ascent goes on) gets its local model and its Newton step, once; each
     trial from it scales that step down to the trust radius. The trust
-    radius starts at `radius` and shrinks to a quarter of any rejected step;
-    the ascent stops after the first step shorter than ANGLE_RESOLUTION, or
-    once evals reaches _MAX_EVALS.
+    radius starts at `radius` and shrinks to a quarter of any rejected step.
+    The ascent stops after the first step shorter than ANGLE_RESOLUTION,
+    once evals reaches _MAX_EVALS, or before a trial whose gain as the model
+    predicts it (_newton_step's slope and bend at the trial's scale) is at or
+    below the value's rounding, 2**-52 max(1, |value|): such a trial could
+    only accept a last-bit change, as on a flat or ring-shaped objective
+    whose gradient and curvature are both rounding noise.
     """
     value, model, count = _probe(objective, frame)
     evals += count
     step = None
     length = radius
     while length >= ANGLE_RESOLUTION and evals < _MAX_EVALS:
-        # The step that falls below ANGLE_RESOLUTION is still tried: near a
-        # kink of the objective (a rank-deficient block) Newton converges only
-        # linearly, and that last step is worth up to 1e-11 in value.
+        # The step that falls below ANGLE_RESOLUTION is still tried if the
+        # model expects it to gain more than rounding: near a kink of the
+        # objective (a rank-deficient block) Newton converges only linearly,
+        # and that last step is worth up to 1e-11 in value.
         if step is None:
             step = _newton_step(model())
-        u, v, step_length = step
+            # 2**-52 max(1, |value|), without the cost of a call to max
+            size = abs(value)
+            rounding = 2.0**-52 * (size if size > 1.0 else 1.0)
+        u, v, step_length, slope, bend = step
         scale = radius / step_length if step_length > radius else 1.0
+        if scale * (slope + 0.5 * scale * bend) <= rounding:
+            break
         u, v = u * scale, v * scale
         length = math.hypot(u, v)
         trial = _moved(frame, u, v)
@@ -633,7 +652,10 @@ def classical_correlation(rho: DensityMatrix) -> DiscordResult:
     ascent tries takes one 9-point central-difference stencil. A trust radius
     caps the step: it starts at 2 pi / 16 and shrinks to a quarter of any
     step that does not improve the value. An ascent stops after the first
-    step shorter than ANGLE_RESOLUTION. J_A is S(B) plus the best value
+    step shorter than ANGLE_RESOLUTION, or before a trial whose gain, as the
+    local model predicts it, is at or below the value's rounding,
+    2**-52 max(1, |value|); on a flat objective that is at the start, where
+    gradient and curvature are rounding noise. J_A is S(B) plus the best value
     found, clamped at 0, and the discord is I(A:B) - J_A. S(B) and the
     grid's values come from one batched call over n = 0 and the grid, as in
     evaluate_all's report, so both give J_A with the same bits.

@@ -545,14 +545,17 @@ class TestLocalModel:
 
 def _full_model_refine(objective, frame, radius, evals):
     """The ascent as it was before trials were decided on their value alone: every
-    trial gets its whole local model, and every trial computes its own Newton step."""
+    trial gets its whole local model, and every trial computes its own Newton step.
+    It stops where _refine does, before a trial whose predicted gain is rounding."""
     _, model, count = correlations._probe(objective, frame)
     model = model()
     evals += count
     length = radius
     while length >= correlations.ANGLE_RESOLUTION and evals < correlations._MAX_EVALS:
-        u, v, length = correlations._newton_step(model)
+        u, v, length, slope, bend = correlations._newton_step(model)
         scale = radius / length if length > radius else 1.0
+        if scale * (slope + 0.5 * scale * bend) <= 2.0**-52 * max(1.0, abs(model[0])):
+            break
         u, v = u * scale, v * scale
         length = math.hypot(u, v)
         trial = correlations._moved(frame, u, v)
@@ -583,9 +586,10 @@ class TestValueFirstAscent:
         assert value_first == full_model
 
     def test_derivatives_only_where_the_ascent_steps(self, monkeypatch):
-        # figure 1's x_state rows: the derivative pass runs at the start and at
-        # accepted trials that step again (about 1.5 per row), each model gets
-        # one Newton step, and every other trial costs a value pass (8.7 per row)
+        # figure 1's x_state rows: the objective is constant along a ring of
+        # maxima, so at the start the model predicts no gain above rounding and
+        # the ascent stops there: one value pass and at most one derivative
+        # pass per row
         passes, derived, stepped = [], [], []
         value_pass, derivative_pass, newton_step = (
             _QubitMemoryObjective._value_pass, _QubitMemoryObjective._derivative_pass, correlations._newton_step
@@ -610,8 +614,41 @@ class TestValueFirstAscent:
         cli.render_figure_csv(cli.FIGURES[1])
         assert len({id(model) for model in stepped}) == len(stepped)
         assert {id(model) for model in derived} <= {id(model) for model in stepped}
-        assert len(derived) <= 2 * rows
-        assert len(passes) >= 8 * rows
+        assert len(derived) <= rows
+        assert len(passes) == rows
+
+
+def _without_the_stop(newton_step):
+    """_newton_step with an infinite predicted gain, so _refine never stops on its prediction."""
+    return lambda model: (*newton_step(model)[:3], math.inf, 0.0)
+
+
+class TestStopAtRounding:
+    """An ascent stops before a trial whose predicted gain is no more than the value's rounding."""
+
+    @pytest.mark.parametrize(
+        "rho",
+        [werner(p) for p in (0.0, 0.3, 0.5, 0.9, 0.99)] + [_corpora.strata(d)["product"][0] for d in (2, 3, 8)],
+    )
+    def test_flat_objectives_stop_at_the_start(self, rho):
+        # werner(p < 1) and I/2 (x) rho_B are flat: the 46 grid points, then the start
+        assert classical_correlation(rho).optimizer_evals == _geodesic_grid()[0].shape[1] + 1
+
+    @pytest.mark.parametrize(
+        "rho",
+        [bell_diagonal_family(0.0)] + [load_state_file(DATA / f) for f in ("rank2_2x4.txt", "multimodal_2x3.txt")],
+    )
+    def test_a_step_that_gains_keeps_its_bits(self, rho, monkeypatch):
+        # bell_diagonal_family(0) climbs a kink on the stencil, rank2_2x4 takes
+        # the stencil everywhere, multimodal_2x3 has two basins
+        res = classical_correlation(rho)
+        monkeypatch.setattr(correlations, "_newton_step", _without_the_stop(correlations._newton_step))
+        unstopped = classical_correlation(rho)
+        assert res.classical_correlation.hex() == unstopped.classical_correlation.hex()
+        assert res.optimizer_evals <= unstopped.optimizer_evals
+
+    def test_the_kink_keeps_its_evaluations(self):
+        assert classical_correlation(bell_diagonal_family(0.0)).optimizer_evals == 81
 
 
 def _xlog2x(w):
@@ -724,7 +761,7 @@ class TestCoarseMultiStart:
 
     def test_flat_objectives_refine_few_starts(self, stratified):
         # every grid point ties on a flat objective; with one start per peak
-        # value these strata take 48 to 109 evaluations, where for dim_b > 2
+        # value these strata take 47 to 82 evaluations, where for dim_b > 2
         # the cap on starts alone gave 118 to 262 and no rule 172 to 874
         for name, _, _, res in stratified:
             if name in ("pure", "product"):
