@@ -40,8 +40,12 @@ validated state makes no eigensolve; a family state, built unvalidated,
 makes one 4x4 eigvalsh for it. All seven distributions are zero-padded
 rows of one table. correlations._report_scalars is the one place that owns
 that table: it fills it, cuts spectrum entries below SUPPORT_CUT to exact
-zeros, takes the single checked entropy pass and runs the search. This
-module holds q_mu and the field formulas alone.
+zeros, takes the single checked entropy pass and runs the search. It does
+so for a stack of states that share dim_b, X and Z: one batched call over
+every state's blocks, one table of seven rows per state and one entropy
+pass over all of them, then each state's search in order. Each state's
+scalars have the bits of a call over it alone, and evaluate_all is the
+stack of one. This module holds q_mu and the field formulas alone.
 
 J_A, and with it the non-convex search, enters exactly three fields:
 discord_gap, lb_theorem3 and eur_pati. Every other field is an expression
@@ -50,11 +54,16 @@ figure sweep names the fields it prints, and its reports run the search only
 when one of those fields reads J_A; otherwise the three fields are NaN, and
 the batched call covers n = 0, n_X and n_Z alone. Of the four standard
 figures only figure 1 (lb_theorem3) searches. A sweep computes q_mu once,
-since every row shares X and Z.
+since every row shares X and Z, and builds its family states _SWEEP_CHUNK
+rows at a time, each chunk one _report_scalars call. Its rows come out as
+they are made, so a caller that consumes them one by one, as the figure
+CSV does, holds at most one chunk of reports.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 from .coherence import coherence_rel
 from .correlations import _report_scalars
@@ -66,6 +75,10 @@ from .states import DensityMatrix, bell_diagonal_family, werner, x_state
 # |x| below this is treated as an exact zero inside max{0, x} terms, so a
 # theoretical zero never turns into 1e-16 and flips a tightness comparison.
 DUST = 1e-12
+
+# The rows of a figure sweep that share one _report_scalars call. A chunk of
+# searched x_state rows holds about 2.5 MB of spectra.
+_SWEEP_CHUNK = 1024
 
 # The report fields that read J_A; _report leaves them NaN without the search.
 _DISCORD_FIELDS = frozenset({"discord_gap", "lb_theorem3", "eur_pati"})
@@ -128,11 +141,17 @@ def _report(
 ) -> BoundReport:
     """evaluate_all's report, given q_mu = incompatibility(x, z).
 
-    Every field is a formula over q_mu and the eight scalars of
-    _report_scalars. Without `discord` the batched call covers n = 0, n_X
-    and n_Z only, the search is skipped and J_A is NaN.
+    Without `discord` the batched call covers n = 0, n_X and n_Z only, the
+    search is skipped and J_A is NaN.
     """
-    s_ab, s_a, s_b, s_xb, s_zb, h_x, h_z, j_a = _report_scalars(rho, x, z, discord)
+    return _fields(q_mu, *_report_scalars([rho], x, z, discord)[0])
+
+
+def _fields(
+    q_mu: float, s_ab: float, s_a: float, s_b: float, s_xb: float, s_zb: float,
+    h_x: float, h_z: float, j_a: float,
+) -> BoundReport:
+    """The report whose every field is a formula over q_mu and the eight scalars of _report_scalars."""
     cond = s_ab - s_b
     info = s_a + s_b - s_ab
     lhs_coherence = max(0.0, s_xb - s_ab) + max(0.0, s_zb - s_ab)
@@ -176,16 +195,19 @@ def sweep_family(
     family: str, x: ObservableBasis, z: ObservableBasis, p_values
 ) -> list[tuple[float, BoundReport]]:
     """Evaluate a named one-parameter family on a grid of p values."""
-    return _sweep(family, x, z, p_values, _DISCORD_FIELDS)
+    return list(_sweep(family, x, z, p_values, _DISCORD_FIELDS))
 
 
 def _sweep(
     family: str, x: ObservableBasis, z: ObservableBasis, p_values, field_names
-) -> list[tuple[float, BoundReport]]:
-    """sweep_family for a caller that reads only `field_names` of each report.
+) -> Iterator[tuple[float, BoundReport]]:
+    """sweep_family's rows for a caller that reads only `field_names` of each report, as they are made.
 
     The search for J_A runs only if one of `field_names` reads it;
-    otherwise the J_A fields of every report are NaN.
+    otherwise the J_A fields of every report are NaN. The rows are made
+    _SWEEP_CHUNK at a time, one _report_scalars call per chunk, and each
+    report is built as its row is yielded, so a caller that consumes the rows
+    one by one never holds more than one chunk of them.
     """
     try:
         constructor = FAMILIES[family]
@@ -193,4 +215,8 @@ def _sweep(
         raise DomainError(f"unknown family {family!r}, expected one of {sorted(FAMILIES)}") from None
     discord = not _DISCORD_FIELDS.isdisjoint(field_names)
     q_mu = incompatibility(x, z)
-    return [(float(p), _report(constructor(float(p)), x, z, q_mu, discord)) for p in p_values]
+    grid = iter(p_values)
+    while chunk := [float(p) for p in islice(grid, _SWEEP_CHUNK)]:
+        scalars = _report_scalars([constructor(p) for p in chunk], x, z, discord)
+        for p, row in zip(chunk, scalars):
+            yield p, _fields(q_mu, *row)

@@ -19,7 +19,8 @@ of bloch_basis(theta, phi); for a qubit that covers every rank-1 projective
 measurement. The objective's blocks also give evaluate_all the spectra of
 rho_A, rho_B and the two dephased states, in the same batched call as the
 grid's values: _report_scalars turns them into the entropies and J_A that
-every report field is a formula over.
+every report field is a formula over, for one state or for a figure
+sweep's stack of states in one call.
 """
 from __future__ import annotations
 
@@ -112,9 +113,11 @@ class _HolevoObjective:
     eigenproblems. This class splits the state into B blocks for the report
     and the search; measurement._conditional_blocks splits it for the
     reference path (dephase, holevo, measure). A report reads it through
-    _report_scalars: one batched _spectra call gives every spectrum of the
-    report except rho_AB's and, if the report searches, the values on the
-    search's grid. The optimiser reads each trial's value from a value pass
+    _report_scalars: one batched _block_spectra call, over the objectives of
+    a whole stack of states, gives every spectrum of each report except
+    rho_AB's and, if the reports search, the values on the search's grid.
+    _block_spectra is a static method of the model, so a stack of one state
+    takes the same call. The optimiser reads each trial's value from a value pass
     (_value_pass) and the Newton steps' local model from a derivative pass
     over its terms (_derivative_pass). The constant S(B) is left to the
     caller.
@@ -146,35 +149,30 @@ class _HolevoObjective:
         self.db = db
 
     def __call__(self, n: np.ndarray) -> np.ndarray:
-        return self._values(self._spectra(n))
+        return self._values(_spectra([self], n)[0])
 
     @staticmethod
     def _values(spectra: np.ndarray) -> np.ndarray:
-        """The objective at the N points whose 2 N columns of _spectra are given."""
+        """The objective at the N points whose 2 N columns of _spectra are given, for one state or a stack."""
         terms = xlog2x(spectra)
         # p_y S(M_y / p_y) = p_y log2 p_y - sum_k w_k log2 w_k for eigenvalues w of M_y.
-        s_cond = terms[0] - terms[1:].sum(axis=0)
-        size = spectra.shape[1] // 2
-        return -(s_cond[:size] + s_cond[size:])
+        s_cond = terms[..., 0, :] - terms[..., 1:, :].sum(axis=-2)
+        size = spectra.shape[-1] // 2
+        return -(s_cond[..., :size] + s_cond[..., size:])
 
-    def _spectra(self, n: np.ndarray) -> np.ndarray:
-        """Row 0: p = Tr M; rows 1..dim_b: the eigenvalues of M.
+    @staticmethod
+    def _block_spectra(objectives: list[_HolevoObjective], coeffs: np.ndarray) -> np.ndarray:
+        """_spectra's rows for the blocks M = (1, n) @ _planes of each objective at the columns (1, n) of coeffs.
 
-        Column j < N is M_+ at column j of n, and column N + j is M_- there.
+        One product per objective's planes, in one batched matmul, and one
+        eigvalsh over every block of the stack.
         """
-        size = n.shape[1]
-        coeffs = np.empty((4, 2 * size))
-        coeffs[0] = 1.0
-        coeffs[1:, :size] = n
-        coeffs[1:, size:] = -n
-        return self._block_spectra(coeffs)
-
-    def _block_spectra(self, coeffs: np.ndarray) -> np.ndarray:
-        """_spectra's rows for the blocks M = (1, n) @ _planes at the columns (1, n) of coeffs."""
-        m = (coeffs.T @ self._planes).view(np.complex128).reshape(-1, self.db, self.db)
-        rows = np.empty((1 + self.db, m.shape[0]))
-        rows[0] = np.einsum("naa->n", m).real
-        rows[1:] = np.linalg.eigvalsh(m).T
+        db = objectives[0].db
+        planes = np.array([objective._planes for objective in objectives])
+        m = (coeffs.T @ planes).view(np.complex128).reshape(-1, db, db)
+        rows = np.empty((len(objectives), 1 + db, coeffs.shape[1]))
+        rows[:, 0] = np.einsum("naa->n", m).real.reshape(len(objectives), -1)
+        rows[:, 1:] = np.linalg.eigvalsh(m).reshape(len(objectives), -1, db).transpose(0, 2, 1)
         return rows
 
     def _value_pass(self, n) -> tuple[float, tuple] | None:
@@ -253,29 +251,33 @@ class _QubitMemoryObjective(_HolevoObjective):
     def __init__(self, rho: DensityMatrix):
         # _HolevoObjective's numpy build on Python floats, the same operations in the same
         # order, for entries (0, 0), (1, 1) and (0, 1) of M_+; b_aa'[b, b'] = m[2a + b][2a' + b'].
-        m = rho.matrix.tolist()
-        k00, k11, k01 = (
-            (0.5 * (m[b][c] + m[b + 2][c + 2]), 0.5 * (m[b + 2][c] + m[b][c + 2]),
-             0.5 * (1j * (m[b][c + 2] - m[b + 2][c])), 0.5 * (m[b][c] - m[b + 2][c + 2]))
-            for b, c in ((0, 0), (1, 1), (0, 1))
-        )
-        self._trace = tuple((x + y).real for x, y in zip(k00, k11))
+        # Written out: a comprehension's frame costs the 2x2 report more than its arithmetic.
+        (m00, m01, m02, m03), (_, m11, _, m13), (m20, m21, m22, m23), (_, m31, _, m33) = rho.matrix.tolist()
+        a0, a1, a2, a3 = 0.5 * (m00 + m22), 0.5 * (m20 + m02), 0.5 * (1j * (m02 - m20)), 0.5 * (m00 - m22)
+        b0, b1, b2, b3 = 0.5 * (m11 + m33), 0.5 * (m31 + m13), 0.5 * (1j * (m13 - m31)), 0.5 * (m11 - m33)
+        c0, c1, c2, c3 = 0.5 * (m01 + m23), 0.5 * (m21 + m03), 0.5 * (1j * (m03 - m21)), 0.5 * (m01 - m23)
+        self._trace = ((a0 + b0).real, (a1 + b1).real, (a2 + b2).real, (a3 + b3).real)
         # One real affine map to the trace p and the gap vector u, whose norm
         # g sets the eigenvalues (p +- g) / 2.
-        self._rows = (self._trace, [(x - y).real for x, y in zip(k00, k11)],
-                      [2.0 * x.real for x in k01], [2.0 * x.imag for x in k01])
-        self.k = np.array(self._rows)
+        self._rows = (
+            self._trace,
+            ((a0 - b0).real, (a1 - b1).real, (a2 - b2).real, (a3 - b3).real),
+            (2.0 * c0.real, 2.0 * c1.real, 2.0 * c2.real, 2.0 * c3.real),
+            (2.0 * c0.imag, 2.0 * c1.imag, 2.0 * c2.imag, 2.0 * c3.imag),
+        )
         self.db = 2
 
-    def _block_spectra(self, coeffs: np.ndarray) -> np.ndarray:
-        rows = self.k @ coeffs
-        p, u0, u1, u2 = rows
+    @staticmethod
+    def _block_spectra(objectives: list[_HolevoObjective], coeffs: np.ndarray) -> np.ndarray:
+        # One 4x4 map per objective, from its _rows, applied in one batched matmul.
+        rows = np.array([objective._rows for objective in objectives]) @ coeffs
+        p, u0, u1, u2 = rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3]
         # Rows 1 and 2 are overwritten with (p + gap) / 2 and (p - gap) / 2.
         gap = np.sqrt(u0 * u0 + (u1 * u1 + u2 * u2))
         np.add(p, gap, out=u0)
         np.subtract(p, gap, out=u1)
-        rows[1:3] *= 0.5
-        return rows[:3]
+        rows[:, 1:3] *= 0.5
+        return rows[:, :3]
 
     def _value_pass(self, n) -> tuple[float, tuple] | None:
         """_HolevoObjective._value_pass in closed form.
@@ -347,6 +349,42 @@ class _QubitMemoryObjective(_HolevoObjective):
             f22 += dp2 * dp2 * c_p - hi2 * hi2 * c_hi - lo2 * lo2 * c_lo - kappa * (uu22 - dg2 * dg2)
             f12 += dp1 * dp2 * c_p - hi1 * hi2 * c_hi - lo1 * lo2 * c_lo - kappa * (uu12 - dg1 * dg2)
         return value, -f1, -f2, fn - f11, fn - f22, -f12
+
+
+def _coefficients(n: np.ndarray) -> np.ndarray:
+    """The columns (1, n) and (1, -n) of the blocks M_+ and M_- at the N columns of n, shape (4, 2 N)."""
+    size = n.shape[1]
+    coeffs = np.empty((4, 2 * size))
+    coeffs[0] = 1.0
+    coeffs[1:, :size] = n
+    coeffs[1:, size:] = -n
+    return coeffs
+
+
+def _spectra(objectives: list[_HolevoObjective], n: np.ndarray) -> np.ndarray:
+    """Per objective, row 0: p = Tr M; rows 1..: the eigenvalues of M. Shape (len(objectives), rows, 2 N).
+
+    Column j < N is M_+ at column j of n, and column N + j is M_- there.
+    Every objective has the same model (one dim_b); its one _block_spectra
+    call covers the whole stack, and each objective's rows have the bits of
+    a call over it alone.
+    """
+    return type(objectives[0])._block_spectra(objectives, _coefficients(n))
+
+
+@cache
+def _scan_coefficients(search: bool) -> np.ndarray:
+    """_coefficients of the report's scan, n = 0, n_X, n_Z and with `search` the grid, with n_X = n_Z = 0.
+
+    Read-only, built once per flag; _report_scalars copies it and writes
+    n_X and n_Z into its columns 1 and 2 of each half.
+    """
+    points = _geodesic_grid()[0] if search else np.empty((3, 0))
+    n = np.zeros((3, 3 + points.shape[1]))
+    n[:, 3:] = points
+    coeffs = _coefficients(n)
+    coeffs.flags.writeable = False
+    return coeffs
 
 
 def _outcome0_bloch(basis: ObservableBasis) -> tuple[float, float, float]:
@@ -501,7 +539,7 @@ def _newton_step(model: tuple[float, ...]) -> tuple[float, float, float, float, 
 
 def _refine(
     objective: _HolevoObjective, frame, radius: float, evals: int
-) -> tuple[float, np.ndarray, int]:
+) -> tuple[float, tuple[float, float, float], int]:
     """(best value, its Bloch vector, evals plus the evaluations made) of a Newton ascent from frame[0].
 
     Safeguarded saddle-free Newton steps in tangent-plane coordinates at the
@@ -545,12 +583,12 @@ def _refine(
             frame, value, model, step = trial, trial_value, trial_model, None
         else:
             radius = 0.25 * length
-    return value, np.array(frame[0]), evals
+    return value, frame[0], evals
 
 
 def _maximize_holevo(
     objective: _HolevoObjective, values: np.ndarray, s_b: float
-) -> tuple[float, np.ndarray, int]:
+) -> tuple[float, tuple[float, float, float], int]:
     """(J_A, its Bloch vector, objective evaluations) for qubit A, given the objective on the grid and S(B).
 
     The search maximises the objective, -S(B|Y_n); J_A is max(0, s_b + best).
@@ -578,55 +616,68 @@ def _maximize_holevo(
     return max(0.0, s_b + best), n, evals
 
 
-def _memory_spectrum(spectra: np.ndarray) -> np.ndarray:
-    """rho_B's eigenvalues from column 0 of a _spectra call whose first point is n = 0: rho_B = 2 M_+(0).
+def _memory_spectrum(spectra: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """rho_B's eigenvalues from column 0 of _spectra rows whose first point is n = 0: rho_B = 2 M_+(0).
 
     Both routes to J_A read S(B) from it, so the report and
-    classical_correlation add back the same bits.
+    classical_correlation add back the same bits. The report has it written
+    straight into its table, `out`.
     """
-    return 2.0 * spectra[1:, 0]
+    return np.multiply(spectra[..., 1:, 0], 2.0, out=out)
 
 
-def _report_scalars(rho: DensityMatrix, x: ObservableBasis, z: ObservableBasis, search: bool) -> list[float]:
-    """[S(AB), S(A), S(B), S(XB), S(ZB), H(p_X), H(p_Z), J_A] for qubit A; J_A is NaN without `search`.
+def _report_scalars(
+    states: list[DensityMatrix], x: ObservableBasis, z: ObservableBasis, search: bool
+) -> list[list[float]]:
+    """Per state, [S(AB), S(A), S(B), S(XB), S(ZB), H(p_X), H(p_Z), J_A] for qubit A; J_A is NaN without `search`.
 
-    The one place that holds the report's distributions. With n the Bloch
-    vector of a basis's outcome-0 ket, the dephased state rho_YB is block
-    diagonal with blocks M_+-(n) and p_Y is their traces; rho_B = 2 M_+(0),
-    and rho_A has the eigenvalues P0 +- |P| of Tr M_+ = P0 + P.n. So one
-    _spectra call over n = 0, n_X, n_Z and, with `search`, the points of
-    _geodesic_grid() gives every distribution but rho_AB's, whose spectrum
-    the state keeps. The seven go into one zero-padded table; spectrum
-    entries below SUPPORT_CUT become exact zeros, and one checked _entropies
-    pass gives the seven entropies. Only with `search` are the grid's values
-    formed and the search for J_A run from them. A state with dim_a != 2
-    raises UnsupportedDimension before anything else.
+    The one place that holds the report's distributions, for a stack of
+    states with one dim_b measured in one X, Z pair. With n the Bloch vector
+    of a basis's outcome-0 ket, the dephased state rho_YB is block diagonal
+    with blocks M_+-(n) and p_Y is their traces; rho_B = 2 M_+(0), and rho_A
+    has the eigenvalues P0 +- |P| of Tr M_+ = P0 + P.n. So one _block_spectra
+    call over every state's objective, at the columns of _scan_coefficients
+    (n = 0, n_X, n_Z and, with `search`, the points of _geodesic_grid()),
+    gives every distribution but rho_AB's, whose spectrum each state keeps. The seven per state go into one
+    zero-padded (N, 7, 2 dim_b) table; spectrum entries below SUPPORT_CUT
+    become exact zeros, and one checked _entropies pass over its 7 N rows
+    gives the entropies. Only with `search` are the grid's values formed and
+    each state's search for J_A run from them, in order. Each state's
+    scalars have the bits of a call over that state alone. A state with
+    dim_a != 2 raises UnsupportedDimension before anything is computed.
     """
-    objective = _HolevoObjective(rho)
-    db = objective.db
-    points = _geodesic_grid()[0] if search else np.empty((3, 0))
-    n = np.zeros((3, 3 + points.shape[1]))
-    n[:, 1], n[:, 2] = _outcome0_bloch(x), _outcome0_bloch(z)
-    n[:, 3:] = points
-    spectra = objective._spectra(n)
-    # Axes: row of _spectra, block M_+ or M_-, point n = 0, n_X or n_Z.
-    cols = spectra.reshape(1 + db, 2, -1)[:, :, :3]
-    # Rows: the spectra of AB, A, B, XB and ZB, then p_X and p_Z.
-    table = np.zeros((7, 2 * db))
-    table[0] = rho._spectrum
-    p0, px, py, pz = objective._trace
-    r = math.sqrt(px * px + py * py + pz * pz)
-    table[1, :2] = p0 + r, p0 - r
-    table[2, :db] = _memory_spectrum(spectra)
-    table[3:5] = cols[1:, :, 1:].transpose(2, 0, 1).reshape(2, 2 * db)
-    table[5:, :2] = cols[0, :, 1:].T
-    spectrum_rows = table[:5]
+    objectives = [_HolevoObjective(rho) for rho in states]
+    count, db = len(objectives), objectives[0].db
+    coeffs = _scan_coefficients(search).copy()
+    size = coeffs.shape[1] // 2
+    ends = np.array((_outcome0_bloch(x), _outcome0_bloch(z))).T
+    coeffs[1:, 1:3] = ends
+    coeffs[1:, size + 1 : size + 3] = -ends
+    spectra = type(objectives[0])._block_spectra(objectives, coeffs)
+    # Axes: state, row of _spectra, block M_+ or M_-, point n = 0, n_X or n_Z.
+    cols = spectra.reshape(count, 1 + db, 2, -1)[:, :, :, :3]
+    # Rows per state: the spectra of AB, A, B, XB and ZB, then p_X and p_Z.
+    table = np.zeros((count, 7, 2 * db))
+    for k, (rho, objective) in enumerate(zip(states, objectives)):
+        table[k, 0] = rho._spectrum
+        p0, px, py, pz = objective._trace
+        r = math.sqrt(px * px + py * py + pz * pz)
+        table[k, 1, :2] = p0 + r, p0 - r
+    _memory_spectrum(spectra, out=table[:, 2, :db])
+    table[:, 3:5] = cols[:, 1:, :, 1:].transpose(0, 3, 1, 2).reshape(count, 2, 2 * db)
+    table[:, 5:, :2] = cols[:, 0, :, 1:].transpose(0, 2, 1)
+    spectrum_rows = table[:, :5]
     spectrum_rows[spectrum_rows < SUPPORT_CUT] = 0.0
-    entropies = _entropies(table)
+    entropies = _entropies(table.reshape(7 * count, 2 * db))
+    if not search:
+        return [entropies[k : k + 7] + [math.nan] for k in range(0, 7 * count, 7)]
     # The grid's values are formed only here: an unsearched report reads none.
-    # The search starts from them and adds back S(B), entropies[2].
-    j_a = _maximize_holevo(objective, objective._values(spectra)[3:], entropies[2])[0] if search else math.nan
-    return entropies + [j_a]
+    # Each search starts from them and adds back its S(B), entropies[k + 2].
+    values = objectives[0]._values(spectra)[:, 3:]
+    return [
+        entropies[k : k + 7] + [_maximize_holevo(objective, grid_values, entropies[k + 2])[0]]
+        for k, objective, grid_values in zip(range(0, 7 * count, 7), objectives, values)
+    ]
 
 
 def classical_correlation(rho: DensityMatrix) -> DiscordResult:
@@ -662,7 +713,7 @@ def classical_correlation(rho: DensityMatrix) -> DiscordResult:
     Deterministic: no randomness, so repeated calls agree exactly.
     """
     objective = _HolevoObjective(rho)
-    spectra = objective._spectra(np.hstack([np.zeros((3, 1)), _geodesic_grid()[0]]))
+    (spectra,) = _spectra([objective], np.hstack([np.zeros((3, 1)), _geodesic_grid()[0]]))
     s_b = _spectrum_entropy(_memory_spectrum(spectra))
     j_a, n, evals = _maximize_holevo(objective, objective._values(spectra)[1:], s_b)
     info = mutual_information(rho)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coherence_bounds import bounds, correlations
+from coherence_bounds import _corpora, bounds, correlations
 from coherence_bounds.bounds import (
     BoundReport,
     FAMILIES,
@@ -21,7 +21,13 @@ from coherence_bounds.coherence import (
     unilateral_coherence,
     unilateral_purity,
 )
-from coherence_bounds.correlations import classical_correlation, conditional_entropy, holevo, mutual_information
+from coherence_bounds.correlations import (
+    _report_scalars,
+    classical_correlation,
+    conditional_entropy,
+    holevo,
+    mutual_information,
+)
 from coherence_bounds.entropy import shannon_entropy
 from coherence_bounds.errors import DimensionError, DomainError, UnsupportedDimension
 from coherence_bounds.measurement import (
@@ -327,6 +333,61 @@ class TestSweeps:
         for family in ("bell_diagonal", "werner"):
             for p, rep in sweep_family(family, X, Z, np.linspace(0.0, 1.0, 11)):
                 assert rep.lhs_coherence == pytest.approx(rep.ub_holevo, abs=1e-9)
+
+
+def _hex_rows(rows) -> list[list[str]]:
+    # float.hex tells -0.0 from 0.0 and gives every NaN the same text
+    return [[float(v).hex() for v in row] for row in rows]
+
+
+class TestStackedReport:
+    """_report_scalars over a stack gives every state the bits of a call over that state alone."""
+
+    @staticmethod
+    def _check(states, x, z, search):
+        stacked = _report_scalars(states, x, z, search)
+        lone = [_report_scalars([rho], x, z, search)[0] for rho in states]
+        assert len(stacked) == len(states)
+        assert all(len(row) == 8 for row in stacked)
+        assert _hex_rows(stacked) == _hex_rows(lone)
+        return stacked
+
+    @pytest.mark.parametrize("search", [True, False])
+    def test_the_figure_grid_points(self, search):
+        rows = self._check(_corpora.family_points(), X, Z, search)
+        assert all(math.isnan(row[-1]) != search for row in rows)
+
+    def test_the_seed42_corpus_under_one_basis_pair(self):
+        cases = generate_cases(42, 1000)
+        self._check([case.rho for case in cases], cases[0].x, cases[0].z, True)
+
+    @pytest.mark.parametrize("dim_b", [3, 8])
+    def test_random_wider_memories(self, dim_b):
+        states = [random_density(2, dim_b, 900 + k) for k in range(20)]
+        self._check(states, bloch_basis(0.8, 1.9), bloch_basis(2.1, 0.4), True)
+
+    def test_a_sweep_of_two_chunks_and_a_row_matches_row_by_row_reports(self, monkeypatch):
+        chunk = bounds._SWEEP_CHUNK
+        grid = np.linspace(0.0, 1.0, 2 * chunk + 1)
+        sizes = []
+
+        def recorded(states, x, z, search):
+            sizes.append(len(states))
+            return _report_scalars(states, x, z, search)
+
+        monkeypatch.setattr(bounds, "_report_scalars", recorded)
+        rows = sweep_family("xstate", X, Z, grid)
+        assert sizes == [chunk, chunk, 1]
+        monkeypatch.undo()
+        q_mu = incompatibility(X, Z)
+        assert [p for p, _ in rows] == grid.tolist()
+        for p, report in rows:
+            expected = bounds._report(x_state(p), X, Z, q_mu, discord=True)
+            assert _hex_rows([asdict(report).values()]) == _hex_rows([asdict(expected).values()])
+
+    def test_an_empty_sweep_has_no_rows(self):
+        assert sweep_family("werner", X, Z, []) == []
+        assert sweep_family("xstate", X, Z, np.array([])) == []
 
 
 def test_report_without_search_leaves_exactly_the_j_a_fields_nan():

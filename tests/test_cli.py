@@ -11,7 +11,6 @@ import pytest
 
 from coherence_bounds import bounds, cli, correlations, states
 from coherence_bounds.bounds import BoundReport
-from coherence_bounds.correlations import _HolevoObjective
 from coherence_bounds.cli import (
     EXIT_INVARIANT,
     EXIT_IO,
@@ -150,17 +149,20 @@ class TestFigure:
 
     @pytest.mark.parametrize("which", [2, 3, 4])
     def test_an_unsearched_sweep_scans_three_points_per_row(self, which, monkeypatch):
-        # n = 0, n_X and n_Z; the 46 grid points only start the search
-        widths = []
-        spectra = _HolevoObjective._spectra
+        # n = 0, n_X and n_Z; the 46 grid points only start the search. All
+        # 101 rows share one stacked call, one objective per row, and each
+        # point is a column for M_+ and one for M_-.
+        calls = []
+        model = correlations._QubitMemoryObjective
+        block_spectra = model._block_spectra
 
-        def recorded(self, n):
-            widths.append(n.shape[1])
-            return spectra(self, n)
+        def recorded(objectives, coeffs):
+            calls.append((len(objectives), coeffs.shape[1] // 2))
+            return block_spectra(objectives, coeffs)
 
-        monkeypatch.setattr(_HolevoObjective, "_spectra", recorded)
+        monkeypatch.setattr(model, "_block_spectra", staticmethod(recorded))
         cli.render_figure_csv(cli.FIGURES[which])
-        assert widths == [3] * cli.FIGURES[which].steps
+        assert calls == [(cli.FIGURES[which].steps, 3)]
 
     @pytest.mark.parametrize("which", [1, 2, 3, 4])
     def test_a_sweep_validates_no_row_and_solves_one_4x4_per_row(self, which, monkeypatch):

@@ -18,6 +18,7 @@ from coherence_bounds.correlations import (
     _STENCIL,
     _maximize_holevo,
     _report_scalars,
+    _spectra,
     _tangent_frame,
     classical_correlation,
     conditional_entropy,
@@ -264,7 +265,7 @@ class TestFastObjective:
             planes = general._planes
             trace = planes[:, 0] + planes[:, 6]
             expected = np.array([trace, planes[:, 0] - planes[:, 6], 2.0 * planes[:, 2], 2.0 * planes[:, 3]])
-            assert objective.k.tobytes() == expected.tobytes()
+            assert np.array(objective._rows).tobytes() == expected.tobytes()
             assert np.array(objective._trace).tobytes() == trace.tobytes()
             assert objective._trace == general._trace
 
@@ -278,8 +279,8 @@ class TestFastObjective:
         for rho in states:
             closed, general = _HolevoObjective(rho), _general_model(rho)
             # the closed form lists a block's eigenvalues from the largest down
-            spectra = closed._spectra(grid)[[0, 2, 1]]
-            assert np.max(np.abs(spectra - general._spectra(grid))) <= 1e-13
+            spectra = _spectra([closed], grid)[0][[0, 2, 1]]
+            assert np.max(np.abs(spectra - _spectra([general], grid)[0])) <= 1e-13
             assert np.max(np.abs(closed(grid) - general(grid))) <= 1e-13
             for n in probes.T.tolist():
                 local, reference = closed._value_pass(n), general._value_pass(n)
@@ -311,7 +312,7 @@ class TestFastObjective:
             states += [x_state(0.0), x_state(1.0), product_state(21)]
         for rho in states:
             tables.clear()
-            _report_scalars(rho, pauli_basis(1), pauli_basis(3), search=True)
+            _report_scalars([rho], pauli_basis(1), pauli_basis(3), search=True)
             (table,) = tables
             rows = table[1:3]
             assert np.all(rows[0, 2:] == 0.0) and np.all(rows[1, dim_b:] == 0.0)
@@ -332,7 +333,7 @@ class TestFastObjective:
         monkeypatch.setattr(correlations, "_maximize_holevo", recorded)
         for seed in range(90, 93):
             starts.clear()
-            _report_scalars(random_density(2, dim_b, seed), bloch_basis(0.3, 1.2), pauli_basis(3), search=True)
+            _report_scalars([random_density(2, dim_b, seed)], bloch_basis(0.3, 1.2), pauli_basis(3), search=True)
             ((objective, values),) = starts
             assert values.tobytes() == objective(_geodesic_grid()[0]).tobytes()
 
@@ -375,7 +376,7 @@ class TestClassicalCorrelation:
         for dim_b in (2, 3, 4, 8):
             cases += [(rho, pauli_basis(1), pauli_basis(3)) for states in _corpora.strata(dim_b).values() for rho in states]
         for rho, x, z in cases:
-            assert classical_correlation(rho).classical_correlation == _report_scalars(rho, x, z, True)[-1]
+            assert classical_correlation(rho).classical_correlation == _report_scalars([rho], x, z, True)[0][-1]
 
     def test_deterministic(self):
         a = classical_correlation(random_density(2, 2, 33))

@@ -44,6 +44,24 @@ def test_hermitize_of_a_stack_is_hermitize_of_each_matrix_bitwise(n):
         assert out[k].tobytes() == hermitize(m).tobytes()
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_a_stacked_eigensolve_gives_each_matrix_the_bits_of_a_lone_call(n):
+    # the report stacks the blocks of many states into one eigvalsh, and an
+    # ascent could stack its trials into one eigh; both rest on this
+    rng = np.random.default_rng((n, 33))
+    for size in range(2, 17):
+        g = rng.standard_normal((size, n, n)) + 1j * rng.standard_normal((size, n, n))
+        stack = hermitize(g @ g.conj().transpose(0, 2, 1))
+        values = np.linalg.eigvalsh(stack)
+        pairs, vectors = np.linalg.eigh(stack)
+        for k in range(size):
+            lone = stack[k].copy()
+            assert values[k].tobytes() == np.linalg.eigvalsh(lone).tobytes()
+            lone_pairs, lone_vectors = np.linalg.eigh(lone)
+            assert pairs[k].tobytes() == lone_pairs.tobytes()
+            assert vectors[k].tobytes() == lone_vectors.tobytes()
+
+
 def test_tensor_product_rejects_non_matrices():
     with pytest.raises(DimensionError):
         tensor_product(np.ones(2), np.eye(2))
