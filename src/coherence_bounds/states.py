@@ -19,7 +19,8 @@ Conventions used everywhere in this package:
   marginals and, per live measurement basis object, the state dephased in
   that basis with the outcome probabilities p_Y and their entropy H(p_Y).
   Each is computed once, on first use, by the one function that builds it,
-  and kept on that object only. For a state from make_density that first
+  and kept on that object only; _state_spectra builds the spectra of a
+  stack of states in one eigvalsh. For a state from make_density that first
   use is validation: its checks read the state's spectrum, its entropy and
   its A marginal's spectrum. States compare and hash by identity.
 
@@ -92,11 +93,11 @@ class DensityMatrix:
     one-parameter families, and marginals, dephased and conditional states of
     a valid DensityMatrix) are built directly. matrix
     is made read-only, so what the state keeps from it cannot go stale: the
-    spectrum (eigvalsh), the eigensystem (eigh, which relative_entropy reads),
-    the entropy and the two marginals, each a cached_property computed on
-    first use, and per live basis object the dephased state with its outcome
-    probabilities and their entropy, which measurement._dephasing builds from
-    one set of blocks. They belong to this object, never to its content: a
+    spectrum (eigvalsh, possibly one row of a stacked call), the eigensystem
+    (eigh, which relative_entropy reads), the entropy and the two marginals,
+    each a cached_property computed on first use, and per live basis object
+    the dephased state with its outcome probabilities and their entropy,
+    which measurement._dephasing builds from one set of blocks. They belong to this object, never to its content: a
     state rebuilt from a copy of the matrix, a copy.deepcopy or a pickle
     round trip computes its own. States compare and hash by identity, as
     bases do: comparing two matrices would need a tolerance.
@@ -111,8 +112,8 @@ class DensityMatrix:
 
     @cached_property
     def _spectrum(self) -> np.ndarray:
-        """np.linalg.eigvalsh(matrix), computed once; the only place a state's spectrum is built."""
-        return np.linalg.eigvalsh(self.matrix)
+        """np.linalg.eigvalsh(matrix), computed once by _state_spectra, or kept from its stacked call."""
+        return _state_spectra([self])[0]
 
     @cached_property
     def _entropy(self) -> float:
@@ -154,6 +155,24 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.dim_a * self.dim_b
+
+
+def _state_spectra(states: list[DensityMatrix]) -> list[np.ndarray]:
+    """Each state's kept _spectrum, np.linalg.eigvalsh(matrix); the only place a state's spectrum is built.
+
+    The states that keep no spectrum yet get theirs from one eigvalsh over
+    their stacked matrices, and each keeps its row: a stacked eigvalsh gives
+    every matrix the bits of a lone call. Their matrices must share one
+    shape and dtype, as the complex128 matrices of states of one dimension
+    do. A state that keeps its spectrum already is not solved again, and a
+    lone state makes one eigvalsh over a stack of one.
+    """
+    # A cached_property keeps its value in the instance dict, under its name.
+    fresh = [rho for rho in states if "_spectrum" not in vars(rho)]
+    if fresh:
+        for rho, w in zip(fresh, np.linalg.eigvalsh(np.array([rho.matrix for rho in fresh]))):
+            vars(rho)["_spectrum"] = w
+    return [rho._spectrum for rho in states]
 
 
 def make_density(matrix, dim_a: int, dim_b: int) -> DensityMatrix:

@@ -40,6 +40,7 @@ from coherence_bounds.measurement import (
 )
 from coherence_bounds.states import (
     DensityMatrix,
+    bell_diagonal_family,
     make_density,
     marginal_a,
     marginal_b,
@@ -338,6 +339,22 @@ class TestSweeps:
 def _hex_rows(rows) -> list[list[str]]:
     # float.hex tells -0.0 from 0.0 and gives every NaN the same text
     return [[float(v).hex() for v in row] for row in rows]
+
+
+def test_a_stacked_report_solves_its_fresh_states_in_one_eigvalsh(monkeypatch):
+    # validated states keep their spectra; the family states among them,
+    # built fresh, share one eigvalsh, and each row keeps the bits of a
+    # report over a fresh copy of its state alone
+    points = [(family, p) for family in (x_state, werner, bell_diagonal_family) for p in (0.0, 0.45, 1.0)]
+    validated = [random_density(2, 2, 70 + k) for k in range(4)]
+    kept = [rho._spectrum for rho in validated]
+    mixed = [family(p) for family, p in points[:4]] + validated + [family(p) for family, p in points[4:]]
+    calls = _count_eigensolves(monkeypatch)
+    stacked = _report_scalars(mixed, X, Z, False)
+    assert calls == [len(points)]
+    assert all(rho._spectrum is w for rho, w in zip(validated, kept))
+    alone = [family(p) for family, p in points[:4]] + validated + [family(p) for family, p in points[4:]]
+    assert _hex_rows(stacked) == _hex_rows([_report_scalars([rho], X, Z, False)[0] for rho in alone])
 
 
 class TestStackedReport:

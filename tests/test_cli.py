@@ -165,8 +165,9 @@ class TestFigure:
         assert calls == [(cli.FIGURES[which].steps, 3)]
 
     @pytest.mark.parametrize("which", [1, 2, 3, 4])
-    def test_a_sweep_validates_no_row_and_solves_one_4x4_per_row(self, which, monkeypatch):
-        # the families build on the trusted path; rho_AB is the only eigensolve
+    def test_a_sweep_validates_no_row_and_solves_its_states_in_one_eigvalsh(self, which, monkeypatch):
+        # the families build on the trusted path; the rows' rho_AB, one stack
+        # of 4x4 matrices, are the only eigensolve
         validations, solves = [], []
         make_density = states.make_density
 
@@ -185,7 +186,7 @@ class TestFigure:
             monkeypatch.setattr(np.linalg, name, recorded)
         cli.render_figure_csv(cli.FIGURES[which])
         assert validations == []
-        assert solves == [("eigvalsh", (4, 4))] * cli.FIGURES[which].steps
+        assert solves == [("eigvalsh", (cli.FIGURES[which].steps, 4, 4))]
 
     @pytest.mark.parametrize("which", [1, 2, 3, 4])
     def test_a_sweep_computes_q_mu_once(self, which, monkeypatch):

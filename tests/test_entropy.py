@@ -1,3 +1,6 @@
+import math
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +115,21 @@ def _vectorised_entropies(table):
     return -np.add.accumulate(xlog2x(p), axis=1)[:, -1]
 
 
+def _python_entropies(table):
+    # the pass on Python floats that _entropies replaced, kept as a second
+    # oracle: each row's minimum, total and sum from functools.reduce
+    p = np.maximum(table, 0.0)
+    terms = p * np.log2(np.maximum(p, np.finfo(np.float64).tiny))
+    for row, clamped in zip(table.tolist(), p.tolist()):
+        lowest = min(row, default=math.inf)
+        total = reduce(add, clamped) if clamped else 0.0
+        if not (lowest >= -SUPPORT_CUT and abs(total - 1.0) <= TRACE_TOL):
+            if lowest < -SUPPORT_CUT and total == total:
+                raise ProbabilityError(f"negative probability {lowest!r}")
+            raise ProbabilityError(f"probabilities sum to {total!r}, not 1 within {TRACE_TOL!r}")
+    return [-reduce(add, row) for row in terms.tolist()]
+
+
 def _random_row(rng, length):
     # a distribution on the first k entries, zero padded to length, with
     # exact zeros, point masses and eigenvalue dust in [-1e-12, 0)
@@ -136,6 +154,55 @@ def test_entropies_match_the_vectorised_pass_bitwise():
                 got = np.array(_entropies(table))
                 # same bits, the sign of zero included
                 assert got.view(np.uint64).tolist() == _vectorised_entropies(table).view(np.uint64).tolist()
+
+
+def _bits(values):
+    # the uint64 view of a list of floats, so -0.0 and 0.0 differ
+    return np.array(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("rows", [1, 7, 7 * 101, 7 * 1024])
+@pytest.mark.parametrize("width", [1, 4, 16])
+def test_entropies_match_both_oracles_bitwise_at_every_table_size(rows, width):
+    # a report's table, a figure chunk's and more, against the Python-float
+    # pass and the all-numpy pass, the sign of zero included
+    rng = np.random.default_rng((rows, width))
+    table = np.array([_random_row(rng, width) for _ in range(rows)])
+    if width > 1:
+        # a point mass with dust next to it and padding after
+        table[0] = 0.0
+        table[0, :2] = 1.0, -5e-13
+    assert (table.max(axis=1) == 1.0).any() and (table < 0.0).any() == (width > 1)
+    got = _bits(_entropies(table))
+    assert got == _bits(_python_entropies(table))
+    assert got == _bits(_vectorised_entropies(table))
+
+
+@pytest.mark.parametrize("rows", [0, 1, 7, 7 * 1024])
+def test_entropies_of_empty_rows_match_both_oracles(rows):
+    # an empty row sums to 0.0 and fails the check; no row gives no entropies
+    table = np.zeros((rows, 0))
+    if not rows:
+        assert _entropies(table) == _python_entropies(table) == []
+        return
+    message = _message(_entropies, table)
+    assert message == _message(_python_entropies, table) == _message(_vectorised_entropies, table)
+    assert message == f"probabilities sum to 0.0, not 1 within {TRACE_TOL!r}"
+
+
+@pytest.mark.parametrize("bad", [[1.0, -2e-12, 0.0, 2e-12], [0.5, 0.4, 0.0, 0.0], [0.25, np.nan, 0.75, 0.0]])
+@pytest.mark.parametrize("position", [0, 7 * 512 + 3, 7 * 1024 - 1])
+def test_a_large_table_raises_the_message_of_its_first_bad_row(bad, position):
+    # one bad row first, in the middle or last, and unless it is last a
+    # different bad row after it: the message is the first one's
+    rng = np.random.default_rng(position)
+    table = np.array([_random_row(rng, 4) for _ in range(7 * 1024)])
+    table[position] = bad
+    if position < len(table) - 1:
+        table[-1] = [2.0, 0.0, 0.0, 0.0]
+    message = _message(_entropies, table)
+    assert message == _message(shannon_entropy, np.array(bad))
+    assert message == _message(_python_entropies, table) == _message(_vectorised_entropies, table)
 
 
 def _message(fn, table):

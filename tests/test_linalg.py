@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 
 from coherence_bounds.errors import DimensionError
 from coherence_bounds.linalg import hermitize, partial_trace, tensor_product
+from coherence_bounds.states import bell_diagonal_family, werner, x_state
 
 
 def random_matrix(seed: int, dim: int) -> np.ndarray:
@@ -60,6 +61,17 @@ def test_a_stacked_eigensolve_gives_each_matrix_the_bits_of_a_lone_call(n):
             lone_pairs, lone_vectors = np.linalg.eigh(lone)
             assert pairs[k].tobytes() == lone_pairs.tobytes()
             assert vectors[k].tobytes() == lone_vectors.tobytes()
+
+
+@pytest.mark.parametrize("size", [101, 1024])
+@pytest.mark.parametrize("family", [x_state, werner, bell_diagonal_family], ids=lambda f: f.__name__)
+def test_a_stacked_eigensolve_gives_each_family_state_the_bits_of_a_lone_call(family, size):
+    # a figure chunk's rho_AB share one eigvalsh; each row must be the
+    # spectrum a lone call gives the state
+    stack = np.array([family(p).matrix for p in np.linspace(0.0, 1.0, size)])
+    values = np.linalg.eigvalsh(stack)
+    for k in range(size):
+        assert values[k].tobytes() == np.linalg.eigvalsh(stack[k].copy()).tobytes()
 
 
 def test_tensor_product_rejects_non_matrices():

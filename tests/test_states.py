@@ -398,6 +398,47 @@ class TestFamilyConstructors:
             assert not constant.flags.writeable
 
 
+def _record_eigvalsh(monkeypatch) -> list:
+    """Wrap np.linalg.eigvalsh; the returned list gains the shape of each call's argument."""
+    shapes, eigvalsh = [], np.linalg.eigvalsh
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    return shapes
+
+
+class TestStateSpectra:
+    """_state_spectra solves the states that keep no spectrum in one eigvalsh and leaves kept ones alone."""
+
+    def test_a_mixed_stack_solves_only_its_fresh_states(self, monkeypatch):
+        validated = [random_density(2, 2, seed) for seed in range(5)]
+        kept = [rho._spectrum for rho in validated]
+        fresh = [family(p) for p in (0.0, 0.3, 1.0) for family in (x_state, werner, bell_diagonal_family)]
+        mixed = [rho for pair in zip(fresh, validated) for rho in pair] + fresh[len(validated) :]
+        shapes = _record_eigvalsh(monkeypatch)
+        spectra = states._state_spectra(mixed)
+        assert shapes == [(len(fresh), 4, 4)]
+        for rho, w in zip(mixed, spectra):
+            assert w is rho._spectrum
+            assert w.tobytes() == np.linalg.eigvalsh(rho.matrix.copy()).tobytes()
+        for rho, w in zip(validated, kept):
+            assert rho._spectrum is w
+        # a second call finds every spectrum kept and solves nothing
+        del shapes[:]
+        again = states._state_spectra(mixed)
+        assert shapes == [] and all(a is b for a, b in zip(again, spectra))
+
+    def test_a_lone_state_makes_one_eigvalsh(self, monkeypatch):
+        rho = werner(0.4)
+        shapes = _record_eigvalsh(monkeypatch)
+        assert rho._spectrum is rho._spectrum
+        assert shapes == [(1, 4, 4)]
+        assert states._state_spectra([rho])[0] is rho._spectrum and shapes == [(1, 4, 4)]
+
+
 class TestRandomStates:
     def test_seed_determinism(self):
         a = random_density(2, 2, 7)
