@@ -40,8 +40,9 @@ def classical_quantum(rng, dim_b: int, power: int = 1) -> np.ndarray:
     return sum(p * np.kron(np.outer(u[:, a], u[:, a].conj()), blocks[a]) for a, p in enumerate((w, 1.0 - w)))
 
 
-def strata(dim_b: int, count: int = 4) -> dict[str, list[DensityMatrix]]:
-    """Seeded states with a memory of dim_b, `count` per stratum (one more for product)."""
+def strata(dim_b: int) -> dict[str, list[DensityMatrix]]:
+    """Seeded states with a memory of dim_b, 4 per stratum (one more for product)."""
+    count = 4
     rng = np.random.default_rng(dim_b)
     d = 2 * dim_b
     ranks = {"pure": 1, "rank2": 2, "rank3": 3, "rank4": 4, "full": d}

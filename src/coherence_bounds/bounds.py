@@ -56,9 +56,10 @@ when one of those fields reads J_A; otherwise the three fields are NaN, and
 the batched call covers n = 0, n_X and n_Z alone. Of the four standard
 figures only figure 1 (lb_theorem3) searches. A sweep computes q_mu once,
 since every row shares X and Z, and builds its family states _SWEEP_CHUNK
-rows at a time, each chunk one _report_scalars call. Its rows come out as
-they are made, so a caller that consumes them one by one, as the figure
-CSV does, holds at most one chunk of reports.
+rows at a time, each chunk one _report_scalars call. It hands each chunk's
+rows over as one list as soon as they are made, so a caller that consumes
+the lists one by one, as the figure CSV does, holds at most one chunk of
+reports; sweep_family joins the lists.
 """
 from __future__ import annotations
 
@@ -81,7 +82,7 @@ DUST = 1e-12
 # searched x_state rows holds about 2.5 MB of spectra.
 _SWEEP_CHUNK = 1024
 
-# The report fields that read J_A; _report leaves them NaN without the search.
+# The report fields that read J_A; a report made without the search leaves them NaN.
 _DISCORD_FIELDS = frozenset({"discord_gap", "lb_theorem3", "eur_pati"})
 
 
@@ -134,18 +135,7 @@ def evaluate_all(rho: DensityMatrix, x: ObservableBasis, z: ObservableBasis) -> 
     clamps it, takes its one checked entropy pass and runs the search for
     J_A. A state with dim_a != 2 raises UnsupportedDimension.
     """
-    return _report(rho, x, z, incompatibility(x, z), discord=True)
-
-
-def _report(
-    rho: DensityMatrix, x: ObservableBasis, z: ObservableBasis, q_mu: float, discord: bool
-) -> BoundReport:
-    """evaluate_all's report, given q_mu = incompatibility(x, z).
-
-    Without `discord` the batched call covers n = 0, n_X and n_Z only, the
-    search is skipped and J_A is NaN.
-    """
-    return _fields(q_mu, *_report_scalars([rho], x, z, discord)[0])
+    return _fields(incompatibility(x, z), *_report_scalars([rho], x, z, True)[0])
 
 
 def _fields(
@@ -196,28 +186,27 @@ def sweep_family(
     family: str, x: ObservableBasis, z: ObservableBasis, p_values
 ) -> list[tuple[float, BoundReport]]:
     """Evaluate a named one-parameter family on a grid of p values."""
-    return list(_sweep(family, x, z, p_values, _DISCORD_FIELDS))
+    return [row for chunk in _sweep(family, x, z, p_values, _DISCORD_FIELDS) for row in chunk]
 
 
 def _sweep(
     family: str, x: ObservableBasis, z: ObservableBasis, p_values, field_names
-) -> Iterator[tuple[float, BoundReport]]:
-    """sweep_family's rows for a caller that reads only `field_names` of each report, as they are made.
+) -> Iterator[list[tuple[float, BoundReport]]]:
+    """sweep_family's rows for a caller that reads only `field_names` of each report, one chunk at a time.
 
     The search for J_A runs only if one of `field_names` reads it;
-    otherwise the J_A fields of every report are NaN. The rows are made
-    _SWEEP_CHUNK at a time, one _report_scalars call per chunk, and each
-    report is built as its row is yielded, so a caller that consumes the rows
-    one by one never holds more than one chunk of them.
+    otherwise the J_A fields of every report are NaN. Each list yielded
+    holds the next _SWEEP_CHUNK rows (fewer at the end of the grid), made by
+    one _report_scalars call, so a caller that consumes the lists one by one
+    never holds more than one chunk of reports.
     """
     try:
         constructor = FAMILIES[family]
     except KeyError:
         raise DomainError(f"unknown family {family!r}, expected one of {sorted(FAMILIES)}") from None
-    discord = not _DISCORD_FIELDS.isdisjoint(field_names)
+    search = not _DISCORD_FIELDS.isdisjoint(field_names)
     q_mu = incompatibility(x, z)
     grid = iter(p_values)
     while chunk := [float(p) for p in islice(grid, _SWEEP_CHUNK)]:
-        scalars = _report_scalars([constructor(p) for p in chunk], x, z, discord)
-        for p, row in zip(chunk, scalars):
-            yield p, _fields(q_mu, *row)
+        scalars = _report_scalars([constructor(p) for p in chunk], x, z, search)
+        yield [(p, _fields(q_mu, *row)) for p, row in zip(chunk, scalars)]

@@ -153,6 +153,11 @@ def _draw_cases(seed: int, count: int):
         )
 
 
+def _conjugated(rho: DensityMatrix, u: np.ndarray) -> DensityMatrix:
+    """The two-qubit state u rho u^dag, unvalidated."""
+    return DensityMatrix(hermitize(u @ rho.matrix @ u.conj().T), 2, 2)
+
+
 def _suite_linalg(case: CheckCase, report: BoundReport) -> list[tuple[str, float, float]]:
     rng = np.random.default_rng((case.state_seed, 1))
     a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -179,7 +184,7 @@ def _suite_entropy(case: CheckCase, report: BoundReport) -> list[tuple[str, floa
     aux_seed = case.state_seed + 1_000_000_007
     sigma = random_density(2, 2, aux_seed)
     u = random_unitary(4, aux_seed)
-    rotated = DensityMatrix(hermitize(u @ case.rho.matrix @ u.conj().T), 2, 2)
+    rotated = _conjugated(case.rho, u)
     rel = relative_entropy(case.rho, sigma)
     deph_rel = relative_entropy(dephase(case.rho, case.x), dephase(sigma, case.x))
     contract = float("inf") if np.isinf(rel) else rel - deph_rel
@@ -292,12 +297,12 @@ def _suite_correlations(case: CheckCase, report: BoundReport) -> list[tuple[str,
     probe_chi = _HolevoObjective(case.rho)(_bloch(probe_t, probe_p))
     probe_best = von_neumann_entropy(marginal_b(case.rho)) + float(np.max(probe_chi))
     u = tensor_product(np.eye(2), random_unitary(2, case.state_seed + 77))
-    conjugated = DensityMatrix(hermitize(u @ case.rho.matrix @ u.conj().T), 2, 2)
+    conjugated = _conjugated(case.rho, u)
     j_conj = classical_correlation(conjugated).classical_correlation
     # A unitary on A rotates the objective against the search's fixed grid,
     # so unlike the B-side one this check reaches the search itself.
     u = tensor_product(random_unitary(2, case.state_seed + 78), np.eye(2))
-    conjugated = DensityMatrix(hermitize(u @ case.rho.matrix @ u.conj().T), 2, 2)
+    conjugated = _conjugated(case.rho, u)
     j_conj_a = classical_correlation(conjugated).classical_correlation
     return [
         ("classical_correlation_nonnegative", j_a, 1e-9),

@@ -28,13 +28,12 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
-from itertools import islice
 
 import numpy as np
 
 # sweep_family builds no figure rows but stays importable from here:
 # perfbench's figures workload wraps cli.sweep_family.
-from .bounds import _SWEEP_CHUNK, _sweep, evaluate_all, sweep_family  # noqa: F401
+from .bounds import _sweep, evaluate_all, sweep_family  # noqa: F401
 from .checks import CheckRecord, run_checks
 from .errors import ParseError, ValidationError
 from .measurement import ObservableBasis, bloch_basis, computational_basis, pauli_basis
@@ -150,21 +149,20 @@ def render_figure_csv(config: SweepConfig) -> str:
     """The CSV text of one figure sweep.
 
     bounds decides from config.fields whether the rows need the search for
-    J_A. A field it left unsearched is NaN, which format_value rejects. Each
-    row is formatted as the sweep yields it, so no more than one chunk of
-    reports is held at a time, and each _SWEEP_CHUNK of rows is joined into
-    one string as it arrives: the text is then held as one string per chunk,
-    not one per row, and the chunks are joined once.
+    J_A. A field it left unsearched is NaN, which format_value rejects. The
+    sweep hands over its rows one chunk at a time, and each chunk is
+    formatted and joined into one string as it arrives, so no more than one
+    chunk of reports is held at a time and the text is held as one string
+    per chunk, not one per row, until the chunks are joined once.
     """
     x = parse_basis(config.x_selector)
     z = parse_basis(config.z_selector)
-    rows = _sweep(config.family, x, z, config.grid(), config.fields)
     chunks = ["p," + ",".join(config.columns) + "\n"]
-    while chunk := "".join(
-        ",".join([format_value(p)] + [format_value(getattr(report, f)) for f in config.fields]) + "\n"
-        for p, report in islice(rows, _SWEEP_CHUNK)
-    ):
-        chunks.append(chunk)
+    for rows in _sweep(config.family, x, z, config.grid(), config.fields):
+        chunks.append("".join(
+            ",".join([format_value(p)] + [format_value(getattr(report, f)) for f in config.fields]) + "\n"
+            for p, report in rows
+        ))
     return "".join(chunks)
 
 

@@ -117,10 +117,12 @@ class _HolevoObjective:
     a whole stack of states, gives every spectrum of each report except
     rho_AB's and, if the reports search, the values on the search's grid.
     _block_spectra is a static method of the model, so a stack of one state
-    takes the same call. The optimiser reads each trial's value from a value pass
-    (_value_pass) and the Newton steps' local model from a derivative pass
-    over its terms (_derivative_pass). The constant S(B) is left to the
-    caller.
+    takes the same call. classical_correlation makes it over the same scan
+    columns, and calling the objective on a batch of points makes it over
+    that batch's _coefficients. The optimiser reads each trial's value from
+    a value pass (_value_pass) and the Newton steps' local model from a
+    derivative pass over its terms (_derivative_pass). The constant S(B) is
+    left to the caller.
 
     The class holds the model for any dim_b: M_+ as a real affine map of
     (1, n) (_planes), the blocks' spectra from eigvalsh, and both passes
@@ -149,11 +151,11 @@ class _HolevoObjective:
         self.db = db
 
     def __call__(self, n: np.ndarray) -> np.ndarray:
-        return self._values(_spectra([self], n)[0])
+        return self._values(self._block_spectra([self], _coefficients(n))[0])
 
     @staticmethod
     def _values(spectra: np.ndarray) -> np.ndarray:
-        """The objective at the N points whose 2 N columns of _spectra are given, for one state or a stack."""
+        """The objective at the N points whose 2 N columns of _block_spectra rows are given, for one state or a stack."""
         terms = xlog2x(spectra)
         # p_y S(M_y / p_y) = p_y log2 p_y - sum_k w_k log2 w_k for eigenvalues w of M_y.
         s_cond = terms[..., 0, :] - terms[..., 1:, :].sum(axis=-2)
@@ -162,10 +164,13 @@ class _HolevoObjective:
 
     @staticmethod
     def _block_spectra(objectives: list[_HolevoObjective], coeffs: np.ndarray) -> np.ndarray:
-        """_spectra's rows for the blocks M = (1, n) @ _planes of each objective at the columns (1, n) of coeffs.
+        """Per objective, row 0: p = Tr M; rows 1..: the eigenvalues of M, for the blocks M = (1, n) @ _planes.
 
-        One product per objective's planes, in one batched matmul, and one
-        eigvalsh over every block of the stack.
+        One block per column (1, n) of coeffs, as _coefficients lays them
+        out: shape (len(objectives), 1 + db, columns). Every objective has
+        the same model (one dim_b). One product per objective's planes, in
+        one batched matmul, and one eigvalsh over every block of the stack;
+        each objective's rows have the bits of a call over it alone.
         """
         db = objectives[0].db
         planes = np.array([objective._planes for objective in objectives])
@@ -352,7 +357,10 @@ class _QubitMemoryObjective(_HolevoObjective):
 
 
 def _coefficients(n: np.ndarray) -> np.ndarray:
-    """The columns (1, n) and (1, -n) of the blocks M_+ and M_- at the N columns of n, shape (4, 2 N)."""
+    """The columns (1, n) and (1, -n) of the blocks M_+ and M_- at the N columns of n, shape (4, 2 N).
+
+    Column j < N is M_+ at column j of n, and column N + j is M_- there.
+    """
     size = n.shape[1]
     coeffs = np.empty((4, 2 * size))
     coeffs[0] = 1.0
@@ -361,23 +369,13 @@ def _coefficients(n: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def _spectra(objectives: list[_HolevoObjective], n: np.ndarray) -> np.ndarray:
-    """Per objective, row 0: p = Tr M; rows 1..: the eigenvalues of M. Shape (len(objectives), rows, 2 N).
-
-    Column j < N is M_+ at column j of n, and column N + j is M_- there.
-    Every objective has the same model (one dim_b); its one _block_spectra
-    call covers the whole stack, and each objective's rows have the bits of
-    a call over it alone.
-    """
-    return type(objectives[0])._block_spectra(objectives, _coefficients(n))
-
-
 @cache
 def _scan_coefficients(search: bool) -> np.ndarray:
-    """_coefficients of the report's scan, n = 0, n_X, n_Z and with `search` the grid, with n_X = n_Z = 0.
+    """_coefficients of the scan, n = 0, n_X, n_Z and with `search` the grid, with n_X = n_Z = 0.
 
-    Read-only, built once per flag; _report_scalars copies it and writes
-    n_X and n_Z into its columns 1 and 2 of each half.
+    Read-only, built once per flag. _report_scalars copies it and writes
+    n_X and n_Z into its columns 1 and 2 of each half; classical_correlation
+    reads it as it is, so both routes to J_A scan the same columns.
     """
     points = _geodesic_grid()[0] if search else np.empty((3, 0))
     n = np.zeros((3, 3 + points.shape[1]))
@@ -616,14 +614,13 @@ def _maximize_holevo(
     return max(0.0, s_b + best), n, evals
 
 
-def _memory_spectrum(spectra: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """rho_B's eigenvalues from column 0 of _spectra rows whose first point is n = 0: rho_B = 2 M_+(0).
+def _memory_spectrum(spectra: np.ndarray) -> np.ndarray:
+    """rho_B's eigenvalues from column 0, n = 0, of _block_spectra rows over the scan: rho_B = 2 M_+(0).
 
     Both routes to J_A read S(B) from it, so the report and
-    classical_correlation add back the same bits. The report has it written
-    straight into its table, `out`.
+    classical_correlation add back the same bits.
     """
-    return np.multiply(spectra[..., 1:, 0], 2.0, out=out)
+    return spectra[..., 1:, 0] * 2.0
 
 
 def _report_scalars(
@@ -656,8 +653,8 @@ def _report_scalars(
     ends = np.array((_outcome0_bloch(x), _outcome0_bloch(z))).T
     coeffs[1:, 1:3] = ends
     coeffs[1:, size + 1 : size + 3] = -ends
-    spectra = type(objectives[0])._block_spectra(objectives, coeffs)
-    # Axes: state, row of _spectra, block M_+ or M_-, point n = 0, n_X or n_Z.
+    spectra = objectives[0]._block_spectra(objectives, coeffs)
+    # Axes: state, row of _block_spectra, block M_+ or M_-, point n = 0, n_X or n_Z.
     cols = spectra.reshape(count, 1 + db, 2, -1)[:, :, :, :3]
     # Rows per state: the spectra of AB, A, B, XB and ZB, then p_X and p_Z.
     table = np.zeros((count, 7, 2 * db))
@@ -666,7 +663,7 @@ def _report_scalars(
         p0, px, py, pz = objective._trace
         r = math.sqrt(px * px + py * py + pz * pz)
         table[k, 1, :2] = p0 + r, p0 - r
-    _memory_spectrum(spectra, out=table[:, 2, :db])
+    table[:, 2, :db] = _memory_spectrum(spectra)
     table[:, 3:5] = cols[:, 1:, :, 1:].transpose(0, 3, 1, 2).reshape(count, 2, 2 * db)
     table[:, 5:, :2] = cols[:, 0, :, 1:].transpose(0, 2, 1)
     spectrum_rows = table[:, :5]
@@ -710,16 +707,18 @@ def classical_correlation(rho: DensityMatrix) -> DiscordResult:
     local model predicts it, is at or below the value's rounding,
     2**-52 max(1, |value|); on a flat objective that is at the start, where
     gradient and curvature are rounding noise. J_A is S(B) plus the best value
-    found, clamped at 0, and the discord is I(A:B) - J_A. S(B) and the
-    grid's values come from one batched call over n = 0 and the grid, as in
-    evaluate_all's report, so both give J_A with the same bits.
+    found, clamped at 0, and the discord is I(A:B) - J_A, with I(A:B) =
+    S(A) + S(B) - S(AB) taking that same S(B). S(B) and the grid's values
+    come from one batched call over the columns of evaluate_all's scan with
+    searching, n = 0, n_X, n_Z and the grid, where n_X and n_Z stay at
+    n = 0, so both give J_A with the same bits.
     Deterministic: no randomness, so repeated calls agree exactly.
     """
     objective = _HolevoObjective(rho)
-    (spectra,) = _spectra([objective], np.hstack([np.zeros((3, 1)), _geodesic_grid()[0]]))
+    (spectra,) = objective._block_spectra([objective], _scan_coefficients(True))
     s_b = _spectrum_entropy(_memory_spectrum(spectra))
-    j_a, n, evals = _maximize_holevo(objective, objective._values(spectra)[1:], s_b)
-    info = mutual_information(rho)
+    j_a, n, evals = _maximize_holevo(objective, objective._values(spectra)[3:], s_b)
+    info = von_neumann_entropy(marginal_a(rho)) + s_b - von_neumann_entropy(rho)
     return DiscordResult(
         discord=info - j_a,
         classical_correlation=j_a,

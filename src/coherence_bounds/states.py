@@ -237,16 +237,16 @@ def marginal_b(rho: DensityMatrix) -> DensityMatrix:
     return rho._marginal_b
 
 
-def _check_unit_interval(p: float, name: str) -> float:
+def _check_unit_interval(p: float) -> float:
     p = float(p)
     if not 0.0 <= p <= 1.0:
-        raise DomainError(f"{name} must lie in [0, 1], got {p!r}")
+        raise DomainError(f"p must lie in [0, 1], got {p!r}")
     return p
 
 
 def x_state(p: float) -> DensityMatrix:
     """Two-qubit mixture p |Psi+><Psi+| + (1-p) |11><11|."""
-    p = _check_unit_interval(p, "p")
+    p = _check_unit_interval(p)
     m = p * _PSI_PLUS_PROJECTOR
     m[3, 3] += 1.0 - p
     return DensityMatrix(m, 2, 2)
@@ -254,7 +254,7 @@ def x_state(p: float) -> DensityMatrix:
 
 def werner(p: float) -> DensityMatrix:
     """Two-qubit mixture p |Psi+><Psi+| + (1-p) I/4."""
-    p = _check_unit_interval(p, "p")
+    p = _check_unit_interval(p)
     m = p * _PSI_PLUS_PROJECTOR + (1.0 - p) / 4.0 * _IDENTITY4
     return DensityMatrix(m, 2, 2)
 
@@ -281,7 +281,7 @@ def bell_diagonal_family(p: float) -> DensityMatrix:
     Equals the mixture p |Psi-><Psi-| + (1-p)/2 (|Psi+><Psi+| + |Phi+><Phi+|),
     with eigenvalues (p, (1-p)/2, (1-p)/2, 0).
     """
-    p = _check_unit_interval(p, "p")
+    p = _check_unit_interval(p)
     return DensityMatrix(_bell_diagonal_matrix(1.0 - 2.0 * p, -p, -p), 2, 2)
 
 

@@ -399,7 +399,7 @@ class TestStackedReport:
         q_mu = incompatibility(X, Z)
         assert [p for p, _ in rows] == grid.tolist()
         for p, report in rows:
-            expected = bounds._report(x_state(p), X, Z, q_mu, discord=True)
+            expected = bounds._fields(q_mu, *_report_scalars([x_state(p)], X, Z, True)[0])
             assert _hex_rows([asdict(report).values()]) == _hex_rows([asdict(expected).values()])
 
     def test_an_empty_sweep_has_no_rows(self):
@@ -421,7 +421,7 @@ def test_report_without_search_leaves_exactly_the_j_a_fields_nan():
     ]
     for rho, x, z in cases:
         full = asdict(evaluate_all(rho, x, z))
-        unsearched = asdict(bounds._report(rho, x, z, incompatibility(x, z), discord=False))
+        unsearched = asdict(bounds._fields(incompatibility(x, z), *_report_scalars([rho], x, z, False)[0]))
         nan_fields = {name for name, value in unsearched.items() if math.isnan(value)}
         assert nan_fields == bounds._DISCORD_FIELDS
         for name in full.keys() - nan_fields:

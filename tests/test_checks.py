@@ -153,14 +153,16 @@ def _count_layers(monkeypatch):
     return calls
 
 
-def test_a_check_case_makes_18_eigvalsh_and_4_eigh(monkeypatch):
+def test_a_check_case_makes_16_eigvalsh_and_4_eigh(monkeypatch):
     # dephase keeps its state per basis object and relative_entropy reads the
     # kept eigh, so the suites share each dephased state and its eigensystem;
     # this pins the totals only (a full-rank case.rho still meets both solvers).
     # measure reads the kept blocks, so a case builds 6 sets of them.
+    # classical_correlation takes its discord's S(B) from its own scan, so
+    # neither conjugated state of the correlations suite diagonalises rho_B.
     calls = _count_layers(monkeypatch)
     assert run_checks(42, 2).ok
-    assert calls == {"eigvalsh": 2 * 18, "eigh": 2 * 4, "_conditional_blocks": 2 * 6}
+    assert calls == {"eigvalsh": 2 * 16, "eigh": 2 * 4, "_conditional_blocks": 2 * 6}
 
 
 def test_the_primitive_calls_on_a_state_build_each_block_once(monkeypatch):

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +30,8 @@ from coherence_bounds.errors import (
     ValidationError,
 )
 from coherence_bounds.linalg import hermitize
-from coherence_bounds.measurement import pauli_basis
-from coherence_bounds.states import DensityMatrix, random_unitary, save_state_file, werner
+from coherence_bounds.measurement import incompatibility, pauli_basis
+from coherence_bounds.states import DensityMatrix, bell_diagonal_family, random_unitary, save_state_file, werner
 
 FIG1_HEADER = "p,lb_berta_coh,lb_pati_coh,lb_adabi_coh"
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -187,6 +188,18 @@ class TestFigure:
         cli.render_figure_csv(cli.FIGURES[which])
         assert validations == []
         assert solves == [("eigvalsh", (cli.FIGURES[which].steps, 4, 4))]
+
+    def test_a_grid_of_two_chunks_and_a_row_renders_the_rows_of_lone_reports(self):
+        # the sweep hands its rows over one chunk at a time: no row is lost or
+        # repeated at a chunk's end, and each has the bits of its state's lone report
+        config = replace(cli.FIGURES[2], steps=2 * bounds._SWEEP_CHUNK + 1)
+        x, z = parse_basis(config.x_selector), parse_basis(config.z_selector)
+        q_mu = incompatibility(x, z)
+        lines = ["p," + ",".join(config.columns)]
+        for p in config.grid().tolist():
+            report = bounds._fields(q_mu, *correlations._report_scalars([bell_diagonal_family(p)], x, z, False)[0])
+            lines.append(",".join(cli.format_value(v) for v in [p] + [getattr(report, f) for f in config.fields]))
+        assert cli.render_figure_csv(config) == "\n".join(lines) + "\n"
 
     @pytest.mark.parametrize("which", [1, 2, 3, 4])
     def test_a_sweep_computes_q_mu_once(self, which, monkeypatch):

@@ -12,13 +12,13 @@ from coherence_bounds import _corpora, cli, correlations, measurement
 from coherence_bounds.correlations import (
     _bloch,
     _chart,
+    _coefficients,
     _geodesic_grid,
     _HolevoObjective,
     _QubitMemoryObjective,
     _STENCIL,
     _maximize_holevo,
     _report_scalars,
-    _spectra,
     _tangent_frame,
     classical_correlation,
     conditional_entropy,
@@ -279,8 +279,8 @@ class TestFastObjective:
         for rho in states:
             closed, general = _HolevoObjective(rho), _general_model(rho)
             # the closed form lists a block's eigenvalues from the largest down
-            spectra = _spectra([closed], grid)[0][[0, 2, 1]]
-            assert np.max(np.abs(spectra - _spectra([general], grid)[0])) <= 1e-13
+            spectra = closed._block_spectra([closed], _coefficients(grid))[0][[0, 2, 1]]
+            assert np.max(np.abs(spectra - general._block_spectra([general], _coefficients(grid))[0])) <= 1e-13
             assert np.max(np.abs(closed(grid) - general(grid))) <= 1e-13
             for n in probes.T.tolist():
                 local, reference = closed._value_pass(n), general._value_pass(n)
@@ -377,6 +377,21 @@ class TestClassicalCorrelation:
             cases += [(rho, pauli_basis(1), pauli_basis(3)) for states in _corpora.strata(dim_b).values() for rho in states]
         for rho, x, z in cases:
             assert classical_correlation(rho).classical_correlation == _report_scalars([rho], x, z, True)[0][-1]
+
+    def test_the_discord_reads_the_searchs_s_b(self, monkeypatch):
+        # I(A:B) takes the S(B) that J_A adds back, so a fresh 2x2 state
+        # diagonalises rho_A and rho_AB alone, never rho_B, and the two
+        # still sum to I(A:B) from the traced-out marginals
+        rho = DensityMatrix(random_density(2, 2, 33).matrix, 2, 2)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(np.shape(a)) or eigvalsh(a))
+        classical_correlation(rho)
+        assert calls == [(1, 2, 2), (1, 4, 4)]
+        monkeypatch.undo()
+        for case in generate_cases(42, 1000):
+            res = classical_correlation(case.rho)
+            assert abs(res.discord + res.classical_correlation - mutual_information(case.rho)) <= 1e-15
 
     def test_deterministic(self):
         a = classical_correlation(random_density(2, 2, 33))
