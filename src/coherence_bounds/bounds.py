@@ -44,7 +44,8 @@ that table: it fills it, cuts spectrum entries below SUPPORT_CUT to exact
 zeros, takes the single checked entropy pass and runs the search. It does
 so for a stack of states that share dim_b, X and Z: one batched call over
 every state's blocks, one table of seven rows per state and one entropy
-pass over all of them, then each state's search in order. Each state's
+pass over all of them, one pass that picks every state's search starts,
+then each state's ascents in order. Each state's
 scalars have the bits of a call over it alone, and evaluate_all is the
 stack of one. This module holds q_mu and the field formulas alone.
 

@@ -27,6 +27,8 @@ import json
 import math
 import os
 import sys
+import tempfile
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -45,13 +47,13 @@ EXIT_IO = 2
 EXIT_PARSE = 3
 EXIT_VALIDATION = 4
 
-# The most grid points a figure sweep takes. A sweep holds at most one chunk of
-# reports, and the CSV text is kept as one string per chunk until the chunks
-# are joined once, so what grows with the grid is the text, held twice at the
-# end. On a 2-vCPU host with one BLAS thread, 10^5 rows took 7.4 s and 52 MB
-# peak RSS for figure 1 (which searches) and 2.9 s and 46 MB for figure 2;
-# 10^6 rows of figure 2 took 32 s and 156 MB, for 58 MB of CSV. 10^8 would
-# allocate an 800 MB grid and run for hours.
+# The most grid points a figure sweep takes. `figure` holds at most one chunk
+# of reports and writes each chunk's CSV text as it is joined, so what grows
+# with the grid is the grid itself (8 bytes a point). On a 2-vCPU host with
+# one BLAS thread, 10^5 rows peaked at 49 MB RSS for figure 1 (which
+# searches) and 37 MB for figure 2; 10^6 rows of figure 2 took about 33 s
+# and 44 MB, for 58 MB of CSV. 10^8 would allocate an 800 MB grid and run
+# for hours.
 _MAX_STEPS = 10**6
 
 
@@ -145,33 +147,49 @@ def format_value(value: float) -> str:
     return f"{value:.12g}"
 
 
-def render_figure_csv(config: SweepConfig) -> str:
-    """The CSV text of one figure sweep.
+def _figure_chunks(config: SweepConfig) -> Iterator[str]:
+    """The CSV text of one figure sweep: the header, then one string per chunk of the sweep.
 
     bounds decides from config.fields whether the rows need the search for
     J_A. A field it left unsearched is NaN, which format_value rejects. The
     sweep hands over its rows one chunk at a time, and each chunk is
     formatted and joined into one string as it arrives, so no more than one
-    chunk of reports is held at a time and the text is held as one string
-    per chunk, not one per row, until the chunks are joined once.
+    chunk of reports is held at a time.
     """
     x = parse_basis(config.x_selector)
     z = parse_basis(config.z_selector)
-    chunks = ["p," + ",".join(config.columns) + "\n"]
+    yield "p," + ",".join(config.columns) + "\n"
     for rows in _sweep(config.family, x, z, config.grid(), config.fields):
-        chunks.append("".join(
+        yield "".join(
             ",".join([format_value(p)] + [format_value(getattr(report, f)) for f in config.fields]) + "\n"
             for p, report in rows
-        ))
-    return "".join(chunks)
+        )
+
+
+def render_figure_csv(config: SweepConfig) -> str:
+    """The CSV text of one figure sweep, the text `figure` writes."""
+    return "".join(_figure_chunks(config))
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    # Rendering comes first, so a rejected grid leaves no output file.
+    # The chunks go to a temporary file next to the output, which replaces it
+    # only once every row is written, so a failed run leaves no output file.
+    # A symlinked output is resolved, so its target is written, as open() would.
     config = replace(FIGURES[args.which], steps=args.steps, p_min=args.pmin, p_max=args.pmax)
-    text = render_figure_csv(config)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    target = os.path.realpath(args.out)
+    fd, partial = tempfile.mkstemp(suffix=".tmp", dir=os.path.dirname(target))
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            for chunk in _figure_chunks(config):
+                fh.write(chunk)
+        # mkstemp creates the file for its owner alone; give it a new file's mode.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(partial, 0o666 & ~umask)
+        os.replace(partial, target)
+    except BaseException:
+        os.unlink(partial)
+        raise
     return EXIT_OK
 
 

@@ -20,7 +20,9 @@ measurement. The objective's blocks also give evaluate_all the spectra of
 rho_A, rho_B and the two dephased states, in the same batched call as the
 grid's values: _report_scalars turns them into the entropies and J_A that
 every report field is a formula over, for one state or for a figure
-sweep's stack of states in one call.
+sweep's stack of states in one call. The starts are picked once per stack
+(_starts), and the ascents run per state on Python floats
+(_maximize_holevo).
 """
 from __future__ import annotations
 
@@ -412,8 +414,8 @@ _MAX_STARTS = 4
 
 
 @cache
-def _geodesic_grid() -> tuple[np.ndarray, np.ndarray]:
-    """The frequency-3 icosahedral geodesic grid and, per point, its _NEIGHBOURS nearest.
+def _geodesic_grid() -> tuple[np.ndarray, np.ndarray, tuple]:
+    """The frequency-3 icosahedral geodesic grid, its _NEIGHBOURS nearest per point, and its tangent frames.
 
     Every face of the icosahedron with vertices (0, +-1, +-g), g the golden
     ratio, and their cyclic shifts gets the points (a u + b v + c w) / 3 with
@@ -424,8 +426,11 @@ def _geodesic_grid() -> tuple[np.ndarray, np.ndarray]:
     Nearness is |n . m|, so a neighbour across the equator is found through its
     antipode. Rounding |n . m| to 12 digits makes distances that are equal on
     the exact grid equal here, and equal distances go to the first point in
-    scan order. Shapes (3, 46) and (46, _NEIGHBOURS), both read-only, built
-    on the first call and kept: an import builds no grid.
+    scan order. Column j of the neighbour table holds point j's, nearest
+    first, so one gather of a stack's grid values reads every point's
+    neighbours. Shapes (3, 46) and (_NEIGHBOURS, 46), both read-only; the
+    frames are _tangent_frame of each point, the frames the ascents start
+    from. Built on the first call and kept: an import builds no grid.
     """
     g = 0.5 * (1.0 + math.sqrt(5.0))
     base = np.array([[0.0, 1.0, g], [0.0, 1.0, -g], [0.0, -1.0, g], [0.0, -1.0, -g]])
@@ -441,9 +446,9 @@ def _geodesic_grid() -> tuple[np.ndarray, np.ndarray]:
     grid = points[first == np.arange(first.size)].T
     near = np.round(np.abs(grid.T @ grid), 12)
     np.fill_diagonal(near, -1.0)
-    neighbours = np.argsort(-near, axis=1, kind="stable")[:, :_NEIGHBOURS]
+    neighbours = np.ascontiguousarray(np.argsort(-near, axis=1, kind="stable")[:, :_NEIGHBOURS].T)
     grid.flags.writeable = neighbours.flags.writeable = False
-    return grid, neighbours
+    return grid, neighbours, tuple(_tangent_frame(*point) for point in grid.T.tolist())
 
 
 # Central-difference spacing in tangent coordinates: round-off in the Hessian
@@ -584,31 +589,45 @@ def _refine(
     return value, frame[0], evals
 
 
-def _maximize_holevo(
-    objective: _HolevoObjective, values: np.ndarray, s_b: float
-) -> tuple[float, tuple[float, float, float], int]:
-    """(J_A, its Bloch vector, objective evaluations) for qubit A, given the objective on the grid and S(B).
+def _starts(values: np.ndarray) -> list[list[int]]:
+    """Per state, the grid points its ascents start from, given the objective on the grid, shape (N, 46).
 
-    The search maximises the objective, -S(B|Y_n); J_A is max(0, s_b + best).
-    The starts are the points of the geodesic grid no smaller than their
-    _NEIGHBOURS nearest. Of those whose values agree to 12 digits only the
-    first in scan order stays, and of the rest at most the _MAX_STARTS
-    largest, ties going to the first in scan order. An ascent runs from each
-    start in scan order, and the first best result wins.
+    One pass over the whole stack: a start is a point of the geodesic grid
+    no smaller than its _NEIGHBOURS nearest, one max over the gathered
+    neighbour values (a max is exact, so a state's peaks do not depend on
+    the stack). Of the peaks whose values agree to 12 digits only the first
+    in scan order stays, and of the rest at most the _MAX_STARTS largest,
+    ties going to the first in scan order. Each list is in scan order.
     """
-    grid, neighbours = _geodesic_grid()
-    peaks = np.flatnonzero(values >= values[neighbours].max(axis=1)).tolist()
+    neighbours = _geodesic_grid()[1]
+    states, indices = np.nonzero(values >= np.maximum.reduce(values[:, neighbours], axis=1))
     scores = values.tolist()
     # A flat or symmetric objective makes many tied peaks; one start serves them all.
-    distinct: dict[float, int] = {}
-    for index in peaks:
-        distinct.setdefault(round(scores[index], 12), index)
-    starts = sorted(sorted(distinct.values(), key=scores.__getitem__, reverse=True)[:_MAX_STARTS])
-    evals = len(scores)
+    distinct: list[dict[float, int]] = [{} for _ in scores]
+    for k, index in zip(states.tolist(), indices.tolist()):
+        distinct[k].setdefault(round(scores[k][index], 12), index)
+    return [
+        sorted(sorted(peaks.values(), key=row.__getitem__, reverse=True)[:_MAX_STARTS])
+        for peaks, row in zip(distinct, scores)
+    ]
+
+
+def _maximize_holevo(
+    objective: _HolevoObjective, starts: list[int], s_b: float
+) -> tuple[float, tuple[float, float, float], int]:
+    """(J_A, its Bloch vector, objective evaluations) for qubit A, given its starts (from _starts) and S(B).
+
+    The search maximises the objective, -S(B|Y_n); J_A is max(0, s_b + best).
+    _starts picks every state's starts in one pass over a stack; this runs
+    one state's ascents, on Python floats, from each start in scan order, and
+    the first best result wins. The evaluations count the grid's 46 points,
+    which the stack's one batched call gave.
+    """
+    frames = _geodesic_grid()[2]
+    evals = len(frames)
     best = -math.inf
     for index in starts:
-        frame = _tangent_frame(*grid[:, index].tolist())
-        value, point, evals = _refine(objective, frame, _START_RADIUS, evals)
+        value, point, evals = _refine(objective, frames[index], _START_RADIUS, evals)
         if value > best:
             best, n = value, point
     return max(0.0, s_b + best), n, evals
@@ -642,8 +661,9 @@ def _report_scalars(
     one zero-padded (N, 7, 2 dim_b) table; spectrum entries below
     SUPPORT_CUT become exact zeros, and one checked _entropies pass over its
     7 N rows gives the entropies. Only with `search` are the grid's values
-    formed and each state's search for J_A run from them, in order. Each state's
-    scalars have the bits of a call over that state alone. A state with
+    formed, every state's starts picked from them in one _starts pass, and
+    each state's ascents for J_A run, in order. Each state's scalars have
+    the bits of a call over that state alone. A state with
     dim_a != 2 raises UnsupportedDimension before anything is computed.
     """
     objectives = [_HolevoObjective(rho) for rho in states]
@@ -672,11 +692,11 @@ def _report_scalars(
     if not search:
         return [entropies[k : k + 7] + [math.nan] for k in range(0, 7 * count, 7)]
     # The grid's values are formed only here: an unsearched report reads none.
-    # Each search starts from them and adds back its S(B), entropies[k + 2].
-    values = objectives[0]._values(spectra)[:, 3:]
+    # One pass picks every state's starts; each ascent adds back its S(B), entropies[k + 2].
+    starts = _starts(objectives[0]._values(spectra)[:, 3:])
     return [
-        entropies[k : k + 7] + [_maximize_holevo(objective, grid_values, entropies[k + 2])[0]]
-        for k, objective, grid_values in zip(range(0, 7 * count, 7), objectives, values)
+        entropies[k : k + 7] + [_maximize_holevo(objective, state_starts, entropies[k + 2])[0]]
+        for k, objective, state_starts in zip(range(0, 7 * count, 7), objectives, starts)
     ]
 
 
@@ -715,9 +735,10 @@ def classical_correlation(rho: DensityMatrix) -> DiscordResult:
     Deterministic: no randomness, so repeated calls agree exactly.
     """
     objective = _HolevoObjective(rho)
-    (spectra,) = objective._block_spectra([objective], _scan_coefficients(True))
-    s_b = _spectrum_entropy(_memory_spectrum(spectra))
-    j_a, n, evals = _maximize_holevo(objective, objective._values(spectra)[3:], s_b)
+    spectra = objective._block_spectra([objective], _scan_coefficients(True))
+    s_b = _spectrum_entropy(_memory_spectrum(spectra[0]))
+    (starts,) = _starts(objective._values(spectra)[:, 3:])
+    j_a, n, evals = _maximize_holevo(objective, starts, s_b)
     info = von_neumann_entropy(marginal_a(rho)) + s_b - von_neumann_entropy(rho)
     return DiscordResult(
         discord=info - j_a,

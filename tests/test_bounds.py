@@ -185,7 +185,7 @@ class TestEvaluateAll:
         assert len(calls) == 1
         # beyond a qubit memory: one batched eigensolve for rho_B, the four
         # dephased blocks and the blocks of the search's grid
-        monkeypatch.setattr(correlations, "_maximize_holevo", lambda objective, values, s_b: (0.0, None, 0))
+        monkeypatch.setattr(correlations, "_maximize_holevo", lambda objective, starts, s_b: (0.0, None, 0))
         calls.clear()
         evaluate_all(wide_memory, bloch_basis(1.0, 2.0), bloch_basis(2.5, 0.3))
         assert len(calls) == 1
@@ -401,6 +401,25 @@ class TestStackedReport:
         for p, report in rows:
             expected = bounds._fields(q_mu, *_report_scalars([x_state(p)], X, Z, True)[0])
             assert _hex_rows([asdict(report).values()]) == _hex_rows([asdict(expected).values()])
+
+    def test_one_start_selection_pass_per_report_call(self, monkeypatch):
+        # every state's peak test runs in one pass over its stack: a sweep of
+        # two chunks and a row makes three, a lone report one
+        passes = []
+        starts = correlations._starts
+
+        def counted(values):
+            passes.append(len(values))
+            return starts(values)
+
+        monkeypatch.setattr(correlations, "_starts", counted)
+        chunk = bounds._SWEEP_CHUNK
+        sweep_family("xstate", X, Z, np.linspace(0.0, 1.0, 2 * chunk + 1))
+        assert passes == [chunk, chunk, 1]
+        passes.clear()
+        evaluate_all(random_density(2, 3, 5), X, Z)
+        classical_correlation(random_density(2, 2, 5))
+        assert passes == [1, 1]
 
     def test_an_empty_sweep_has_no_rows(self):
         assert sweep_family("werner", X, Z, []) == []

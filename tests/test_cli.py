@@ -134,6 +134,39 @@ class TestFigure:
         rc = run(["figure", "1", "--out", "/nonexistent-dir/f.csv"])
         assert rc == EXIT_IO
 
+    def test_a_run_that_fails_midway_leaves_the_old_file(self, tmp_path, monkeypatch):
+        # the chunks go to a temporary file beside the output as they are
+        # joined, and it replaces the output only once every row is written
+        out = tmp_path / "f.csv"
+        out.write_text("old")
+        steps = 2 * bounds._SWEEP_CHUNK + 1
+        format_value, seen, present = cli.format_value, [], []
+
+        def failing(value):
+            seen.append(1)
+            if len(seen) > 4 * 2 * bounds._SWEEP_CHUNK:  # the first value of the third chunk
+                present.extend(sorted(path.name for path in tmp_path.iterdir()))
+                raise ValidationError("planted")
+            return format_value(value)
+
+        monkeypatch.setattr(cli, "format_value", failing)
+        assert run(["figure", "2", "--out", str(out), "--steps", str(steps)]) == EXIT_VALIDATION
+        assert len(present) == 2 and "f.csv" in present
+        assert [path.name for path in tmp_path.iterdir()] == ["f.csv"] and out.read_text() == "old"
+
+    def test_a_symlinked_output_writes_its_target(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert run(["figure", "4", "--out", str(link)]) == EXIT_OK
+        assert link.is_symlink() and target.read_bytes() == (DATA / "figure4.csv").read_bytes()
+
+    def test_the_output_has_the_mode_of_a_new_file(self, tmp_path):
+        reference = tmp_path / "reference"
+        reference.write_text("")
+        out = tmp_path / "f.csv"
+        assert run(["figure", "4", "--out", str(out)]) == EXIT_OK
+        assert out.stat().st_mode == reference.stat().st_mode
+
     @pytest.mark.parametrize("which, searches", [(1, 101), (2, 0), (3, 0), (4, 0)])
     def test_only_a_figure_printing_a_j_a_field_searches(self, which, searches, monkeypatch):
         # figure 1 prints lb_theorem3; figures 2-4 print entropies alone

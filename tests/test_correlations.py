@@ -19,6 +19,7 @@ from coherence_bounds.correlations import (
     _STENCIL,
     _maximize_holevo,
     _report_scalars,
+    _starts,
     _tangent_frame,
     classical_correlation,
     conditional_entropy,
@@ -87,7 +88,8 @@ def _search_states():
 
 def _search(rho):
     objective = _HolevoObjective(rho)
-    return _maximize_holevo(objective, objective(_geodesic_grid()[0]), von_neumann_entropy(marginal_b(rho)))
+    (starts,) = _starts(objective(_geodesic_grid()[0])[None])
+    return _maximize_holevo(objective, starts, von_neumann_entropy(marginal_b(rho)))
 
 
 def test_conditional_entropy_values():
@@ -322,20 +324,81 @@ class TestFastObjective:
 
     @pytest.mark.parametrize("dim_b", [1, 2, 3, 8])
     def test_scan_values_are_the_grid_objective(self, dim_b, monkeypatch):
-        # evaluate_all's search starts from the values of its one spectra scan
-        starts = []
-        search = correlations._maximize_holevo
+        # evaluate_all's search picks its starts from the values of its one spectra scan
+        scans, searches = [], []
+        starts, search = correlations._starts, correlations._maximize_holevo
 
-        def recorded(objective, values, s_b):
-            starts.append((objective, values))
-            return search(objective, values, s_b)
+        def recorded_scan(values):
+            scans.append(values)
+            return starts(values)
 
-        monkeypatch.setattr(correlations, "_maximize_holevo", recorded)
+        def recorded_search(objective, state_starts, s_b):
+            searches.append(objective)
+            return search(objective, state_starts, s_b)
+
+        monkeypatch.setattr(correlations, "_starts", recorded_scan)
+        monkeypatch.setattr(correlations, "_maximize_holevo", recorded_search)
         for seed in range(90, 93):
-            starts.clear()
+            scans.clear()
+            searches.clear()
             _report_scalars([random_density(2, dim_b, seed)], bloch_basis(0.3, 1.2), pauli_basis(3), search=True)
-            ((objective, values),) = starts
+            ((values,),), (objective,) = scans, searches
             assert values.tobytes() == objective(_geodesic_grid()[0]).tobytes()
+
+
+def _lone_starts(values):
+    """The start rule over one state's grid values alone, as the search picked its starts one state at a time."""
+    neighbours = _geodesic_grid()[1].T
+    peaks = np.flatnonzero(values >= values[neighbours].max(axis=1)).tolist()
+    scores = values.tolist()
+    distinct = {}
+    for index in peaks:
+        distinct.setdefault(round(scores[index], 12), index)
+    return sorted(sorted(distinct.values(), key=scores.__getitem__, reverse=True)[: correlations._MAX_STARTS])
+
+
+class TestStackedStarts:
+    """One start-selection pass over a stack gives each state the starts, and the
+    search the J_A, Bloch vector and evaluations, of that state searched alone."""
+
+    @staticmethod
+    def _check(states, x, z, monkeypatch):
+        scans, searches = [], []
+        starts, search = correlations._starts, correlations._maximize_holevo
+
+        def recorded_scan(values):
+            scans.append(values)
+            return starts(values)
+
+        def recorded_search(objective, state_starts, s_b):
+            searches.append((objective, state_starts, s_b, search(objective, state_starts, s_b)))
+            return searches[-1][-1]
+
+        monkeypatch.setattr(correlations, "_starts", recorded_scan)
+        monkeypatch.setattr(correlations, "_maximize_holevo", recorded_search)
+        rows = _report_scalars(states, x, z, True)
+        monkeypatch.undo()
+        (values,) = scans
+        assert values.shape == (len(states), 46) and len(searches) == len(states)
+        grid = _geodesic_grid()[0]
+        for rho, row, state_values, (objective, state_starts, s_b, result) in zip(states, rows, values, searches):
+            lone = _HolevoObjective(rho)(grid)
+            assert state_values.tobytes() == lone.tobytes()
+            assert state_starts == _lone_starts(lone) == _starts(lone[None])[0]
+            assert s_b == row[2] and result[0] == row[-1]
+            assert _hex(result) == _hex(_maximize_holevo(_HolevoObjective(rho), _lone_starts(lone), s_b))
+
+    def test_the_figure_grid_points(self, monkeypatch):
+        self._check(_corpora.family_points(), pauli_basis(1), pauli_basis(3), monkeypatch)
+
+    def test_the_seed42_corpus_under_one_basis_pair(self, monkeypatch):
+        cases = generate_cases(42, 1000)
+        self._check([case.rho for case in cases], cases[0].x, cases[0].z, monkeypatch)
+
+    @pytest.mark.parametrize("dim_b", [2, 3, 4, 8])
+    def test_the_strata(self, dim_b, monkeypatch):
+        states = [rho for stratum in _corpora.strata(dim_b).values() for rho in stratum]
+        self._check(states, bloch_basis(0.8, 1.9), bloch_basis(2.1, 0.4), monkeypatch)
 
 
 class TestClassicalCorrelation:
@@ -371,27 +434,31 @@ class TestClassicalCorrelation:
 
     def test_j_a_has_the_report_bits(self):
         # S(B) is S(2 M_+(0)) on both routes; S(B) from rho_B's own eigvalsh
-        # put the two J_A apart in the last bit on 371 of the seed-42 states
-        cases = [(c.rho, c.x, c.z) for c in generate_cases(42, 1000)]
-        for dim_b in (2, 3, 4, 8):
-            cases += [(rho, pauli_basis(1), pauli_basis(3)) for states in _corpora.strata(dim_b).values() for rho in states]
-        for rho, x, z in cases:
-            assert classical_correlation(rho).classical_correlation == _report_scalars([rho], x, z, True)[0][-1]
+        # put the two J_A apart in the last bit on 371 of the seed-42 states.
+        # The discord's I(A:B) takes the S(B) that J_A adds back, and on the
+        # seed-42 states the two still sum to I(A:B) from the traced-out marginals.
+        seed42 = [(c.rho, c.x, c.z) for c in generate_cases(42, 1000)]
+        strata = [
+            (rho, pauli_basis(1), pauli_basis(3))
+            for dim_b in (2, 3, 4, 8)
+            for states in _corpora.strata(dim_b).values()
+            for rho in states
+        ]
+        for k, (rho, x, z) in enumerate(seed42 + strata):
+            res = classical_correlation(rho)
+            assert res.classical_correlation == _report_scalars([rho], x, z, True)[0][-1]
+            if k < len(seed42):
+                assert abs(res.discord + res.classical_correlation - mutual_information(rho)) <= 1e-15
 
     def test_the_discord_reads_the_searchs_s_b(self, monkeypatch):
         # I(A:B) takes the S(B) that J_A adds back, so a fresh 2x2 state
-        # diagonalises rho_A and rho_AB alone, never rho_B, and the two
-        # still sum to I(A:B) from the traced-out marginals
+        # diagonalises rho_A and rho_AB alone, never rho_B
         rho = DensityMatrix(random_density(2, 2, 33).matrix, 2, 2)
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(np.shape(a)) or eigvalsh(a))
         classical_correlation(rho)
         assert calls == [(1, 2, 2), (1, 4, 4)]
-        monkeypatch.undo()
-        for case in generate_cases(42, 1000):
-            res = classical_correlation(case.rho)
-            assert abs(res.discord + res.classical_correlation - mutual_information(case.rho)) <= 1e-15
 
     def test_deterministic(self):
         a = classical_correlation(random_density(2, 2, 33))
@@ -820,11 +887,13 @@ class TestCoarseMultiStart:
         assert stepped == []
 
     def test_grid_is_built_once_and_read_only(self):
-        # built on the first call and shared by every later search
-        grid, neighbours = _geodesic_grid()
-        assert _geodesic_grid()[0] is grid and _geodesic_grid()[1] is neighbours
-        assert grid.shape == (3, 46) and neighbours.shape == (46, 8)
+        # built on the first call and shared by every later search, with the
+        # frames each ascent starts from
+        grid, neighbours, frames = _geodesic_grid()
+        assert _geodesic_grid()[0] is grid and _geodesic_grid()[1] is neighbours and _geodesic_grid()[2] is frames
+        assert grid.shape == (3, 46) and neighbours.shape == (8, 46)
         assert not grid.flags.writeable and not neighbours.flags.writeable
+        assert frames == tuple(_tangent_frame(*grid[:, index].tolist()) for index in range(46))
 
     def test_import_builds_no_grid_and_loads_no_corpora(self):
         # a process that never searches never pays for the grid; the corpora
